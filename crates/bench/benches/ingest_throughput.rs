@@ -149,7 +149,8 @@ fn measure(fm: &FrequencyMatrix, size: usize, clustered: bool, budget_secs: f64)
         clustered,
     );
 
-    // Before: the sequential per-increment loop (what `apply_rows` was).
+    // Before: the per-increment loop (each `apply_increment` a batch of
+    // one).
     let mut seq = IncrementalRelease::new(fm, &sa, 1e9).unwrap();
     let mut seq_written = 0usize;
     for (cell, delta) in &increments {

@@ -18,15 +18,25 @@
 //! `δ·update_weights` to the stored coefficients breaks this — float
 //! addition is not associative, so `(a + δ/f)` generally differs in the
 //! last ulp from recomputing the coefficient from updated sums. Instead,
-//! [`IncrementalRelease`] keeps each axis's intermediate *state* (the Haar
-//! averaging pyramid, the nominal leaf-sum array, the identity lane) and
-//! recomputes every touched value with expressions byte-for-byte identical
-//! to the forward kernels' own (`0.5 * (a + b)` / `0.5 * (a - b)`, the
-//! child-order `.sum()`, `ls − ls_parent / fanout`). The sparse-update
-//! *indices* are exactly `update_weights`' support; only the value
-//! arithmetic routes through the state.
+//! [`IncrementalRelease`] keeps each axis's forward-kernel *state* (the
+//! Haar averaging pyramid, the nominal leaf-sum array, the identity lane —
+//! see [`Transform1d::state_len`]) and recomputes every touched value with
+//! expressions byte-for-byte identical to the forward kernels' own
+//! (`0.5 * (a + b)` / `0.5 * (a - b)`, the child-order `.sum()`,
+//! `ls − ls_parent / fanout`). The sparse-update *indices* are exactly
+//! `update_weights`' support; only the value arithmetic routes through the
+//! state.
 //!
-//! **Coalesced bulk ingest.** A heavy-traffic stream delivers increments in
+//! **One forward kernel.** The states are not computed by a second copy of
+//! the forward: every [`Transform1d::forward`] leaves its lane's state in
+//! scratch, and [`new`](IncrementalRelease::new) and
+//! [`decay`](IncrementalRelease::decay) run the ordinary forward pipeline
+//! on the tiled [`LaneExecutor`] with each stage keeping that scratch —
+//! writing the states and the exact coefficients straight into the
+//! release's own buffers. Only the sparse dirty walk below restates the
+//! per-node expressions.
+//!
+//! **Coalesced ingest.** A heavy-traffic stream delivers increments in
 //! batches whose coefficient paths overlap heavily — B arrivals into one
 //! hot region dirty far fewer than `B·∏ log mᵢ` distinct coefficients.
 //! [`apply_increments`](IncrementalRelease::apply_increments) absorbs a
@@ -35,19 +45,20 @@
 //! cells, and propagates axis by axis over a **dirty set** — pending
 //! changes are grouped by lane, each dirty lane's kernel state is walked
 //! once, and every dirty coefficient is recomputed exactly once with the
-//! same per-node expressions as the sequential walk. Because each touched
-//! value is a pure function of the final child states, the result is
-//! **bit-identical** to an [`apply_increment`](IncrementalRelease::apply_increment)
-//! loop over the same batch in the same order (proptested in
-//! `tests/streaming_release.rs`); the only order-sensitive operations —
-//! the `+=` leaf additions of duplicate cells — are replayed in arrival
-//! order. The propagation works on flat linear indices in a reusable
+//! forward kernels' per-node expressions. Because each touched value is a
+//! pure function of the final child states, the result is
+//! **bit-identical** to the forward transform of the updated table
+//! (proptested in `tests/streaming_release.rs`); the only order-sensitive
+//! operations — the `+=` leaf additions of duplicate cells — are replayed
+//! in arrival order. A single increment
+//! ([`apply_increment`](IncrementalRelease::apply_increment)) is a batch
+//! of one. The propagation works on flat linear indices in a reusable
 //! internal workspace (no per-touch coordinate-vector clones, no
 //! allocation once the buffers reach the batch's working-set size), and
 //! a lane whose distinct dirty-leaf count crosses the
 //! [`PRIVELET_BULK_LANE_CUTOVER`](BULK_LANE_CUTOVER_ENV) density cutover
-//! is recomputed with one contiguous whole-lane pass through the same
-//! kernel expressions instead of per-node pointer chasing.
+//! is recomputed with one contiguous call of the lane's forward kernel
+//! instead of per-node pointer chasing.
 //!
 //! **Epoch budgets.** Re-noising the same statistics k times is k releases
 //! of one mechanism: sequential composition sums the epsilons. A
@@ -70,7 +81,7 @@ use crate::{CoreError, Result};
 use privelet_data::schema::Schema;
 use privelet_data::FrequencyMatrix;
 use privelet_matrix::knob::env_usize_knob;
-use privelet_matrix::NdMatrix;
+use privelet_matrix::{LaneExecutor, NdMatrix, Shape};
 use std::collections::BTreeSet;
 
 /// Environment knob naming the whole-lane recompute cutover as a dirty
@@ -86,257 +97,14 @@ pub const BULK_LANE_CUTOVER_ENV: &str = "PRIVELET_BULK_LANE_CUTOVER";
 /// whole coefficient tree and a linear pass beats pointer chasing.
 pub const DEFAULT_BULK_LANE_CUTOVER_PCT: usize = 50;
 
-/// Per-axis intermediate state of the staged forward transform, stored for
-/// every lane of that axis.
-///
-/// Axis `i`'s state matrix has dimensions
-/// `(out₀, …, outᵢ₋₁, sᵢ, inᵢ₊₁, …, in_d)` — axes before `i` are already
-/// in the coefficient domain, axes after it still in the data domain —
-/// where `sᵢ` is the per-lane state length: `2·padded` for Haar (the
-/// averaging pyramid in heap layout, leaves at `m + x`, slot 0 unused),
-/// `node_count` for nominal (leaf-sums by node id), `|A|` for identity
-/// (the lane itself).
-#[derive(Debug, Clone)]
-struct AxisState {
-    axis: usize,
-    data: Vec<f64>,
-    strides: Vec<usize>,
-}
-
-impl AxisState {
-    /// Flat offset of a lane: every coordinate except the state axis.
-    fn lane_offset(&self, coords: &[usize]) -> usize {
-        coords
-            .iter()
-            .zip(&self.strides)
-            .enumerate()
-            .filter(|&(j, _)| j != self.axis)
-            .map(|(_, (&c, &s))| c * s)
-            .sum()
-    }
-}
-
-fn row_major_strides(dims: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; dims.len()];
-    for j in (0..dims.len().saturating_sub(1)).rev() {
-        strides[j] = strides[j + 1] * dims[j + 1];
-    }
-    strides
-}
-
-/// Per-lane state length of one transform (see [`AxisState`]).
-fn state_len(t: &DimTransform) -> usize {
+/// The state slot holding domain position `pos`'s leaf (see
+/// [`Transform1d::state_len`]).
+fn leaf_slot(t: &DimTransform, pos: usize) -> usize {
     match t {
-        DimTransform::Haar(_) => 2 * t.output_len(),
-        DimTransform::Nominal(_) => t.output_len(),
-        DimTransform::Identity(_) => t.input_len(),
+        DimTransform::Haar(h) => h.output_len() + pos,
+        DimTransform::Nominal(nt) => nt.hierarchy().leaf_node(pos),
+        DimTransform::Identity(_) => pos,
     }
-}
-
-/// Initializes one lane's state from its input values and writes the
-/// lane's full coefficient output — the stateful equivalent of the forward
-/// kernel, using the kernel's exact float expressions.
-fn init_lane(t: &DimTransform, src: &[f64], state: &mut [f64], out: &mut [f64]) {
-    match t {
-        DimTransform::Haar(_) => {
-            let m = t.output_len();
-            state[0] = 0.0;
-            state[m..m + src.len()].copy_from_slice(src);
-            state[m + src.len()..].fill(0.0);
-            for j in (1..m).rev() {
-                // Identical to the kernel's level fold: 0.5 * (a + b).
-                state[j] = 0.5 * (state[2 * j] + state[2 * j + 1]);
-            }
-            out[0] = state[1];
-            for j in 1..m {
-                out[j] = 0.5 * (state[2 * j] - state[2 * j + 1]);
-            }
-        }
-        DimTransform::Nominal(nt) => {
-            let h = nt.hierarchy();
-            for (pos, &v) in src.iter().enumerate() {
-                state[h.leaf_node(pos)] = v;
-            }
-            for &id in h.level_order().iter().rev() {
-                if !h.is_leaf(id) {
-                    // Identical to the kernel's bottom-up sum.
-                    state[id] = h.children(id).iter().map(|&c| state[c]).sum();
-                }
-            }
-            for &id in h.level_order() {
-                let pos = h.level_order_pos(id);
-                out[pos] = match h.parent(id) {
-                    None => state[id],
-                    Some(p) => state[id] - state[p] / h.fanout(p) as f64,
-                };
-            }
-        }
-        DimTransform::Identity(_) => {
-            state.copy_from_slice(src);
-            out.copy_from_slice(src);
-        }
-    }
-}
-
-/// Applies one change to a lane's state and returns the touched output
-/// positions with their recomputed values — bit-identical to what a
-/// from-scratch forward of the updated lane would produce at those
-/// positions. `is_delta` distinguishes the data-domain entry axis (the
-/// increment adds to the stored value) from propagated absolute values.
-fn update_lane(
-    t: &DimTransform,
-    state: &mut [f64],
-    stride: usize,
-    offset: usize,
-    pos: usize,
-    value: f64,
-    is_delta: bool,
-) -> Vec<(usize, f64)> {
-    let idx = |k: usize| offset + k * stride;
-    let mut out = Vec::new();
-    match t {
-        DimTransform::Haar(_) => {
-            let m = t.output_len();
-            if is_delta {
-                state[idx(m + pos)] += value;
-            } else {
-                state[idx(m + pos)] = value;
-            }
-            let mut j = (m + pos) >> 1;
-            while j >= 1 {
-                let a = state[idx(2 * j)];
-                let b = state[idx(2 * j + 1)];
-                state[idx(j)] = 0.5 * (a + b);
-                out.push((j, 0.5 * (a - b)));
-                j >>= 1;
-            }
-            out.push((0, state[idx(1)]));
-        }
-        DimTransform::Nominal(nt) => {
-            let h = nt.hierarchy();
-            let leaf = h.leaf_node(pos);
-            if is_delta {
-                state[idx(leaf)] += value;
-            } else {
-                state[idx(leaf)] = value;
-            }
-            let mut path = vec![leaf];
-            let mut node = leaf;
-            while let Some(p) = h.parent(node) {
-                state[idx(p)] = h.children(p).iter().map(|&c| state[idx(c)]).sum();
-                path.push(p);
-                node = p;
-            }
-            // `node` is now the root.
-            out.push((h.level_order_pos(node), state[idx(node)]));
-            // A path node's leaf-sum feeds the coefficient of *every*
-            // child of that node, so whole sibling groups re-derive.
-            for &p in path.iter().skip(1) {
-                let f = h.fanout(p) as f64;
-                let lsp = state[idx(p)];
-                for &c in h.children(p) {
-                    out.push((h.level_order_pos(c), state[idx(c)] - lsp / f));
-                }
-            }
-        }
-        DimTransform::Identity(_) => {
-            if is_delta {
-                state[idx(pos)] += value;
-            } else {
-                state[idx(pos)] = value;
-            }
-            out.push((pos, state[idx(pos)]));
-        }
-    }
-    out
-}
-
-/// Runs the staged forward pipeline over `table` (row-major over the
-/// transform's input dims), producing every axis's per-lane kernel state
-/// and the final coefficient values. The per-lane math is the forward
-/// kernels' own, so the final values are bit-identical to
-/// `transform.forward` on the same table.
-fn staged_forward(
-    transform: &HnTransform,
-    table: Vec<f64>,
-) -> (Vec<AxisState>, Vec<f64>, Vec<usize>) {
-    let d = transform.ndim();
-    let mut cur_dims = transform.input_dims();
-    let mut cur = table;
-    let mut states = Vec::with_capacity(d);
-    for (axis, t) in transform.transforms().iter().enumerate() {
-        let n = t.input_len();
-        let out_n = t.output_len();
-        let s_n = state_len(t);
-        let mut state_dims = cur_dims.clone();
-        state_dims[axis] = s_n;
-        let mut out_dims = cur_dims.clone();
-        out_dims[axis] = out_n;
-        let in_strides = row_major_strides(&cur_dims);
-        let state_strides = row_major_strides(&state_dims);
-        let out_strides = row_major_strides(&out_dims);
-        let mut state = AxisState {
-            axis,
-            data: vec![0.0f64; state_dims.iter().product()],
-            strides: state_strides,
-        };
-        let mut out = vec![0.0f64; out_dims.iter().product()];
-
-        let mut src_lane = vec![0.0f64; n];
-        let mut state_lane = vec![0.0f64; s_n];
-        let mut out_lane = vec![0.0f64; out_n];
-        // Odometer over every lane (all coords with the axis fixed).
-        let mut coords = vec![0usize; d];
-        loop {
-            let in_off: usize = coords
-                .iter()
-                .zip(&in_strides)
-                .enumerate()
-                .filter(|&(j, _)| j != axis)
-                .map(|(_, (&c, &s))| c * s)
-                .sum();
-            for (k, slot) in src_lane.iter_mut().enumerate() {
-                *slot = cur[in_off + k * in_strides[axis]];
-            }
-            init_lane(t, &src_lane, &mut state_lane, &mut out_lane);
-            let st_off = state.lane_offset(&coords);
-            for (k, &v) in state_lane.iter().enumerate() {
-                state.data[st_off + k * state.strides[axis]] = v;
-            }
-            let out_off: usize = coords
-                .iter()
-                .zip(&out_strides)
-                .enumerate()
-                .filter(|&(j, _)| j != axis)
-                .map(|(_, (&c, &s))| c * s)
-                .sum();
-            for (k, &v) in out_lane.iter().enumerate() {
-                out[out_off + k * out_strides[axis]] = v;
-            }
-            // Advance the odometer, skipping the lane axis.
-            let mut j = d;
-            let mut done = true;
-            while j > 0 {
-                j -= 1;
-                if j == axis {
-                    continue;
-                }
-                coords[j] += 1;
-                if coords[j] < cur_dims[j] {
-                    done = false;
-                    break;
-                }
-                coords[j] = 0;
-            }
-            if done {
-                break;
-            }
-        }
-        states.push(state);
-        cur = out;
-        cur_dims = out_dims;
-    }
-    (states, cur, cur_dims)
 }
 
 /// Saturating `∏ᵢ max_update_support(i)`: a 5-dim schema of wide nominal
@@ -358,9 +126,9 @@ pub struct IngestReport {
     /// Duplicate-cell arrivals merged onto an already-dirty cell —
     /// `increments` minus the distinct cells the batch touched.
     pub coalesced_cells: usize,
-    /// Distinct coefficients written — the dirty-set size, which a
-    /// sequential [`apply_increment`](IncrementalRelease::apply_increment)
-    /// loop would have written at least this many times.
+    /// Distinct coefficients written — the dirty-set size, which
+    /// absorbing the increments one at a time would have written at
+    /// least this many times.
     pub coefficients_written: usize,
     /// Tightened per-batch bound: `distinct cells × per-increment touch
     /// bound`, saturating, capped at the coefficient-tensor size.
@@ -370,8 +138,8 @@ pub struct IngestReport {
 
 /// One pending change, lane-decomposed: `lane` keys the grouping,
 /// `pos` is the coordinate along the axis being processed, `seq`
-/// preserves arrival order so duplicate-cell `+=` replays match the
-/// sequential loop bit for bit.
+/// preserves arrival order so duplicate-cell `+=` replays happen in
+/// submission order, bit for bit.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     lane: usize,
@@ -389,10 +157,16 @@ struct LaneScratch {
     marks: Vec<bool>,
     /// The marked nodes of the lane in hand.
     marked: Vec<usize>,
-    /// Contiguous lane buffers for whole-lane kernel recomputes.
-    src_lane: Vec<f64>,
-    state_lane: Vec<f64>,
-    out_lane: Vec<f64>,
+    lane: LaneBufs,
+}
+
+/// Contiguous lane buffers for whole-lane kernel recomputes.
+#[derive(Debug, Clone, Default)]
+struct LaneBufs {
+    src: Vec<f64>,
+    /// The kernel's scratch, state first.
+    scratch: Vec<f64>,
+    out: Vec<f64>,
 }
 
 /// Dirty-set workspace reused across batches — the bulk-ingest analogue
@@ -436,15 +210,32 @@ fn whole_lane(distinct: usize, input_len: usize, pct: usize) -> bool {
     distinct.saturating_mul(100) >= pct.saturating_mul(input_len)
 }
 
+/// Recomputes one whole lane with the lane's forward kernel: gathers its
+/// leaves from the state, runs [`Transform1d::forward`] contiguously, and
+/// writes the kernel's state back. `lane.out` is left holding the lane's
+/// coefficients.
+fn forward_lane(t: &DimTransform, state: &mut [f64], ctx: LaneCtx, lane: &mut LaneBufs) {
+    let sidx = |k: usize| ctx.state_base + k * ctx.stride;
+    lane.src.clear();
+    lane.src
+        .extend((0..t.input_len()).map(|pos| state[sidx(leaf_slot(t, pos))]));
+    lane.scratch.resize(t.scratch_len().max(t.state_len()), 0.0);
+    lane.out.resize(t.output_len(), 0.0);
+    t.forward(&lane.src, &mut lane.out, &mut lane.scratch);
+    for (k, &v) in lane.scratch[..t.state_len()].iter().enumerate() {
+        state[sidx(k)] = v;
+    }
+}
+
 /// Processes one dirty lane of one axis: applies the lane's pending
 /// changes to the kernel state (duplicate positions replayed in arrival
 /// order), recomputes every dirty node **exactly once** bottom-up with
 /// the kernels' own float expressions — or, past the density cutover,
-/// with one contiguous [`init_lane`] pass, which computes the identical
-/// bits because every node value is the same pure function of the final
-/// leaf states — and emits the dirty output positions into `next`.
-/// Returns the lane's distinct dirty position count (on axis 0: distinct
-/// cells after coalescing).
+/// with one contiguous call of the forward kernel ([`forward_lane`]),
+/// which computes the identical bits because every node value is the
+/// same pure function of the final leaf states — and emits the dirty
+/// output positions into `next`. Returns the lane's distinct dirty
+/// position count (on axis 0: distinct cells after coalescing).
 fn process_lane(
     t: &DimTransform,
     state: &mut [f64],
@@ -458,9 +249,7 @@ fn process_lane(
     let LaneScratch {
         marks,
         marked,
-        src_lane,
-        state_lane,
-        out_lane,
+        lane,
     } = scratch;
     marked.clear();
     let mut distinct = 0usize;
@@ -488,18 +277,11 @@ fn process_lane(
                 }
             }
             if whole_lane(distinct, t.input_len(), ctx.cutover_pct) {
-                src_lane.clear();
-                src_lane.extend((0..t.input_len()).map(|k| state[sidx(m + k)]));
-                state_lane.resize(2 * m, 0.0);
-                out_lane.resize(m, 0.0);
-                init_lane(t, src_lane, state_lane, out_lane);
-                for (k, &v) in state_lane.iter().enumerate() {
-                    state[sidx(k)] = v;
-                }
+                forward_lane(t, state, ctx, lane);
                 for &j in marked.iter() {
-                    next.push((oidx(j), out_lane[j]));
+                    next.push((oidx(j), lane.out[j]));
                 }
-                next.push((ctx.out_base, out_lane[0]));
+                next.push((ctx.out_base, lane.out[0]));
             } else {
                 // Descending heap index = children before parents.
                 marked.sort_unstable_by(|a, b| b.cmp(a));
@@ -510,7 +292,7 @@ fn process_lane(
                     next.push((oidx(j), 0.5 * (a - b)));
                 }
                 // Base coefficient = the root average (slot 1; for m == 1
-                // slot 1 *is* the single leaf), as in the sequential walk.
+                // slot 1 *is* the single leaf), as in the forward kernel.
                 next.push((ctx.out_base, state[sidx(1)]));
             }
         }
@@ -540,20 +322,13 @@ fn process_lane(
                 }
             }
             if whole_lane(distinct, t.input_len(), ctx.cutover_pct) {
-                src_lane.clear();
-                src_lane.extend((0..h.leaf_count()).map(|k| state[sidx(h.leaf_node(k))]));
-                state_lane.resize(h.node_count(), 0.0);
-                out_lane.resize(h.node_count(), 0.0);
-                init_lane(t, src_lane, state_lane, out_lane);
-                for (k, &v) in state_lane.iter().enumerate() {
-                    state[sidx(k)] = v;
-                }
+                forward_lane(t, state, ctx, lane);
                 let root_pos = h.level_order_pos(h.root());
-                next.push((oidx(root_pos), out_lane[root_pos]));
+                next.push((oidx(root_pos), lane.out[root_pos]));
                 for &p in marked.iter() {
                     for &c in h.children(p) {
                         let q = h.level_order_pos(c);
-                        next.push((oidx(q), out_lane[q]));
+                        next.push((oidx(q), lane.out[q]));
                     }
                 }
             } else {
@@ -566,8 +341,7 @@ fn process_lane(
                 let root = h.root();
                 next.push((oidx(h.level_order_pos(root)), state[sidx(root)]));
                 // A dirty leaf-sum feeds the coefficient of every child of
-                // that node, so whole sibling groups re-derive — exactly
-                // the union of the sequential walks' emissions.
+                // that node, so whole sibling groups re-derive.
                 for &p in marked.iter() {
                     let f = h.fanout(p) as f64;
                     let lsp = state[sidx(p)];
@@ -606,10 +380,10 @@ fn process_lane(
 /// noised only at explicit epoch boundaries under a lifetime privacy
 /// budget.
 ///
-/// See the [module docs](self) for the bit-identity design. The latest
-/// published epoch is kept on the release
-/// ([`latest`](Self::latest)); serving tiers roll to it via
-/// `ReleaseCore::advance_epoch` in `privelet-query`.
+/// See the [module docs](self) for the bit-identity design. Each
+/// [`advance_epoch`](Self::advance_epoch) hands its output to the caller;
+/// serving tiers roll to it via `ReleaseCore::advance_epoch` in
+/// `privelet-query`.
 #[derive(Debug, Clone)]
 pub struct IncrementalRelease {
     schema: Schema,
@@ -617,9 +391,13 @@ pub struct IncrementalRelease {
     /// Exact coefficients, bit-identical at all times to
     /// `transform.forward(current table)`.
     exact: NdMatrix,
-    states: Vec<AxisState>,
+    /// Per-axis forward-kernel state for every lane of that axis. Axis
+    /// `i`'s buffer has dimensions `(out₀, …, outᵢ₋₁, sᵢ, inᵢ₊₁, …, in_d)`
+    /// — axes before `i` already in the coefficient domain, axes after it
+    /// still in the data domain — where `sᵢ` is the axis transform's
+    /// [`state_len`](Transform1d::state_len).
+    states: Vec<Vec<f64>>,
     ledger: BudgetLedger,
-    latest: Option<CoefficientOutput>,
     workspace: BatchWorkspace,
     lane_cutover_pct: usize,
 }
@@ -632,25 +410,37 @@ impl IncrementalRelease {
     pub fn new(fm: &FrequencyMatrix, sa: &BTreeSet<usize>, total_epsilon: f64) -> Result<Self> {
         let transform = HnTransform::for_schema(fm.schema(), sa)?;
         let ledger = BudgetLedger::new(total_epsilon)?;
-        // Staged forward pipeline, one axis at a time, capturing each
-        // axis's per-lane state.
-        let (states, data, dims) = staged_forward(&transform, fm.matrix().as_slice().to_vec());
-        let exact = NdMatrix::from_vec(&dims, data)?;
+        let states = vec![Vec::new(); transform.ndim()];
+        let exact = NdMatrix::zeros(&transform.output_dims())?;
         let lane_cutover_pct = env_usize_knob(
             BULK_LANE_CUTOVER_ENV,
             "a dirty-leaf percentage",
             DEFAULT_BULK_LANE_CUTOVER_PCT,
         );
-        Ok(IncrementalRelease {
+        let mut release = IncrementalRelease {
             schema: fm.schema().clone(),
             transform,
             exact,
             states,
             ledger,
-            latest: None,
             workspace: BatchWorkspace::default(),
             lane_cutover_pct,
-        })
+        };
+        release.rebuild(fm.matrix())?;
+        Ok(release)
+    }
+
+    /// Runs the forward pipeline over `table`, writing every axis's kernel
+    /// state and the exact coefficients into the release's own buffers
+    /// (sized on the first call). The executor is per call, so its
+    /// intermediate is freed on return.
+    fn rebuild(&mut self, table: &NdMatrix) -> Result<()> {
+        self.transform.forward_keeping_state(
+            &mut LaneExecutor::new(),
+            table,
+            &mut self.states,
+            self.exact.as_mut_slice(),
+        )
     }
 
     /// The schema of the underlying table.
@@ -673,11 +463,6 @@ impl IncrementalRelease {
     /// The sequential-composition budget ledger.
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
-    }
-
-    /// The most recently published epoch, if any.
-    pub fn latest(&self) -> Option<&CoefficientOutput> {
-        self.latest.as_ref()
     }
 
     /// Epochs published so far.
@@ -708,8 +493,8 @@ impl IncrementalRelease {
         saturating_touch_bound(self.transform.transforms())
     }
 
-    /// Validation shared by the single-increment and bulk paths — wrong
-    /// arity or an out-of-domain coordinate is an `Err`, never a panic.
+    /// Validation shared by every ingest path — wrong arity or an
+    /// out-of-domain coordinate is an `Err`, never a panic.
     fn validate_cell(&self, cell: &[usize]) -> Result<()> {
         let d = self.transform.ndim();
         if cell.len() != d {
@@ -732,81 +517,39 @@ impl IncrementalRelease {
     }
 
     /// Absorbs `delta` added to table cell `cell`, updating the exact
-    /// coefficients sparsely. Returns the number of coefficients written
-    /// (≤ [`touch_bound`](Self::touch_bound)).
-    ///
-    /// This is the sequential reference path;
-    /// [`apply_increments`](Self::apply_increments) absorbs batches at
-    /// the cost of the *distinct* dirty coefficients and is pinned
-    /// bit-identical to a loop over this method.
+    /// coefficients sparsely — a batch of one through
+    /// [`apply_increments`](Self::apply_increments). Returns the number of
+    /// coefficients written (≤ [`touch_bound`](Self::touch_bound)).
     pub fn apply_increment(&mut self, cell: &[usize], delta: f64) -> Result<usize> {
-        self.validate_cell(cell)?;
-
-        // Propagate the change axis by axis. Entering axis i, every
-        // pending change has coefficient coordinates on axes < i and the
-        // cell's data coordinates on axes ≥ i; axis i rewrites its own
-        // coordinate into each touched output position. Only axis 0 sees
-        // a delta — later axes receive recomputed absolute values.
-        let (transforms, states) = (self.transform.transforms(), &mut self.states);
-        let mut changes: Vec<(Vec<usize>, f64)> = vec![(cell.to_vec(), delta)];
-        for (axis, t) in transforms.iter().enumerate() {
-            let state = &mut states[axis];
-            let stride = state.strides[axis];
-            let mut next = Vec::with_capacity(changes.len());
-            for (coords, value) in &changes {
-                let offset = state.lane_offset(coords);
-                let touched = update_lane(
-                    t,
-                    &mut state.data,
-                    stride,
-                    offset,
-                    coords[axis],
-                    *value,
-                    axis == 0,
-                );
-                for (q, v) in touched {
-                    let mut out_coords = coords.clone();
-                    out_coords[axis] = q;
-                    next.push((out_coords, v));
-                }
-            }
-            changes = next;
-        }
-
-        let strides = self.exact.shape().strides().to_vec();
-        let slab = self.exact.as_mut_slice();
-        let written = changes.len();
-        for (coords, v) in changes {
-            let lin: usize = coords.iter().zip(&strides).map(|(&c, &s)| c * s).sum();
-            slab[lin] = v;
-        }
-        Ok(written)
+        Ok(self
+            .apply_increments(&[(cell.to_vec(), delta)])?
+            .coefficients_written)
     }
 
     /// Absorbs a whole batch of `(cell, delta)` increments at a cost
     /// proportional to the **distinct dirty coefficients** instead of
-    /// `batch × ∏ log mᵢ`: the batch is validated up front (a bad cell
-    /// rejects it before *any* state changes), duplicate cells coalesce
-    /// onto one dirty path (their `+=` deltas replay in arrival order),
-    /// and each axis walks every dirty lane's kernel state once,
-    /// recomputing each dirty coefficient exactly once.
+    /// `batch × ∏ log mᵢ`: the batch is validated up front (a bad cell or
+    /// a non-finite delta rejects it before *any* state changes),
+    /// duplicate cells coalesce onto one dirty path (their `+=` deltas
+    /// replay in arrival order), and each axis walks every dirty lane's
+    /// kernel state once, recomputing each dirty coefficient exactly once.
     ///
-    /// The exact coefficient tensor afterwards is **bit-identical** to an
-    /// [`apply_increment`](Self::apply_increment) loop over the same
-    /// batch in order (every recomputed node is the same pure float
-    /// expression of the same final leaf states), and the returned
-    /// [`IngestReport`] shows what coalescing saved.
+    /// The exact coefficient tensor afterwards is **bit-identical** to the
+    /// forward transform of the table with the batch's `+=` applied in
+    /// order (every recomputed node is the same pure float expression of
+    /// the same final leaf states), and the returned [`IngestReport`]
+    /// shows what coalescing saved.
     pub fn apply_increments(&mut self, increments: &[(Vec<usize>, f64)]) -> Result<IngestReport> {
-        for (cell, _) in increments {
+        for (index, (cell, delta)) in increments.iter().enumerate() {
             self.validate_cell(cell)?;
+            if !delta.is_finite() {
+                return Err(CoreError::NonFiniteIncrement {
+                    index,
+                    delta: *delta,
+                });
+            }
         }
-        let in_strides = row_major_strides(&self.transform.input_dims());
-        self.workspace.pending.clear();
-        for (cell, delta) in increments {
-            let lin: usize = cell.iter().zip(&in_strides).map(|(&c, &s)| c * s).sum();
-            self.workspace.pending.push((lin, *delta));
-        }
-        self.bulk_apply_pending()
+        self.bulk_apply(increments.iter().map(|(cell, delta)| (cell, *delta)))
     }
 
     /// Absorbs a batch of row arrivals (each row is `+1` at its cell)
@@ -816,18 +559,22 @@ impl IncrementalRelease {
         for row in rows {
             self.validate_cell(row)?;
         }
-        let in_strides = row_major_strides(&self.transform.input_dims());
-        self.workspace.pending.clear();
-        for row in rows {
-            let lin: usize = row.iter().zip(&in_strides).map(|(&c, &s)| c * s).sum();
-            self.workspace.pending.push((lin, 1.0));
-        }
-        self.bulk_apply_pending()
+        self.bulk_apply(rows.iter().map(|row| (row, 1.0)))
     }
 
-    /// The dirty-set propagation over `workspace.pending` (already
-    /// validated and linearized). See the module docs for the design.
-    fn bulk_apply_pending(&mut self) -> Result<IngestReport> {
+    /// The dirty-set propagation of an already validated batch. See the
+    /// module docs for the design.
+    fn bulk_apply<'a>(
+        &mut self,
+        batch: impl Iterator<Item = (&'a Vec<usize>, f64)>,
+    ) -> Result<IngestReport> {
+        let in_shape = Shape::new(&self.transform.input_dims())?;
+        let in_strides = in_shape.strides();
+        self.workspace.pending.clear();
+        for (cell, delta) in batch {
+            let lin: usize = cell.iter().zip(in_strides).map(|(&c, &s)| c * s).sum();
+            self.workspace.pending.push((lin, delta));
+        }
         let increments = self.workspace.pending.len();
         let cutover_pct = self.lane_cutover_pct;
         let mut distinct_cells = 0usize;
@@ -847,12 +594,13 @@ impl IncrementalRelease {
             for (axis, t) in transform.transforms().iter().enumerate() {
                 let state = &mut states[axis];
                 // The element stride along the axis (= the inner block) is
-                // the product of the trailing dims, which no axis step
-                // changes — shared by the input, state, and output spaces.
-                let stride = state.strides[axis];
+                // the product of the trailing input dims, which no axis
+                // step changes — shared by the input, state, and output
+                // spaces.
+                let stride = in_strides[axis];
                 let in_n = t.input_len();
                 let out_n = t.output_len();
-                let s_n = state_len(t);
+                let s_n = t.state_len();
                 if scratch.marks.len() < s_n {
                     scratch.marks.resize(s_n, false);
                 }
@@ -889,7 +637,7 @@ impl IncrementalRelease {
                         is_delta,
                         cutover_pct,
                     };
-                    let dc = process_lane(t, &mut state.data, ctx, &entries[i..j], scratch, next);
+                    let dc = process_lane(t, state, ctx, &entries[i..j], scratch, next);
                     if is_delta {
                         distinct_cells += dc;
                     }
@@ -917,8 +665,8 @@ impl IncrementalRelease {
     }
 
     /// Exponential decay: scales the maintained table by `alpha` and
-    /// rebuilds every kernel state and the exact tensor with one linear
-    /// staged-forward pass over the scaled leaves.
+    /// rebuilds every kernel state and the exact tensor with one forward
+    /// pass over the scaled leaves, in place.
     ///
     /// Why rebuild instead of just multiplying every stored state and
     /// coefficient by `alpha`? Floating-point multiplication does not
@@ -928,44 +676,25 @@ impl IncrementalRelease {
     /// from the scaled leaves keeps [`advance_epoch`](Self::advance_epoch)
     /// bit-identical to a from-scratch publish on a table whose cells
     /// were scaled by the same `α · x` expression (pinned in
-    /// `tests/streaming_release.rs`). Cost is one forward, the same
-    /// linear pass [`new`](Self::new) runs.
+    /// `tests/streaming_release.rs`). Cost is one forward — the same
+    /// tiled executor pipeline [`new`](Self::new) runs, writing into the
+    /// existing state and coefficient buffers.
     pub fn decay(&mut self, alpha: f64) -> Result<()> {
         if !alpha.is_finite() || alpha <= 0.0 {
             return Err(CoreError::BadDecayFactor(alpha));
         }
-        let mut table = self.current_table();
-        for v in &mut table {
-            *v *= alpha;
-        }
-        let (states, data, dims) = staged_forward(&self.transform, table);
-        self.states = states;
-        self.exact = NdMatrix::from_vec(&dims, data)?;
-        Ok(())
-    }
-
-    /// The current (pre-noise) data-domain table, read back from axis 0's
-    /// kernel-state leaves, row-major over the input dims.
-    fn current_table(&self) -> Vec<f64> {
+        // Axis 0 is outermost, so its state is `(s₀, in₁, …, in_d)`: the
+        // leaf of position `pos` is one contiguous row of the table.
+        let dims = self.transform.input_dims();
+        let row: usize = dims[1..].iter().product();
         let t0 = &self.transform.transforms()[0];
-        let state = &self.states[0];
-        // Axis 0 is outermost, so lin = pos·stride + inner with no outer
-        // part, and the trailing stride is shared with the state space.
-        let stride = state.strides[0];
-        let in_dims = self.transform.input_dims();
-        let total: usize = in_dims.iter().product();
-        (0..total)
-            .map(|lin| {
-                let pos = lin / stride;
-                let inner = lin % stride;
-                let slot = match t0 {
-                    DimTransform::Haar(_) => t0.output_len() + pos,
-                    DimTransform::Nominal(nt) => nt.hierarchy().leaf_node(pos),
-                    DimTransform::Identity(_) => pos,
-                };
-                state.data[inner + slot * stride]
-            })
-            .collect()
+        let leaves = &self.states[0];
+        let mut table = Vec::with_capacity(dims[0] * row);
+        for pos in 0..dims[0] {
+            let start = leaf_slot(t0, pos) * row;
+            table.extend(leaves[start..start + row].iter().map(|&x| alpha * x));
+        }
+        self.rebuild(&NdMatrix::from_vec(&dims, table)?)
     }
 
     /// Publishes one epoch: debits `epoch_epsilon` from the lifetime
@@ -986,14 +715,12 @@ impl IncrementalRelease {
             meta.lambda,
             seed,
         )?;
-        let out = CoefficientOutput {
+        Ok(CoefficientOutput {
             schema: self.schema.clone(),
             transform: self.transform.clone(),
             coefficients,
             meta,
-        };
-        self.latest = Some(out.clone());
-        Ok(out)
+        })
     }
 }
 
@@ -1074,7 +801,8 @@ mod tests {
     }
 
     /// The bulk path must equal the sequential loop bit for bit — same
-    /// cells, same order, duplicates included — in every cutover mode.
+    /// cells, same order, duplicates included — in every cutover mode,
+    /// and both must equal the forward of the mirrored table.
     #[test]
     fn bulk_batch_matches_sequential_loop_bitwise() {
         let schema = mixed_schema();
@@ -1091,6 +819,21 @@ mod tests {
         let mut seq_written = 0usize;
         for (cell, delta) in &batch {
             seq_written += seq.apply_increment(cell, *delta).unwrap();
+        }
+        let mut mirror = fm.matrix().clone();
+        for (cell, delta) in &batch {
+            mirror.add_at(cell, *delta).unwrap();
+        }
+        let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
+        let dense = hn.forward(&mirror).unwrap();
+        for (i, (a, b)) in seq
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .zip(dense.as_slice())
+            .enumerate()
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "sequential coeff {i}");
         }
         for pct in [0usize, DEFAULT_BULK_LANE_CUTOVER_PCT, 101] {
             let mut bulk = IncrementalRelease::new(&fm, &BTreeSet::new(), 1.0)
@@ -1155,6 +898,47 @@ mod tests {
         let hn = HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
         let dense = hn.forward(fm.matrix()).unwrap();
         assert_eq!(rel.exact_coefficients().as_slice(), dense.as_slice());
+    }
+
+    /// NaN and ±∞ deltas are refused with their batch index before any
+    /// state changes, on the bulk path and the single-increment path.
+    #[test]
+    fn bulk_rejects_non_finite_deltas_before_any_state_change() {
+        let fm = fm_for(mixed_schema(), 5);
+        let mut rel = IncrementalRelease::new(&fm, &BTreeSet::new(), 1.0).unwrap();
+        let before: Vec<u64> = rel
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // The good increment ahead of the bad one must not be applied.
+            let batch = vec![(vec![0usize, 0, 0], 5.0), (vec![3, 4, 2], bad)];
+            match rel.apply_increments(&batch).unwrap_err() {
+                CoreError::NonFiniteIncrement { index, delta } => {
+                    assert_eq!(index, 1);
+                    assert_eq!(delta.to_bits(), bad.to_bits());
+                }
+                other => panic!("want NonFiniteIncrement, got {other:?}"),
+            }
+            assert!(matches!(
+                rel.apply_increment(&[3, 4, 2], bad).unwrap_err(),
+                CoreError::NonFiniteIncrement { index: 0, .. }
+            ));
+        }
+        let after: Vec<u64> = rel
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(before, after);
+        // The next epoch is still the publish of the untouched table.
+        let scratch = publish_coefficients(&fm, &PriveletConfig::pure(0.5, 4)).unwrap();
+        let epoch = rel.advance_epoch(0.5, 4).unwrap();
+        assert!(epoch.coefficients.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(epoch.coefficients, scratch.coefficients);
     }
 
     /// Satellite: the touch-bound product saturates instead of wrapping.
@@ -1257,7 +1041,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "coeff {i}");
         }
         assert_eq!(rel.epoch(), 1);
-        assert!(rel.latest().is_some());
     }
 
     #[test]

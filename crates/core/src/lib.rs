@@ -106,6 +106,12 @@ pub enum CoreError {
     BadDecayFactor(f64),
     /// A sliding window must retain at least one epoch.
     BadWindow(usize),
+    /// A streaming increment's delta is NaN or infinite; `index` is its
+    /// position in the batch. Raised while the batch is validated, before
+    /// any state changes: one non-finite delta would poison every
+    /// coefficient on its update path, and no later increment (or window
+    /// expiry) could subtract it back out.
+    NonFiniteIncrement { index: usize, delta: f64 },
     /// A streaming release's lifetime privacy budget cannot cover the
     /// requested epoch. Raised *before* any noise is drawn, so a refused
     /// epoch never leaks a partially noised release.
@@ -155,6 +161,12 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::BadWindow(n) => {
                 write!(f, "sliding window must retain at least one epoch, got {n}")
+            }
+            CoreError::NonFiniteIncrement { index, delta } => {
+                write!(
+                    f,
+                    "increment {index} of the batch has non-finite delta {delta}"
+                )
             }
             CoreError::BudgetExhausted {
                 requested,

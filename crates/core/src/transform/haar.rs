@@ -59,31 +59,46 @@ impl Transform1d for HaarTransform {
         self.padded_len
     }
 
+    /// The heap pyramid the forward keeps (the inverse uses half).
+    #[inline]
+    fn scratch_len(&self) -> usize {
+        2 * self.padded_len
+    }
+
+    /// The averaging pyramid in heap layout, leaves included.
+    #[inline]
+    fn state_len(&self) -> usize {
+        2 * self.padded_len
+    }
+
     /// Forward transform with caller-provided scratch (hot path for the
     /// multi-dimensional transform, which reuses one buffer across lanes):
     /// `src.len() == input_len`, `dst.len() == padded_len`,
-    /// `scratch.len() >= padded_len`.
+    /// `scratch.len() >= 2 · padded_len`. `scratch[..2m]` is left holding
+    /// the heap pyramid: node `j`'s coefficient is `0.5 * (a − b)` and its
+    /// average `0.5 * (a + b)` of its children's averages `a = [2j]`,
+    /// `b = [2j + 1]`; leaves sit at `m + x`, zero-padded.
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
+        let m = self.padded_len;
         debug_assert_eq!(src.len(), self.input_len);
-        debug_assert_eq!(dst.len(), self.padded_len);
-        debug_assert!(scratch.len() >= self.padded_len);
-        dst[..self.input_len].copy_from_slice(src);
-        dst[self.input_len..].fill(0.0);
-        let mut width = self.padded_len;
-        // Fold one level at a time: averages land in the front half,
-        // details in the back half, which is exactly the heap layout slot
-        // for this level's coefficients.
-        while width > 1 {
-            let half = width / 2;
-            for i in 0..half {
-                let a = dst[2 * i];
-                let b = dst[2 * i + 1];
-                scratch[i] = 0.5 * (a + b);
-                scratch[half + i] = 0.5 * (a - b);
+        debug_assert_eq!(dst.len(), m);
+        let pyramid = &mut scratch[..2 * m];
+        pyramid[0] = 0.0;
+        pyramid[m..m + self.input_len].copy_from_slice(src);
+        pyramid[m + self.input_len..].fill(0.0);
+        // One level at a time, bottom-up: nodes `[half, 2·half)` read
+        // their children `[2·half, 4·half)`.
+        let mut half = m / 2;
+        while half >= 1 {
+            let (parents, children) = pyramid.split_at_mut(2 * half);
+            for (i, pair) in children[..2 * half].chunks_exact(2).enumerate() {
+                let (a, b) = (pair[0], pair[1]);
+                parents[half + i] = 0.5 * (a + b);
+                dst[half + i] = 0.5 * (a - b);
             }
-            dst[..width].copy_from_slice(&scratch[..width]);
-            width = half;
+            half /= 2;
         }
+        dst[0] = pyramid[1];
     }
 
     /// Inverse transform (Equation 3 applied level by level) with
@@ -487,7 +502,7 @@ mod tests {
         let src = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
         let mut c1 = vec![0.0; 8];
         let mut c2 = vec![0.0; 8];
-        let mut scratch = vec![0.0; 8];
+        let mut scratch = vec![0.0; t.scratch_len()];
         t.forward_alloc(&src, &mut c1);
         t.forward(&src, &mut c2, &mut scratch);
         assert_eq!(c1, c2);
@@ -496,5 +511,27 @@ mod tests {
         t.inverse_alloc(&c1, &mut b1);
         t.inverse(&c1, &mut b2, &mut scratch);
         assert_eq!(b1, b2);
+    }
+
+    /// The forward leaves its kernel state in scratch: the zero-padded
+    /// leaves at `m + x` and every node's average at its heap index, from
+    /// which each detail coefficient is `0.5 * (a − b)` of its children.
+    #[test]
+    fn forward_leaves_the_heap_pyramid_in_scratch() {
+        let t = HaarTransform::new(6);
+        let src = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
+        let mut c = vec![0.0; 8];
+        let mut scratch = vec![f64::NAN; t.scratch_len()];
+        t.forward(&src, &mut c, &mut scratch);
+        let state = &scratch[..t.state_len()];
+        assert_eq!(state.len(), 16);
+        assert_eq!(state[0], 0.0);
+        assert_eq!(&state[8..14], &src);
+        assert_eq!(&state[14..], &[0.0, 0.0]);
+        for j in 1..8 {
+            assert_eq!(state[j], 0.5 * (state[2 * j] + state[2 * j + 1]), "avg {j}");
+            assert_eq!(c[j], 0.5 * (state[2 * j] - state[2 * j + 1]), "detail {j}");
+        }
+        assert_eq!(c[0], state[1]);
     }
 }

@@ -39,6 +39,9 @@ impl LaneKernel for ForwardKernel<'_> {
     fn scratch_len(&self) -> usize {
         self.0.scratch_len()
     }
+    fn state_len(&self) -> usize {
+        self.0.state_len()
+    }
     fn apply(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
         self.0.forward(src, dst, scratch);
     }
@@ -203,6 +206,25 @@ impl HnTransform {
     /// per-axis 1-D transforms run as one engine pipeline, allocating
     /// nothing but the returned matrix once the executor is warm.
     pub fn forward_with(&self, exec: &mut LaneExecutor, m: &NdMatrix) -> Result<NdMatrix> {
+        let mut out = NdMatrix::zeros(&self.output_dims())?;
+        self.forward_keeping_state(exec, m, &mut [], out.as_mut_slice())?;
+        Ok(out)
+    }
+
+    /// The forward transform into caller-owned buffers, keeping every
+    /// axis's per-lane kernel state: `out` receives the coefficients, and
+    /// `states[i]` (for each buffer given, resized to fit) axis `i`'s
+    /// [`state_len`](Transform1d::state_len) slots for every lane, laid
+    /// out `(out₀, …, outᵢ₋₁, sᵢ, inᵢ₊₁, …, in_d)` — axes before `i`
+    /// already in the coefficient domain, axes after it still in the data
+    /// domain.
+    pub(crate) fn forward_keeping_state(
+        &self,
+        exec: &mut LaneExecutor,
+        m: &NdMatrix,
+        states: &mut [Vec<f64>],
+        out: &mut [f64],
+    ) -> Result<()> {
         if m.dims() != self.input_dims() {
             return Err(CoreError::ShapeMismatch {
                 expected: self.input_dims(),
@@ -215,7 +237,8 @@ impl HnTransform {
             .enumerate()
             .map(|(axis, kernel)| AxisStage { axis, kernel })
             .collect();
-        exec.run(m, &stages).map_err(CoreError::Matrix)
+        exec.run_into(m, &stages, states, out)
+            .map_err(CoreError::Matrix)
     }
 
     /// Inverse transform `C_d → M` without refinement (exact algebraic

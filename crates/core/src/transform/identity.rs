@@ -44,10 +44,21 @@ impl Transform1d for IdentityTransform {
         0
     }
 
-    /// Forward: copy.
-    fn forward(&self, src: &[f64], dst: &mut [f64], _scratch: &mut [f64]) {
+    /// The kernel state is the lane itself.
+    #[inline]
+    fn state_len(&self) -> usize {
+        self.len
+    }
+
+    /// Forward: copy. The state copy is made only when the caller sized
+    /// `scratch` to keep it — identity lanes are often a handful of cells,
+    /// where a second copy per lane would slow every plain forward.
+    fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
         debug_assert_eq!(src.len(), self.len);
         debug_assert_eq!(dst.len(), self.len);
+        if let Some(state) = scratch.get_mut(..self.len) {
+            state.copy_from_slice(src);
+        }
         dst.copy_from_slice(src);
     }
 
@@ -131,6 +142,10 @@ mod tests {
         t.inverse_alloc(&c, &mut back);
         assert_eq!(back, src);
         assert_eq!(t.scratch_len(), 0);
+        // The kernel state is the lane itself, kept when scratch holds it.
+        let mut scratch = [0.0; 4];
+        t.forward(&src, &mut c, &mut scratch);
+        assert_eq!((t.state_len(), scratch), (4, src));
     }
 
     #[test]

@@ -90,6 +90,11 @@ impl Transform1d for DimTransform {
     }
 
     #[inline]
+    fn state_len(&self) -> usize {
+        self.as_transform().state_len()
+    }
+
+    #[inline]
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
         self.as_transform().forward(src, dst, scratch)
     }
@@ -168,7 +173,7 @@ mod tests {
             let n = t.input_len();
             let src: Vec<f64> = (0..n).map(|i| (i as f64) * 1.5 - 3.0).collect();
             let mut c = vec![0.0; t.output_len()];
-            let mut scratch = vec![0.0; t.output_len()];
+            let mut scratch = vec![0.0; t.scratch_len()];
             t.forward(&src, &mut c, &mut scratch);
             t.refine(&mut c); // no-op on exact coefficients
             let mut back = vec![0.0; n];

@@ -80,9 +80,15 @@ impl Transform1d for NominalTransform {
         self.hierarchy.node_count()
     }
 
+    /// The kernel state: one leaf-sum per hierarchy node.
+    #[inline]
+    fn state_len(&self) -> usize {
+        self.hierarchy.node_count()
+    }
+
     /// Forward transform: `src.len() == leaf_count`,
-    /// `dst.len() == node_count`; `scratch.len() >= node_count` holds
-    /// leaf-sums.
+    /// `dst.len() == node_count`; `scratch[..node_count]` is left holding
+    /// the leaf-sums by node id (the kernel state).
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
         let h = &self.hierarchy;
         debug_assert_eq!(src.len(), h.leaf_count());

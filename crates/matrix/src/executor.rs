@@ -29,14 +29,21 @@
 //! outer-block boundary, and their width is capped so the tile scratch
 //! stays cache-sized ([`TILE_CELL_BUDGET`]).
 //!
+//! A stage may also **keep state**: [`run_into`](LaneExecutor::run_into)
+//! scatters each lane's leading [`state_len`](LaneKernel::state_len)
+//! scratch slots (for a wavelet forward: the averaging pyramid or the
+//! leaf-sums) into a caller-owned `[outer, state_len, inner]` buffer
+//! through the same tile rows as the output, and writes the last stage
+//! into a caller-owned slice.
+//!
 //! With the `parallel` cargo feature the lane range is split into
 //! contiguous chunks executed on a persistent [`WorkerPool`] (spawned
 //! lazily on the first stage that crosses the cut-over and reused across
 //! all later stages and runs), one gather/scatter/scratch buffer set per
-//! worker. Every lane writes a disjoint set of output indices and the
-//! per-lane arithmetic is identical to the serial path, so the parallel
-//! output is **bit-identical** to the serial output — a property the
-//! equivalence test suite asserts.
+//! worker. Every lane writes a disjoint set of output (and state)
+//! indices and the per-lane arithmetic is identical to the serial path,
+//! so the parallel output is **bit-identical** to the serial output — a
+//! property the equivalence test suite asserts.
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
@@ -44,6 +51,7 @@ use crate::knob::env_usize_knob;
 use crate::ndmatrix::NdMatrix;
 use crate::pool::WorkerPool;
 use crate::{MatrixError, Result};
+use std::ops::Range;
 
 /// A 1-D kernel applied to every lane of one axis.
 ///
@@ -63,6 +71,12 @@ pub trait LaneKernel: Sync {
     /// Scratch slots the kernel needs per worker.
     fn scratch_len(&self) -> usize {
         self.output_len()
+    }
+    /// Leading scratch slots that hold the lane's state once
+    /// [`apply`](Self::apply) returns, all written on every call; a stage
+    /// given a state buffer keeps them. `0` (the default) = stateless.
+    fn state_len(&self) -> usize {
+        0
     }
     /// Transforms one gathered lane.
     fn apply(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]);
@@ -171,6 +185,66 @@ pub(crate) fn effective_tile(
     requested.clamp(1, budget_cap).min(inner)
 }
 
+/// Validates a pipeline before anything runs: each stage must consume
+/// the axis length the previous stages left (`kernel.input_len() ==
+/// dims[axis]` at that point). Returns the final dims, the cells each
+/// stage keeps as state (`outer · state_len · inner`), and the cells each
+/// ping-pong buffer must hold: intermediate `t` (the output of every
+/// stage but the last) lands in `back` for even `t` and in `front` for
+/// odd `t` (the buffers swap after every stage, and back again after the
+/// run), so a two-stage pipeline never touches `front`.
+fn plan(
+    src_dims: &[usize],
+    stages: &[AxisStage<'_>],
+) -> Result<(Vec<usize>, Vec<usize>, [usize; 2])> {
+    let cells = |dims: &[usize]| {
+        dims.iter()
+            .try_fold(1usize, |c, &d| c.checked_mul(d))
+            .ok_or(MatrixError::TooLarge)
+    };
+    let mut dims = src_dims.to_vec();
+    let mut kept = Vec::with_capacity(stages.len());
+    let mut capacity = [0usize; 2];
+    for (idx, stage) in stages.iter().enumerate() {
+        let (axis, kernel) = (stage.axis, stage.kernel);
+        if axis >= dims.len() {
+            return Err(MatrixError::BadAxis {
+                axis,
+                ndim: dims.len(),
+            });
+        }
+        if kernel.input_len() != dims[axis] {
+            return Err(MatrixError::KernelLenMismatch {
+                axis,
+                axis_len: dims[axis],
+                kernel_len: kernel.input_len(),
+            });
+        }
+        if kernel.output_len() == 0 {
+            return Err(MatrixError::ZeroDim { axis });
+        }
+        dims[axis] = kernel.state_len();
+        kept.push(cells(&dims)?);
+        dims[axis] = kernel.output_len();
+        let stage_cells = cells(&dims)?;
+        if idx + 1 < stages.len() {
+            capacity[idx % 2] = capacity[idx % 2].max(stage_cells);
+        }
+    }
+    Ok((dims, kept, capacity))
+}
+
+/// Replaces `buf` with a zeroed buffer of `cells` unless it already holds
+/// at least (`exact`: exactly) that many. The old contents are not
+/// needed, so it is freed first and nothing is copied; the fresh zeroed
+/// allocation is only paged in where a stage writes it.
+fn reserve_cells(buf: &mut Vec<f64>, cells: usize, exact: bool) {
+    if buf.len() < cells || (exact && buf.len() != cells) {
+        *buf = Vec::new();
+        *buf = vec![0.0; cells];
+    }
+}
+
 impl LaneExecutor {
     /// An executor with the default worker count: available parallelism
     /// when the `parallel` feature is enabled, 1 otherwise.
@@ -254,54 +328,50 @@ impl LaneExecutor {
     /// returned matrix; each stage additionally allocates lane-length
     /// gather/scratch buffers per worker (a few KB).
     pub fn run(&mut self, src: &NdMatrix, stages: &[AxisStage<'_>]) -> Result<NdMatrix> {
-        // Validate the whole pipeline and size the buffers up front. Only
-        // the intermediate results (outputs of all but the last stage)
-        // live in the ping-pong buffers: the first stage reads straight
-        // from `src` and the last stage writes straight into the result
-        // vector, so neither endpoint costs a staging copy.
-        let mut dims = src.dims().to_vec();
-        let mut capacity = 0usize;
-        for (idx, stage) in stages.iter().enumerate() {
-            let ndim = dims.len();
-            if stage.axis >= ndim {
-                return Err(MatrixError::BadAxis {
-                    axis: stage.axis,
-                    ndim,
-                });
-            }
-            if stage.kernel.input_len() != dims[stage.axis] {
-                return Err(MatrixError::KernelLenMismatch {
-                    axis: stage.axis,
-                    axis_len: dims[stage.axis],
-                    kernel_len: stage.kernel.input_len(),
-                });
-            }
-            if stage.kernel.output_len() == 0 {
-                return Err(MatrixError::ZeroDim { axis: stage.axis });
-            }
-            dims[stage.axis] = stage.kernel.output_len();
-            let mut cells = 1usize;
-            for &d in &dims {
-                cells = cells.checked_mul(d).ok_or(MatrixError::TooLarge)?;
-            }
-            if idx + 1 < stages.len() {
-                capacity = capacity.max(cells);
-            }
-        }
+        let (dims, _, _) = plan(src.dims(), stages)?;
+        // The run's one matrix-sized allocation.
+        let mut result = vec![0.0f64; dims.iter().product()];
+        self.run_into(src, stages, &mut [], &mut result)?;
+        NdMatrix::from_vec(&dims, result)
+    }
 
-        if self.front.len() < capacity {
-            self.front.resize(capacity, 0.0);
+    /// [`run`](Self::run) into caller-owned buffers: the last stage writes
+    /// `out` (the final matrix, row-major; its length is checked before
+    /// any stage runs), and stage `i` keeps its per-lane kernel state in
+    /// `states[i]` when given — each lane's first
+    /// [`state_len`](LaneKernel::state_len) scratch slots after `apply`,
+    /// laid out `[outer, state_len, inner]` in that stage's geometry. A
+    /// state buffer is resized to exactly those cells, so a caller that
+    /// reruns the same pipeline reuses its buffers without allocating.
+    /// Nothing else matrix-sized is allocated but the intermediates.
+    pub fn run_into(
+        &mut self,
+        src: &NdMatrix,
+        stages: &[AxisStage<'_>],
+        states: &mut [Vec<f64>],
+        out: &mut [f64],
+    ) -> Result<()> {
+        let (final_dims, kept, capacity) = plan(src.dims(), stages)?;
+        let final_cells: usize = final_dims.iter().product();
+        if out.len() != final_cells {
+            return Err(MatrixError::DataLenMismatch {
+                expected: final_cells,
+                got: out.len(),
+            });
         }
-        if self.back.len() < capacity {
-            self.back.resize(capacity, 0.0);
+        reserve_cells(&mut self.back, capacity[0], false);
+        reserve_cells(&mut self.front, capacity[1], false);
+        for (state, &cells) in states.iter_mut().zip(&kept) {
+            reserve_cells(state, cells, true);
         }
-
         if stages.is_empty() {
-            return Ok(src.clone());
+            out.copy_from_slice(src.as_slice());
+            return Ok(());
         }
 
+        // The first stage reads straight from `src` and the last writes
+        // straight into `out`, so neither endpoint costs a staging copy.
         let mut dims = src.dims().to_vec();
-        let mut first = true;
         for (idx, stage) in stages.iter().enumerate() {
             let in_len = dims[stage.axis];
             let out_len = stage.kernel.output_len();
@@ -309,8 +379,20 @@ impl LaneExecutor {
             let outer: usize = dims[..stage.axis].iter().product();
             let src_cells = outer * in_len * inner;
             let dst_cells = outer * out_len * inner;
+            let state: &mut [f64] = match states.get_mut(idx) {
+                Some(state) => state,
+                None => &mut [],
+            };
+            let state_len = state.len() / (outer * inner);
+            let geometry = Geometry {
+                in_len,
+                out_len,
+                state_len,
+                inner,
+                // A state-keeping tile holds one kernel state per lane.
+                tile: effective_tile(self.tile_lanes, in_len, out_len.max(state_len), inner),
+            };
             let workers = self.effective_threads(src_cells.max(dst_cells));
-            let tile = effective_tile(self.tile_lanes, in_len, out_len, inner);
             // First stage that genuinely fans out: spawn the persistent
             // pool (threads − 1 workers; the calling thread runs chunk
             // 0). Later stages and runs reuse it — spawn-once is the
@@ -320,41 +402,35 @@ impl LaneExecutor {
             if workers > 1 && self.pool.is_none() {
                 self.pool = Some(WorkerPool::new(self.threads - 1));
             }
-            let input: &[f64] = if first {
+            let input: &[f64] = if idx == 0 {
                 src.as_slice()
             } else {
                 &self.front[..src_cells]
             };
             dims[stage.axis] = out_len;
-            if idx + 1 == stages.len() {
-                // Final stage: write directly into the result vector (the
-                // run's one matrix-sized allocation).
-                let mut result = vec![0.0f64; dst_cells];
-                run_stage(
-                    input,
-                    &mut result,
-                    stage.kernel,
-                    in_len,
-                    out_len,
-                    inner,
-                    tile,
-                    workers,
-                    self.pool.as_ref(),
-                )?;
-                return NdMatrix::from_vec(&dims, result);
-            }
+            let last = idx + 1 == stages.len();
+            let dst: &mut [f64] = if last {
+                out
+            } else {
+                &mut self.back[..dst_cells]
+            };
             run_stage(
                 input,
-                &mut self.back[..dst_cells],
+                dst,
+                state,
                 stage.kernel,
-                in_len,
-                out_len,
-                inner,
-                tile,
+                geometry,
                 workers,
                 self.pool.as_ref(),
             )?;
-            first = false;
+            if last {
+                // Undo an odd number of swaps, so each buffer keeps the
+                // parity of intermediates it was sized for on the next run.
+                if stages.len().is_multiple_of(2) {
+                    std::mem::swap(&mut self.front, &mut self.back);
+                }
+                return Ok(());
+            }
             std::mem::swap(&mut self.front, &mut self.back);
         }
         unreachable!("non-empty pipelines return from the final stage")
@@ -384,6 +460,19 @@ pub fn default_threads() -> usize {
     }
 }
 
+/// One stage's lane geometry: lanes read `[outer, in_len, inner]`, write
+/// `[outer, out_len, inner]` and, when `state_len > 0`, keep their first
+/// `state_len` scratch slots at `[outer, state_len, inner]`; strided
+/// lanes move in tiles of up to `tile`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geometry {
+    pub(crate) in_len: usize,
+    pub(crate) out_len: usize,
+    pub(crate) state_len: usize,
+    pub(crate) inner: usize,
+    pub(crate) tile: usize,
+}
+
 /// Per-worker tile gather / output / scratch buffers. `tile_in` holds up
 /// to `tile` gathered lanes of `in_len` each (lane `t` at
 /// `[t*in_len, (t+1)*in_len)`), `tile_out` the corresponding outputs.
@@ -392,57 +481,82 @@ pub fn default_threads() -> usize {
 pub(crate) struct WorkerBufs {
     tile_in: Vec<f64>,
     tile_out: Vec<f64>,
+    /// Kernel scratch: one block of `lane_scratch` slots shared by every
+    /// lane, or — when the stage keeps state — one block per tile lane,
+    /// so each lane's state survives until the tile scatters it.
     scratch: Vec<f64>,
+    lane_scratch: usize,
+    /// Offset between consecutive tile lanes' scratch blocks (0 = shared).
+    scratch_step: usize,
     tile: usize,
 }
 
 impl WorkerBufs {
-    pub(crate) fn new(kernel: &dyn LaneKernel, in_len: usize, out_len: usize, tile: usize) -> Self {
-        let tile = tile.max(1);
+    pub(crate) fn new(kernel: &dyn LaneKernel, g: Geometry) -> Self {
+        let tile = g.tile.max(1);
+        let lane_scratch = kernel.scratch_len().max(g.state_len);
+        let scratch_step = if g.state_len > 0 { lane_scratch } else { 0 };
         WorkerBufs {
-            tile_in: vec![0.0; in_len * tile],
-            tile_out: vec![0.0; out_len * tile],
-            scratch: vec![0.0; kernel.scratch_len()],
+            tile_in: vec![0.0; g.in_len * tile],
+            tile_out: vec![0.0; g.out_len * tile],
+            scratch: vec![0.0; lane_scratch + scratch_step * (tile - 1)],
+            lane_scratch,
+            scratch_step,
             tile,
         }
     }
 }
 
-/// Processes the flat lane range `[lane_lo, lane_hi)` serially. A lane
-/// index `L` decomposes as `(o, i) = (L / inner, L % inner)`; its source
-/// elements live at `o*in_len*inner + j*inner + i` and its destination
-/// elements at `o*out_len*inner + j*inner + i`.
+/// Processes the flat lane range `lanes` serially. A lane index `L`
+/// decomposes as `(o, i) = (L / inner, L % inner)`; its source elements
+/// live at `o*in_len*inner + j*inner + i`, its destination elements at
+/// `o*out_len*inner + j*inner + i`, and its kept state (if any) at
+/// `o*state_len*inner + j*inner + i`.
 ///
-/// `dst` writes go through a raw pointer so the parallel path can hand
-/// every worker the same destination buffer; the ranges written by
-/// distinct lanes are disjoint by construction.
+/// `dst` and `state` writes go through raw pointers so the parallel path
+/// can hand every worker the same buffers; the ranges written by distinct
+/// lanes are disjoint by construction.
 ///
 /// # Safety
 /// Callers must guarantee `dst` points to at least `outer*out_len*inner`
-/// elements and that no two concurrent calls receive overlapping lane
-/// ranges.
-#[allow(clippy::too_many_arguments)]
+/// elements, `state` (dereferenced only when `g.state_len > 0`) to at
+/// least `outer*state_len*inner`, and that no two concurrent calls
+/// receive overlapping lane ranges.
 pub(crate) unsafe fn process_lanes(
     src: &[f64],
     dst: *mut f64,
+    state: *mut f64,
     kernel: &dyn LaneKernel,
-    in_len: usize,
-    out_len: usize,
-    inner: usize,
-    lane_lo: usize,
-    lane_hi: usize,
+    g: Geometry,
+    lanes: Range<usize>,
     bufs: &mut WorkerBufs,
 ) {
+    let Geometry {
+        in_len,
+        out_len,
+        state_len,
+        inner,
+        ..
+    } = g;
     if inner == 1 {
         // Contiguous lanes: no gather needed (lane L == outer index o),
         // and each lane's destination range is itself contiguous and
         // disjoint, so the kernel writes it directly — no staging copy.
-        for o in lane_lo..lane_hi {
+        for o in lanes {
             let lane_src = &src[o * in_len..(o + 1) * in_len];
             // SAFETY: `[o*out_len, (o+1)*out_len)` is in bounds per the
             // caller contract and disjoint from every other lane's range.
             let lane_dst = unsafe { std::slice::from_raw_parts_mut(dst.add(o * out_len), out_len) };
-            kernel.apply(lane_src, lane_dst, &mut bufs.scratch);
+            let scratch = &mut bufs.scratch[..bufs.lane_scratch];
+            kernel.apply(lane_src, lane_dst, scratch);
+            if state_len > 0 {
+                // SAFETY: `[o*state_len, (o+1)*state_len)` is in bounds
+                // per the caller contract and disjoint from every other
+                // lane's state range.
+                let lane_state =
+                    unsafe { std::slice::from_raw_parts_mut(state.add(o * state_len), state_len) };
+                lane_state.copy_from_slice(&scratch[..state_len]);
+            }
         }
         return;
     }
@@ -451,31 +565,37 @@ pub(crate) unsafe fn process_lanes(
     // `width`-wide read serving every lane of the tile (blocked
     // transpose in), the kernel runs lane-by-lane inside the tile with
     // exactly the per-lane operand order of the untiled walk, and the
-    // outputs scatter back through contiguous `width`-wide writes
-    // (blocked transpose out). A tile never crosses an outer-block
-    // boundary (`width ≤ inner − i`) nor the caller's lane range
-    // (`width ≤ lane_hi − lane`), so chunk splits of any alignment stay
-    // bitwise-correct.
+    // outputs — and kept states — scatter back through contiguous
+    // `width`-wide writes (blocked transpose out). A tile never crosses
+    // an outer-block boundary (`width ≤ inner − i`) nor the caller's lane
+    // range (`width ≤ lanes.end − lane`), so chunk splits of any
+    // alignment stay bitwise-correct.
     let tile = bufs.tile.max(1);
-    let mut lane = lane_lo;
-    while lane < lane_hi {
+    let mut lane = lanes.start;
+    while lane < lanes.end {
         let (o, i) = (lane / inner, lane % inner);
-        let width = tile.min(inner - i).min(lane_hi - lane);
+        let width = tile.min(inner - i).min(lanes.end - lane);
         let src_base = o * in_len * inner + i;
-        let dst_base = o * out_len * inner + i;
         for j in 0..in_len {
             let row = &src[src_base + j * inner..src_base + j * inner + width];
             for (t, &v) in row.iter().enumerate() {
                 bufs.tile_in[t * in_len + j] = v;
             }
         }
-        for t in 0..width {
-            kernel.apply(
-                &bufs.tile_in[t * in_len..(t + 1) * in_len],
-                &mut bufs.tile_out[t * out_len..(t + 1) * out_len],
-                &mut bufs.scratch,
-            );
+        let lanes_in = bufs.tile_in.chunks_exact(in_len);
+        let lanes_out = bufs.tile_out.chunks_exact_mut(out_len);
+        if state_len > 0 {
+            let scratches = bufs.scratch.chunks_exact_mut(bufs.lane_scratch);
+            for ((lane_in, lane_out), scratch) in lanes_in.zip(lanes_out).zip(scratches).take(width)
+            {
+                kernel.apply(lane_in, lane_out, scratch);
+            }
+        } else {
+            for (lane_in, lane_out) in lanes_in.zip(lanes_out).take(width) {
+                kernel.apply(lane_in, lane_out, &mut bufs.scratch);
+            }
         }
+        let dst_base = o * out_len * inner + i;
         for j in 0..out_len {
             let row_base = dst_base + j * inner;
             for t in 0..width {
@@ -484,6 +604,18 @@ pub(crate) unsafe fn process_lanes(
                 // block), in bounds per the caller contract, and strided
                 // lanes never alias across workers.
                 unsafe { *dst.add(row_base + t) = bufs.tile_out[t * out_len + j] };
+            }
+        }
+        if state_len > 0 {
+            let state_base = o * state_len * inner + i;
+            for j in 0..state_len {
+                let row_base = state_base + j * inner;
+                for t in 0..width {
+                    // SAFETY: as for the output rows, with `state_len` in
+                    // place of `out_len`: in bounds per the caller
+                    // contract and disjoint across lanes.
+                    unsafe { *state.add(row_base + t) = bufs.scratch[t * bufs.scratch_step + j] };
+                }
             }
         }
         lane += width;
@@ -495,46 +627,43 @@ pub(crate) unsafe fn process_lanes(
 /// on the calling thread otherwise. Fallible because a pooled kernel
 /// panic surfaces as [`MatrixError::WorkerPanicked`] instead of
 /// unwinding across worker threads.
-#[allow(clippy::too_many_arguments)]
 fn run_stage(
     src: &[f64],
     dst: &mut [f64],
+    state: &mut [f64],
     kernel: &dyn LaneKernel,
-    in_len: usize,
-    out_len: usize,
-    inner: usize,
-    tile: usize,
+    g: Geometry,
     threads: usize,
     pool: Option<&WorkerPool>,
 ) -> Result<()> {
-    let n_lanes = src.len() / in_len;
-    debug_assert_eq!(dst.len(), n_lanes * out_len);
+    let n_lanes = src.len() / g.in_len;
+    debug_assert_eq!(dst.len(), n_lanes * g.out_len);
+    debug_assert_eq!(state.len(), n_lanes * g.state_len);
 
     #[cfg(feature = "parallel")]
     if threads > 1 && n_lanes > 1 {
         if let Some(pool) = pool {
-            return pool.dispatch(src, dst, kernel, in_len, out_len, inner, tile, threads);
+            return pool.dispatch_stage(src, dst, state, kernel, g, threads);
         }
     }
     #[cfg(not(feature = "parallel"))]
     let _ = (threads, pool);
 
-    let mut bufs = WorkerBufs::new(kernel, in_len, out_len, tile);
-    // SAFETY: single caller covering every lane exactly once; `dst` is a
-    // live mutable borrow sized `n_lanes * out_len`.
+    let mut bufs = WorkerBufs::new(kernel, g);
+    // SAFETY: single caller covering every lane exactly once; `dst` and
+    // `state` are live mutable borrows sized `n_lanes * out_len` and
+    // `n_lanes * state_len` (the run validated the state buffer).
     unsafe {
         process_lanes(
             src,
             dst.as_mut_ptr(),
+            state.as_mut_ptr(),
             kernel,
-            in_len,
-            out_len,
-            inner,
-            0,
-            n_lanes,
+            g,
+            0..n_lanes,
             &mut bufs,
-        );
-    }
+        )
+    };
     Ok(())
 }
 
@@ -737,6 +866,55 @@ mod tests {
             ],
         );
         assert!(ok.is_ok());
+    }
+
+    /// `run_into` checks the output length before any stage runs, sizes
+    /// each given state buffer to exactly what its stage keeps (empty for
+    /// a stateless kernel), and leaves buffers past the last stage alone.
+    #[test]
+    fn run_into_sizes_state_buffers_and_checks_the_output() {
+        struct Kept(usize);
+        impl LaneKernel for Kept {
+            fn input_len(&self) -> usize {
+                self.0
+            }
+            fn output_len(&self) -> usize {
+                self.0
+            }
+            fn state_len(&self) -> usize {
+                self.0
+            }
+            fn apply(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
+                scratch[..src.len()].copy_from_slice(src);
+                dst.copy_from_slice(src);
+            }
+        }
+        let m = sample(&[2, 3]);
+        let (k0, k1) = (Kept(2), Reverse(3));
+        let stages = [
+            AxisStage {
+                axis: 0,
+                kernel: &k0,
+            },
+            AxisStage {
+                axis: 1,
+                kernel: &k1,
+            },
+        ];
+        let mut exec = LaneExecutor::serial();
+        let mut out = vec![0.0; 6];
+        assert_eq!(
+            exec.run_into(&m, &stages, &mut [], &mut out[..5]),
+            Err(MatrixError::DataLenMismatch {
+                expected: 6,
+                got: 5
+            })
+        );
+        let mut states = vec![vec![f64::NAN; 2], vec![1.0; 4], vec![7.0]];
+        exec.run_into(&m, &stages, &mut states, &mut out).unwrap();
+        // Axis 0 keeps its lanes; the stateless stage keeps nothing.
+        assert_eq!(states, [m.as_slice().to_vec(), vec![], vec![7.0]]);
+        assert_eq!(out, exec.run(&m, &stages).unwrap().as_slice());
     }
 
     #[test]

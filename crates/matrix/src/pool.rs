@@ -14,10 +14,10 @@
 //! pool's chunk unit (no worker starts mid-tile), worker `w` owning
 //! `[w·chunk, min((w+1)·chunk, n_lanes))` — and each chunk is processed
 //! by exactly one thread with its own scratch buffers. Lanes write
-//! disjoint outputs and per-lane arithmetic is identical to the serial
-//! path, so pooled output is **bit-identical** to serial regardless of
-//! which thread runs which chunk or how wide the tiles are (the
-//! equivalence suite asserts this).
+//! disjoint outputs (and kept states) and per-lane arithmetic is
+//! identical to the serial path, so pooled output is **bit-identical**
+//! to serial regardless of which thread runs which chunk or how wide the
+//! tiles are (the equivalence suite asserts this).
 //!
 //! Chunk 0 always runs on the dispatching thread: a pool of `N` workers
 //! therefore serves stages of up to `N + 1`-way parallelism, and a
@@ -32,34 +32,34 @@
 //! hang, and the pool stays usable. Dropping the pool closes the job
 //! channels and joins every worker.
 
-use crate::executor::{process_lanes, LaneKernel, WorkerBufs};
+use crate::executor::{process_lanes, Geometry, LaneKernel, WorkerBufs};
 use crate::{MatrixError, Result};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 /// One stage chunk, lifetime-erased for the trip through a channel.
 ///
-/// The raw pointers alias the dispatcher's `src`/`dst`/`kernel` borrows;
-/// they are valid for the whole job because `dispatch` does not return
-/// (and so the borrows cannot end) until the worker has reported
+/// The raw pointers alias the dispatcher's `src`/`dst`/`state`/`kernel`
+/// borrows; they are valid for the whole job because `dispatch` does not
+/// return (and so the borrows cannot end) until the worker has reported
 /// completion.
 struct Task {
     src: *const f64,
     src_len: usize,
     dst: *mut f64,
+    state: *mut f64,
     kernel: *const dyn LaneKernel,
-    in_len: usize,
-    out_len: usize,
-    inner: usize,
-    tile: usize,
-    lane_lo: usize,
-    lane_hi: usize,
+    geometry: Geometry,
+    lanes: Range<usize>,
 }
 
-// SAFETY: the pointers are only dereferenced while the dispatcher blocks
-// on the matching completion, keeping the underlying borrows alive; lane
-// ranges across concurrent tasks are disjoint (see `dispatch`).
+// SAFETY: the pointers (source, output, state, kernel) are only
+// dereferenced while the dispatcher blocks on the matching completion,
+// keeping the underlying borrows alive; lane ranges across concurrent
+// tasks are disjoint (see `dispatch_stage`). `geometry` and `lanes` are
+// plain values.
 unsafe impl Send for Task {}
 
 struct Job {
@@ -142,7 +142,30 @@ impl WorkerPool {
         tile: usize,
         threads: usize,
     ) -> Result<()> {
-        let lane_cells = in_len.checked_mul(inner).ok_or(MatrixError::TooLarge)?;
+        let geometry = Geometry {
+            in_len,
+            out_len,
+            state_len: 0,
+            inner,
+            tile,
+        };
+        self.dispatch_stage(src, dst, &mut [], kernel, geometry, threads)
+    }
+
+    /// [`dispatch`](Self::dispatch) for a stage that may keep state:
+    /// `state` is `[outer, g.state_len, inner]` (empty when
+    /// `g.state_len == 0`) and receives every lane's kept scratch through
+    /// the same chunks and tiles as `dst`.
+    pub(crate) fn dispatch_stage(
+        &self,
+        src: &[f64],
+        dst: &mut [f64],
+        state: &mut [f64],
+        kernel: &dyn LaneKernel,
+        g: Geometry,
+        threads: usize,
+    ) -> Result<()> {
+        let lane_cells = g.in_len.checked_mul(g.inner).ok_or(MatrixError::TooLarge)?;
         if lane_cells == 0 || !src.len().is_multiple_of(lane_cells) {
             return Err(MatrixError::DataLenMismatch {
                 expected: lane_cells,
@@ -150,12 +173,12 @@ impl WorkerPool {
             });
         }
         let outer = src.len() / lane_cells;
-        let n_lanes = outer * inner;
-        if dst.len() != outer * out_len * inner {
-            return Err(MatrixError::DataLenMismatch {
-                expected: outer * out_len * inner,
-                got: dst.len(),
-            });
+        let n_lanes = outer * g.inner;
+        for (len, buf) in [(g.out_len, dst.len()), (g.state_len, state.len())] {
+            let expected = n_lanes.checked_mul(len).ok_or(MatrixError::TooLarge)?;
+            if buf != expected {
+                return Err(MatrixError::DataLenMismatch { expected, got: buf });
+            }
         }
         if n_lanes == 0 {
             return Ok(());
@@ -166,13 +189,13 @@ impl WorkerPool {
         // cache-blocked tile is the chunk unit: no worker starts
         // mid-tile, so the tiling inside each chunk is exactly the
         // serial tiling of that lane range.
-        let tile = tile.max(1);
+        let tile = g.tile.max(1);
         let workers = threads.clamp(1, n_lanes).min(self.workers.len() + 1);
         let chunk = n_lanes
             .div_ceil(workers)
             .checked_next_multiple_of(tile)
             .unwrap_or(n_lanes);
-        let dst_ptr = dst.as_mut_ptr();
+        let (dst, state) = (dst.as_mut_ptr(), state.as_mut_ptr());
 
         let (done_tx, done_rx) = mpsc::channel::<bool>();
         let mut sent = 0usize;
@@ -187,7 +210,8 @@ impl WorkerPool {
                 task: Task {
                     src: src.as_ptr(),
                     src_len: src.len(),
-                    dst: dst_ptr,
+                    dst,
+                    state,
                     // Erase the kernel borrow's lifetime for the channel
                     // trip; the completion collection below keeps the
                     // borrow alive for the job's whole execution.
@@ -200,12 +224,8 @@ impl WorkerPool {
                             *const (dyn LaneKernel + 'static),
                         >(kernel as *const dyn LaneKernel)
                     },
-                    in_len,
-                    out_len,
-                    inner,
-                    tile,
-                    lane_lo,
-                    lane_hi,
+                    geometry: g,
+                    lanes: lane_lo..lane_hi,
                 },
                 done: done_tx.clone(),
             };
@@ -232,22 +252,10 @@ impl WorkerPool {
         // would be unsound, so collect every completion first and only
         // then report the panic as an error.
         let local = catch_unwind(AssertUnwindSafe(|| {
-            let mut bufs = WorkerBufs::new(kernel, in_len, out_len, tile);
+            let mut bufs = WorkerBufs::new(kernel, g);
             // SAFETY: chunk 0's lane range is disjoint from every
-            // dispatched chunk, and `dst` is sized above.
-            unsafe {
-                process_lanes(
-                    src,
-                    dst_ptr,
-                    kernel,
-                    in_len,
-                    out_len,
-                    inner,
-                    0,
-                    chunk.min(n_lanes),
-                    &mut bufs,
-                );
-            }
+            // dispatched chunk, and `dst`/`state` are sized above.
+            unsafe { process_lanes(src, dst, state, kernel, g, 0..chunk.min(n_lanes), &mut bufs) };
         }));
         let mut panicked = local.is_err();
         for _ in 0..sent {
@@ -294,16 +302,22 @@ fn worker_loop(rx: mpsc::Receiver<Job>) {
     while let Ok(job) = rx.recv() {
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             let t = &job.task;
-            // SAFETY: the dispatcher keeps the `src`/`dst`/`kernel`
-            // borrows alive until this job's completion is received, the
-            // task's lane range is disjoint from all concurrent tasks,
-            // and `dst` covers every lane's output range.
+            // SAFETY: the dispatcher keeps the `src`/`dst`/`state`/
+            // `kernel` borrows alive until this job's completion is
+            // received, the task's lane range is disjoint from all
+            // concurrent tasks, and `dst`/`state` cover every lane's
+            // output and state ranges.
             unsafe {
                 let src = std::slice::from_raw_parts(t.src, t.src_len);
                 let kernel = &*t.kernel;
-                let mut bufs = WorkerBufs::new(kernel, t.in_len, t.out_len, t.tile);
+                let mut bufs = WorkerBufs::new(kernel, t.geometry);
                 process_lanes(
-                    src, t.dst, kernel, t.in_len, t.out_len, t.inner, t.lane_lo, t.lane_hi,
+                    src,
+                    t.dst,
+                    t.state,
+                    kernel,
+                    t.geometry,
+                    t.lanes.clone(),
                     &mut bufs,
                 );
             }

@@ -21,9 +21,10 @@
 //!    `hits + misses == lookups` stays conserved throughout.
 //! 5. **Coalesced bulk ingest** — `apply_increments` (duplicates
 //!    included, in every lane-recompute cutover mode) leaves the exact
-//!    tensor and the next epoch output bit-identical to a sequential
-//!    `apply_increment` loop, while writing no more coefficients than
-//!    the loop did.
+//!    tensor bit-identical to `HnTransform::forward` of the mirrored
+//!    table, and the tensor and the next epoch output bit-identical to
+//!    an `apply_increment` loop (batches of one), while writing no more
+//!    coefficients than the loop did.
 //! 6. **Sliding windows** — a full expire-then-ingest cycle equals a
 //!    publish-from-scratch on a table holding exactly the retained
 //!    epochs' increments (exact for the integer-valued deltas used
@@ -225,8 +226,9 @@ proptest! {
 
     /// Tentpole pin: a coalesced bulk batch — duplicate cells included,
     /// in every lane-recompute cutover mode (0 = always whole-lane,
-    /// 50 = default, 101 = never) — leaves the exact tensor AND the next
-    /// epoch output bit-identical to a sequential `apply_increment` loop
+    /// 50 = default, 101 = never) — leaves the exact tensor bit-identical
+    /// to the forward transform of the mirrored table, and the tensor AND
+    /// the next epoch output bit-identical to an `apply_increment` loop
     /// over the same batch in order, while writing no more coefficients
     /// than the loop did.
     #[test]
@@ -267,13 +269,19 @@ proptest! {
             report.coefficients_written, seq_written
         );
         prop_assert!(report.coefficients_written <= report.touch_bound);
-        for (a, b) in bulk
+        let mirrored = bulk
+            .transform()
+            .forward(updated_table(&fm, &batch).matrix())
+            .unwrap();
+        for ((a, b), c) in bulk
             .exact_coefficients()
             .as_slice()
             .iter()
             .zip(seq.exact_coefficients().as_slice())
+            .zip(mirrored.as_slice())
         {
             prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(a.to_bits(), c.to_bits());
         }
 
         // The next epoch output matches too, noise and meta included.
@@ -367,9 +375,9 @@ fn ordinal_touch_count_is_product_of_log_supports() {
 }
 
 /// An epoch whose debit would overdraw the lifetime budget is refused
-/// with `BudgetExhausted` *before* any noise is drawn: the ledger, the
-/// exact state and the last published epoch are all untouched, and a
-/// smaller debit still succeeds afterwards.
+/// with `BudgetExhausted` *before* any noise is drawn: the ledger and the
+/// exact state are untouched, and a smaller debit still succeeds
+/// afterwards.
 #[test]
 fn epoch_over_spend_is_refused_before_noise() {
     let schema = Schema::new(vec![Attribute::ordinal("a", 6)]).unwrap();
