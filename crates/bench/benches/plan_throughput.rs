@@ -27,7 +27,7 @@ use privelet_bench::json::Json;
 use privelet_data::schema::{Attribute, Schema};
 use privelet_data::FrequencyMatrix;
 use privelet_matrix::NdMatrix;
-use privelet_query::{generate_workload, CoefficientAnswerer, RangeQuery, WorkloadConfig};
+use privelet_query::{generate_workload, ConcurrentEngine, RangeQuery, WorkloadConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -88,7 +88,7 @@ fn best_of<R>(budget_secs: f64, mut f: impl FnMut() -> R) -> f64 {
 
 fn measure(exp: u32, n_queries: usize, budget_secs: f64) -> Point {
     let (schema, out) = release_for(exp);
-    let coeff = CoefficientAnswerer::from_output(&out).unwrap();
+    let coeff = ConcurrentEngine::from_output(&out).unwrap();
     let queries = workload_for(&schema, n_queries);
 
     let plan = coeff.plan(&queries).unwrap();

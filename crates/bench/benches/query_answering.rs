@@ -30,9 +30,7 @@ use privelet::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_data::schema::{Attribute, Schema};
 use privelet_data::FrequencyMatrix;
 use privelet_matrix::NdMatrix;
-use privelet_query::{
-    generate_workload, Answerer, CoefficientAnswerer, RangeQuery, WorkloadConfig,
-};
+use privelet_query::{generate_workload, Answerer, ConcurrentEngine, RangeQuery, WorkloadConfig};
 use std::hint::black_box;
 
 /// Domain exponents swept: m = 2^10 … 2^20.
@@ -72,7 +70,7 @@ fn bench_query_answering(c: &mut Criterion) {
 
         // Build costs: refinement copy vs inverse transform + prefix sums.
         group.bench_function(&format!("coeff_build_2^{exp}"), |b| {
-            b.iter(|| CoefficientAnswerer::from_output(black_box(&out)).unwrap())
+            b.iter(|| ConcurrentEngine::from_output(black_box(&out)).unwrap())
         });
         group.bench_function(&format!("prefix_build_2^{exp}"), |b| {
             b.iter(|| {
@@ -82,7 +80,7 @@ fn bench_query_answering(c: &mut Criterion) {
         });
 
         // Per-query costs on prebuilt answerers, at each workload size.
-        let coeff = CoefficientAnswerer::from_output(&out).unwrap();
+        let coeff = ConcurrentEngine::from_output(&out).unwrap();
         let rec = out.to_matrix().unwrap();
         let prefix = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
         for n_queries in WORKLOADS {
@@ -112,7 +110,7 @@ fn bench_query_answering(c: &mut Criterion) {
         let one = workload(&schema, 1);
         group.bench_function(&format!("serve1_coeff_2^{exp}"), |b| {
             b.iter(|| {
-                let ans = CoefficientAnswerer::from_output(black_box(&out)).unwrap();
+                let ans = ConcurrentEngine::from_output(black_box(&out)).unwrap();
                 ans.answer(&one[0]).unwrap()
             })
         });
@@ -132,7 +130,7 @@ fn bench_batched(c: &mut Criterion) {
     group.sample_size(10);
     for exp in EXPONENTS {
         let (schema, out) = release_for(exp);
-        let coeff = CoefficientAnswerer::from_output(&out).unwrap();
+        let coeff = ConcurrentEngine::from_output(&out).unwrap();
         for n_queries in WORKLOADS {
             // The motivating batch workload: a dashboard of 64 distinct
             // queries refreshed n/64 times per batch (WaveCluster-style

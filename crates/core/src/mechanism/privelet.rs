@@ -189,17 +189,17 @@ pub(crate) fn add_weighted_noise(
 ///
 /// Skipping the inverse transform changes the serving cost model: a
 /// range-count query intersects only O(log m) Haar coefficients per
-/// dimension (§IV–§V), so a `CoefficientAnswerer` built over this release
-/// answers queries in O(∏ polylog mᵢ) without ever materializing the
-/// m-cell matrix — the right shape when queries arrive online and m is
-/// large. [`to_matrix`](Self::to_matrix) recovers exactly what
+/// dimension (§IV–§V), so a coefficient-domain engine built over this
+/// release answers queries in O(∏ polylog mᵢ) without ever materializing
+/// the m-cell matrix — the right shape when queries arrive online and m
+/// is large. [`to_matrix`](Self::to_matrix) recovers exactly what
 /// [`publish_privelet`] would have produced for the same seed, bit for
 /// bit, so nothing is lost by publishing coefficients.
 ///
 /// The stored coefficients are the raw noisy ones (no refinement);
 /// consumers that serve them directly must apply
-/// [`HnTransform::refine_coefficients`] once — `CoefficientAnswerer` does
-/// this at construction.
+/// [`HnTransform::refine_coefficients`] once — the query crate's
+/// `ReleaseCore` does this at construction.
 #[derive(Debug, Clone)]
 pub struct CoefficientOutput {
     /// The schema of the underlying frequency matrix.

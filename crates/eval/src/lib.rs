@@ -14,11 +14,11 @@
 //! - [`timing`] — runs the computation-time sweeps behind Figures 10–11.
 //! - [`serving`] — compares the serving engine's paths on one release:
 //!   coefficient-domain answering via a compiled batch plan, via the
-//!   cached online loop (O(polylog m) per query), and via the
-//!   concurrent tier (scoped threads sharing one plan and one sharded
-//!   cache) versus reconstruct + prefix sums (O(m) build), checking
-//!   they agree and reporting the plan's dedup ratio plus the
-//!   single-lock and per-shard cache counters — and, for error
+//!   cached online loop (O(polylog m) per query), and via scoped
+//!   threads sharing one plan and one sharded cache, versus
+//!   reconstruct + prefix sums (O(m) build), checking they agree and
+//!   reporting the plan's dedup ratio plus the online and per-shard
+//!   cache counters — and, for error
 //!   accounting, the workload's mean predicted std-dev, the
 //!   sparse-vs-dense exact-variance timing, and an across-seed
 //!   z-score calibration check ([`serving::calibration_check`]).

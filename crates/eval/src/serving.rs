@@ -7,15 +7,15 @@
 //! per-query prefix path. A serving tier sees the opposite regime:
 //! queries arrive in batches or trickle in online over a large domain,
 //! so the O(polylog m)-per-query coefficient paths of
-//! [`CoefficientAnswerer`] win.
+//! [`ConcurrentEngine`] win.
 //! This module measures the serving paths on the same release and
 //! checks they agree, reporting the batch plan's support-dedup ratio
 //! and the online cache's hit rate alongside the timings — the two
 //! amortization levers the serving engine adds. A fourth pass drives
-//! the concurrent tier: scoped threads share one compiled plan and one
-//! [`ConcurrentEngine`], and the report carries the sharded cache's
-//! per-shard counters so capacity and shard count can be sized from
-//! real traffic.
+//! the engine from many threads: scoped threads share one compiled plan
+//! and one engine over the same core with a fresh cache, and the report
+//! carries the sharded cache's per-shard counters so capacity and shard
+//! count can be sized from real traffic.
 
 use crate::ground_truth::ExactEvaluate;
 use crate::Result;
@@ -24,9 +24,8 @@ use privelet::variance::{dense_dim_variance_factor, exact_query_variance};
 use privelet_data::FrequencyMatrix;
 use privelet_matrix::LaneExecutor;
 use privelet_noise::RunningStats;
-use privelet_query::{
-    Answerer, CacheStats, CoefficientAnswerer, ConcurrentEngine, QueryError, RangeQuery,
-};
+use privelet_query::{Answerer, CacheStats, ConcurrentEngine, QueryError, RangeQuery};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Scoped serving threads the concurrent pass spawns. Four matches the
@@ -48,7 +47,7 @@ pub struct ServingReport {
     /// online cached loop, reconstruct + prefix sums) over the workload
     /// (floating-point rounding only; must be tiny).
     pub max_abs_diff: f64,
-    /// Seconds to build the coefficient-domain answerer (refinement pass).
+    /// Seconds to build the coefficient-domain engine (refinement pass).
     pub coeff_build_secs: f64,
     /// Seconds to compile the workload into a `QueryPlan` (support
     /// interning + term flattening).
@@ -162,7 +161,7 @@ pub fn compare_serving_paths(
     let release = publish_coefficients_with(&mut exec, fm, cfg)?;
 
     let start = Instant::now();
-    let coeff = CoefficientAnswerer::from_output(&release)?;
+    let coeff = ConcurrentEngine::from_output(&release)?;
     let coeff_build_secs = start.elapsed().as_secs_f64();
 
     // Batch path: compile the workload once, then execute the plan.
@@ -185,8 +184,9 @@ pub fn compare_serving_paths(
 
     // Concurrent path: scoped threads share the release core (no copy)
     // and the compiled plan; each also replays the workload online
-    // through the sharded cache so its counters see real contention.
-    let engine = ConcurrentEngine::from_answerer(&coeff);
+    // through a fresh sharded cache so its counters see only this pass,
+    // under real contention.
+    let engine = ConcurrentEngine::new(Arc::clone(coeff.core()));
     let start = Instant::now();
     let thread_results: Vec<std::result::Result<Vec<f64>, QueryError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CONCURRENT_THREADS)
@@ -227,7 +227,7 @@ pub fn compare_serving_paths(
     // Sparse-vs-dense exact variance on a small prefix of the workload
     // (the dense oracle revisits every coefficient per dimension, so it
     // is priced per query, not run over the whole batch).
-    let hn = coeff.transform();
+    let hn = coeff.core().transform();
     let lambda = release.meta.lambda;
     let timed: Vec<(Vec<usize>, Vec<usize>)> = queries
         .iter()
@@ -346,7 +346,7 @@ pub const DENSE_VARIANCE_ORACLE_MAX_DIM: usize = 1 << 12;
 /// independent Laplace draws whose shape varies from a single Laplace to
 /// a near-Gaussian mixture).
 ///
-/// [`answer_with_error`]: privelet_query::CoefficientAnswerer::answer_with_error
+/// [`answer_with_error`]: privelet_query::ConcurrentEngine::answer_with_error
 #[derive(Debug, Clone)]
 pub struct CalibrationReport {
     /// Seeds (independent publishes) pooled.
@@ -393,9 +393,9 @@ pub fn calibration_check(
         let mut seeded = cfg.clone();
         seeded.seed = cfg.seed.wrapping_add(s as u64);
         let release = publish_coefficients_with(&mut exec, fm, &seeded)?;
-        let answerer = CoefficientAnswerer::from_output(&release)?;
+        let engine = ConcurrentEngine::from_output(&release)?;
         for (q, &truth) in queries.iter().zip(&exact) {
-            let a = answerer.answer_with_error(q)?;
+            let a = engine.answer_with_error(q)?;
             z.push(a.z_score(truth));
             std_sum += a.std_dev;
             let (lo, hi) = a.interval(beta)?;

@@ -1,13 +1,13 @@
 //! Warn-once parsing of numeric environment knobs.
 //!
-//! Three runtime tuning knobs share the same lifecycle: read an
+//! The runtime tuning knobs share the same lifecycle: read an
 //! environment variable at construction time, fall back to a compiled-in
 //! default when it is unset, and — crucially — fall back **loudly** when
 //! it is set but unparseable, so a typo'd knob can't silently revert a
-//! deployment to defaults. The parse/fallback logic used to be
-//! copy-pasted per knob (`PRIVELET_PARALLEL_MIN_CELLS` in the executor,
-//! `PRIVELET_CACHE_SHARDS` in the query cache); this module is the one
-//! shared implementation, now also serving `PRIVELET_TILE_LANES`.
+//! deployment to defaults. This module is the one shared implementation
+//! of that parse/fallback logic, serving `PRIVELET_PARALLEL_MIN_CELLS`
+//! and `PRIVELET_TILE_LANES` in the executor and
+//! `PRIVELET_BULK_LANE_CUTOVER` in the incremental release.
 //!
 //! The parse is a pure function of the raw string so it is unit-testable
 //! without racing on the process environment (`std::env::set_var` is a

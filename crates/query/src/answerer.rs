@@ -26,7 +26,7 @@ pub struct Answerer {
     /// known. The prefix path discards the coefficient domain, so error
     /// accounting re-derives each query's per-dimension variance factors
     /// from the transform (O(polylog m) per query, uncached — this is the
-    /// offline path; the coefficient engines annotate from their caches).
+    /// offline path; the coefficient engine annotates from its cache).
     error_model: Option<(HnTransform, PrivacyMeta)>,
 }
 
@@ -61,8 +61,8 @@ impl Answerer {
     /// published under and its privacy accounting. Errors with
     /// [`QueryError::ShapeMismatch`] when the transform does not fit the
     /// answerer's schema (including a nominal transform whose hierarchy
-    /// differs structurally — the same check the coefficient engines
-    /// perform at construction).
+    /// differs structurally — the same check the coefficient engine
+    /// performs at construction).
     pub fn with_error_model(mut self, transform: HnTransform, meta: PrivacyMeta) -> Result<Self> {
         crate::plan::check_release_metadata(&self.schema, &transform)?;
         self.error_model = Some((transform, meta));
@@ -209,12 +209,12 @@ mod tests {
 
     #[test]
     fn error_model_annotates_like_the_coefficient_engine() {
-        use crate::coefficients::CoefficientAnswerer;
+        use crate::concurrent::ConcurrentEngine;
         use privelet::mechanism::{publish_coefficients, PriveletConfig};
 
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
         let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 61)).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
+        let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let rec = release.to_matrix().unwrap();
         let bare = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
         let q = RangeQuery::new(vec![Predicate::Range { lo: 1, hi: 3 }, Predicate::All]);

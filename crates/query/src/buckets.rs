@@ -25,8 +25,9 @@ pub struct BucketRow {
 /// Buckets `(keys[i], series[*][i])` into `k` equal-count groups by
 /// ascending key and returns per-bucket means.
 ///
-/// All series must have the same length as `keys`. Buckets differ in size
-/// by at most one (when `k` does not divide the query count).
+/// All series must have the same length as `keys`, and every key must be
+/// finite. Buckets differ in size by at most one (when `k` does not
+/// divide the query count).
 pub fn quantile_rows(keys: &[f64], series: &[&[f64]], k: usize) -> Result<Vec<BucketRow>> {
     if k == 0 {
         return Err(QueryError::BadConfig(
@@ -38,6 +39,12 @@ pub fn quantile_rows(keys: &[f64], series: &[&[f64]], k: usize) -> Result<Vec<Bu
             "cannot bucket an empty workload".into(),
         ));
     }
+    if let Some(i) = keys.iter().position(|k| !k.is_finite()) {
+        return Err(QueryError::BadConfig(format!(
+            "bucket key {i} is not finite ({})",
+            keys[i]
+        )));
+    }
     for s in series {
         if s.len() != keys.len() {
             return Err(QueryError::BadConfig(format!(
@@ -48,7 +55,7 @@ pub fn quantile_rows(keys: &[f64], series: &[&[f64]], k: usize) -> Result<Vec<Bu
         }
     }
     let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| keys[a].partial_cmp(&keys[b]).expect("keys must not be NaN"));
+    order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
 
     let n = keys.len();
     let k = k.min(n);
@@ -130,5 +137,11 @@ mod tests {
         assert!(quantile_rows(&[1.0], &[], 0).is_err());
         let short = vec![1.0];
         assert!(quantile_rows(&[1.0, 2.0], &[&short], 2).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                quantile_rows(&[1.0, bad, 3.0], &[], 2),
+                Err(QueryError::BadConfig(_))
+            ));
+        }
     }
 }

@@ -1,29 +1,25 @@
 //! Bounded LRU memoization of per-dimension query supports.
 //!
-//! The online one-query-at-a-time serving path re-derives each
+//! The online one-query-at-a-time serving path would re-derive each
 //! dimension's sparse support (`Transform1d::query_weights`) on every
 //! request, even though OLAP traffic repeats the same predicate
-//! intervals dimension after dimension. [`SupportCache`] memoizes
+//! intervals dimension after dimension. [`ShardedSupportCache`] memoizes
 //! supports keyed on `(dim, lo, hi)` so repeated predicates across
 //! requests amortize the derivation the same way a compiled
 //! [`QueryPlan`](crate::QueryPlan) amortizes it within one batch.
 //!
-//! The cache is bounded (least-recently-used eviction) and counts hits,
-//! misses and evictions, so serving tiers can report hit rates and size
-//! the capacity. Each entry holds one dimension's weight pairs behind
-//! an [`Arc`] — `O(polylog m)` of them on Haar/nominal dimensions, but
-//! up to O(interval length) on identity-transformed (SA) dimensions,
-//! whose supports are the covered cells — so a hit is one clone of a
-//! pointer, never of the support.
-//!
-//! For multi-threaded serving, [`ShardedSupportCache`] spreads the keys
-//! across N independently locked [`SupportCache`] shards: concurrent
-//! lookups of different supports hash to different shards and never
-//! contend, while each shard keeps the exact LRU semantics and counters
-//! above. [`ShardedSupportCache::get_or_derive`] holds the one shard's
-//! lock across the derivation, so each distinct `(dim, lo, hi)` key is
-//! derived at most once per residency in its shard — the same
-//! derive-once contract the single-lock cache gives a single thread.
+//! The cache spreads the keys across N independently locked LRU shards:
+//! concurrent lookups of different supports hash to different shards and
+//! never contend, while each shard is bounded (least-recently-used
+//! eviction) and counts hits, misses and evictions, so serving tiers can
+//! report hit rates and size the capacity. Each entry holds one
+//! dimension's weight pairs behind an [`Arc`] — `O(polylog m)` of them
+//! on Haar/nominal dimensions, but up to O(interval length) on
+//! identity-transformed (SA) dimensions, whose supports are the covered
+//! cells — so a hit is one clone of a pointer, never of the support.
+//! [`ShardedSupportCache::get_or_derive`] holds the one shard's lock
+//! across the derivation, so each distinct `(dim, lo, hi)` key is
+//! derived at most once per residency in its shard.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -66,8 +62,8 @@ impl DimSupport {
 /// a pointer, never the support.
 pub type SharedSupport = Arc<DimSupport>;
 
-/// Hit/miss/eviction counters and current occupancy of a
-/// [`SupportCache`].
+/// Hit/miss/eviction counters and current occupancy of a support cache
+/// (one shard, or the aggregate over all shards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -77,7 +73,7 @@ pub struct CacheStats {
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
     /// Entries explicitly dropped via
-    /// [`SupportCache::invalidate_where`] — kept separate from
+    /// [`ShardedSupportCache::invalidate_where`] — kept separate from
     /// `evictions` because invalidation is a correctness action (the
     /// caller knows the entries are stale), not capacity pressure.
     pub invalidations: u64,
@@ -100,14 +96,15 @@ impl CacheStats {
     }
 }
 
-/// Bounded LRU cache of per-dimension query supports.
+/// One shard of a [`ShardedSupportCache`]: a bounded LRU cache of
+/// per-dimension query supports.
 ///
 /// Recency is tracked with a monotone tick per entry and a
 /// `BTreeMap<tick, key>` index, so `get`/`insert` are O(log capacity)
 /// and eviction pops the smallest tick. A capacity of 0 disables the
 /// cache: every lookup misses and nothing is stored.
-#[derive(Debug, Clone, Default)]
-pub struct SupportCache {
+#[derive(Debug, Default)]
+struct SupportCache {
     capacity: usize,
     entries: HashMap<SupportKey, (SharedSupport, u64)>,
     by_tick: BTreeMap<u64, SupportKey>,
@@ -120,7 +117,7 @@ pub struct SupportCache {
 
 impl SupportCache {
     /// An empty cache holding at most `capacity` supports.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         SupportCache {
             capacity,
             ..SupportCache::default()
@@ -128,7 +125,7 @@ impl SupportCache {
     }
 
     /// Looks up a support, marking it most recently used on a hit.
-    pub fn get(&mut self, key: SupportKey) -> Option<SharedSupport> {
+    fn get(&mut self, key: SupportKey) -> Option<SharedSupport> {
         match self.entries.get_mut(&key) {
             Some((support, tick)) => {
                 self.hits += 1;
@@ -148,7 +145,7 @@ impl SupportCache {
 
     /// Stores a freshly derived support, evicting the least recently
     /// used entry if the cache is full. No-op at capacity 0.
-    pub fn insert(&mut self, key: SupportKey, support: SharedSupport) {
+    fn insert(&mut self, key: SupportKey, support: SharedSupport) {
         if self.capacity == 0 {
             return;
         }
@@ -166,35 +163,10 @@ impl SupportCache {
         self.by_tick.insert(self.tick, key);
     }
 
-    /// Removes and returns every resident entry in LRU→MRU order,
-    /// tagged with its recency tick. Counters are left untouched; only
-    /// occupancy drops to zero. Used by
-    /// [`ShardedSupportCache::with_shards`] to re-route entries when the
-    /// shard count changes.
-    fn drain_in_recency_order(&mut self) -> Vec<(u64, SupportKey, SharedSupport)> {
-        let by_tick = std::mem::take(&mut self.by_tick);
-        by_tick
-            .into_iter()
-            .filter_map(|(tick, key)| {
-                self.entries
-                    .remove(&key)
-                    .map(|(support, _)| (tick, key, support))
-            })
-            .collect()
-    }
-
     /// Drops every resident entry whose key matches `pred`, returning
-    /// how many were dropped. Invalidations are counted separately from
-    /// evictions (see [`CacheStats::invalidations`]); hit/miss counters
-    /// do not move, so `hits + misses` keeps equaling the lookup count.
-    ///
-    /// Epoch note: per-dimension supports are **data-independent** — a
-    /// pure function of `(dim, lo, hi)` and the transform — so rolling a
-    /// release to a new epoch of the *same* transform must NOT
-    /// invalidate them. This hook exists for the cases where cached
-    /// state really does go stale: a schema/transform swap, or targeted
-    /// memory reclamation.
-    pub fn invalidate_where(&mut self, mut pred: impl FnMut(&SupportKey) -> bool) -> usize {
+    /// how many were dropped (see
+    /// [`ShardedSupportCache::invalidate_where`]).
+    fn invalidate_where(&mut self, mut pred: impl FnMut(&SupportKey) -> bool) -> usize {
         let stale: Vec<SupportKey> = self.entries.keys().filter(|k| pred(k)).copied().collect();
         for key in &stale {
             if let Some((_, tick)) = self.entries.remove(key) {
@@ -206,7 +178,7 @@ impl SupportCache {
     }
 
     /// Current counters and occupancy.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
@@ -223,25 +195,9 @@ impl SupportCache {
 /// capacity stays useful at the default total capacity.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// The process-wide default shard count: `PRIVELET_CACHE_SHARDS` when
-/// set and parseable (clamped to ≥ 1, matching
-/// [`ShardedSupportCache::new`] — a zero-shard cache cannot route keys),
-/// [`DEFAULT_SHARD_COUNT`] otherwise. An unparseable value falls back to
-/// the default and warns on stderr once per process, via the shared
-/// warn-once knob helper in `privelet_matrix::knob` (the same machinery
-/// behind `PRIVELET_PARALLEL_MIN_CELLS` and `PRIVELET_TILE_LANES`).
-pub fn default_shard_count() -> usize {
-    privelet_matrix::env_usize_knob(
-        "PRIVELET_CACHE_SHARDS",
-        "a shard count",
-        DEFAULT_SHARD_COUNT,
-    )
-    .max(1)
-}
-
-/// A hash-sharded [`SupportCache`] for concurrent serving: N
-/// independently locked shards, keys routed by a fixed (process-stable)
-/// hash of `(dim, lo, hi)`.
+/// The support cache of the coefficient serving engine: N independently
+/// locked LRU shards, keys routed by a fixed (process-stable) hash of
+/// `(dim, lo, hi)`.
 ///
 /// Every operation takes `&self` — locking is per shard and internal —
 /// so one `ShardedSupportCache` can sit behind an `Arc` and be hammered
@@ -251,19 +207,23 @@ pub fn default_shard_count() -> usize {
 /// O(polylog m) derivation on a miss — see
 /// [`get_or_derive`](Self::get_or_derive) for why that is deliberate).
 ///
-/// The total `capacity` is split evenly across shards (rounded up, so
-/// the bound per shard is `ceil(capacity / shards)`); capacity 0
-/// disables every shard. Counters are kept per shard and aggregate in
-/// [`stats`](Self::stats); [`shard_stats`](Self::shard_stats) exposes
-/// the per-shard breakdown for diagnostics.
+/// The `capacity` is split evenly across shards, rounded up: each shard
+/// holds at most `ceil(capacity / shards)` supports, so the cache as a
+/// whole can hold up to `shards · ceil(capacity / shards)` (a few more
+/// than `capacity` when the split is uneven). Capacity 0 disables every
+/// shard, and one shard is a single exact LRU. Counters are kept per
+/// shard and aggregate in [`stats`](Self::stats);
+/// [`shard_stats`](Self::shard_stats) exposes the per-shard breakdown
+/// for diagnostics.
 #[derive(Debug)]
 pub struct ShardedSupportCache {
     shards: Vec<Mutex<SupportCache>>,
 }
 
 impl ShardedSupportCache {
-    /// A cache of `shards` independently locked shards (at least 1)
-    /// holding at most `capacity` supports in total (0 disables caching).
+    /// A cache of `shards` independently locked shards (clamped to ≥ 1),
+    /// each holding at most `ceil(capacity / shards)` supports — e.g.
+    /// `new(10, 4)` can hold 12. Capacity 0 disables caching.
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = if capacity == 0 {
@@ -276,58 +236,6 @@ impl ShardedSupportCache {
                 .map(|_| Mutex::new(SupportCache::new(per_shard)))
                 .collect(),
         }
-    }
-
-    /// [`new`](Self::new) with the process-default shard count:
-    /// `PRIVELET_CACHE_SHARDS` when set, [`DEFAULT_SHARD_COUNT`]
-    /// otherwise — the constructor serving tiers use when the operator,
-    /// not the code, should pick the sharding.
-    pub fn with_env_shards(capacity: usize) -> Self {
-        Self::new(capacity, default_shard_count())
-    }
-
-    /// Re-shards the cache to `shards` lanes (clamped to ≥ 1), keeping
-    /// the same total capacity bound and every resident entry: entries
-    /// are re-routed to their new shards in global recency order, so
-    /// relative LRU age survives the move. Counters reset to zero — a
-    /// reshard starts a new measurement epoch (per-shard hit/miss
-    /// history is meaningless under a different routing).
-    ///
-    /// Edge cases: `with_shards(0)` behaves as `with_shards(1)` (one
-    /// global lock, still correct), and a 1-shard cache is exactly a
-    /// mutex around a [`SupportCache`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let total_capacity: usize = self
-            .shards
-            .iter_mut()
-            .map(|s| s.get_mut().unwrap_or_else(PoisonError::into_inner).capacity)
-            .sum();
-        let mut entries: Vec<(u64, SupportKey, SharedSupport)> = self
-            .shards
-            .iter_mut()
-            .flat_map(|s| {
-                s.get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .drain_in_recency_order()
-            })
-            .collect();
-        // Ticks are per shard, so cross-shard order is arbitrary but
-        // stable; within a shard they are exact recency.
-        entries.sort_by_key(|&(tick, key, _)| (tick, key));
-        let resharded = ShardedSupportCache::new(total_capacity, shards);
-        for (_, key, support) in entries {
-            resharded
-                .lock_shard(resharded.shard_for(key))
-                .insert(key, support);
-        }
-        // Inserting counts neither hits nor misses, but per-shard
-        // capacity rounding can evict: zero that too so the new epoch
-        // starts clean.
-        for i in 0..resharded.shards.len() {
-            resharded.lock_shard(i).evictions = 0;
-        }
-        resharded
     }
 
     /// Number of shards (≥ 1).
@@ -393,11 +301,19 @@ impl ShardedSupportCache {
     }
 
     /// Drops every resident entry (across all shards) whose key matches
-    /// `pred`, returning how many were dropped. Same counter semantics
-    /// as [`SupportCache::invalidate_where`]: invalidations are counted
-    /// apart from evictions, and hit/miss counters do not move. Shards
-    /// are swept one lock at a time — concurrent lookups in other shards
-    /// proceed, so a sweep never stalls the serving tier globally.
+    /// `pred`, returning how many were dropped. Invalidations are counted
+    /// apart from evictions (see [`CacheStats::invalidations`]), and
+    /// hit/miss counters do not move, so `hits + misses` keeps equaling
+    /// the lookup count.
+    ///
+    /// Epoch note: per-dimension supports are **data-independent** — a
+    /// pure function of `(dim, lo, hi)` and the transform — so rolling a
+    /// release to a new epoch of the *same* transform must NOT
+    /// invalidate them. This hook exists for the cases where cached
+    /// state really does go stale: a schema/transform swap, or targeted
+    /// memory reclamation. Shards are swept one lock at a time —
+    /// concurrent lookups in other shards proceed, so a sweep never
+    /// stalls the serving tier globally.
     pub fn invalidate_where(&self, mut pred: impl FnMut(&SupportKey) -> bool) -> usize {
         (0..self.shards.len())
             .map(|i| self.lock_shard(i).invalidate_where(&mut pred))
@@ -426,19 +342,6 @@ impl ShardedSupportCache {
         (0..self.shards.len())
             .map(|i| self.lock_shard(i).stats())
             .collect()
-    }
-}
-
-impl Clone for ShardedSupportCache {
-    /// Deep-copies every shard's entries and counters (locking each
-    /// shard in turn; the clone observes each shard at a single point in
-    /// time, not the whole cache atomically).
-    fn clone(&self) -> Self {
-        ShardedSupportCache {
-            shards: (0..self.shards.len())
-                .map(|i| Mutex::new(self.lock_shard(i).clone()))
-                .collect(),
-        }
     }
 }
 
@@ -625,6 +528,10 @@ mod tests {
         assert_eq!(per_shard.len(), 4);
         assert_eq!(per_shard.iter().map(|s| s.len).sum::<usize>(), 16);
         assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), 16);
+        // Each shard is bounded at ceil(capacity / shards), so an uneven
+        // split holds a few more than the requested capacity.
+        assert_eq!(ShardedSupportCache::new(10, 4).stats().capacity, 12);
+        assert_eq!(ShardedSupportCache::new(10, 0).shard_count(), 1);
     }
 
     #[test]
@@ -671,117 +578,5 @@ mod tests {
         assert_eq!(stats.capacity, 0);
         assert_eq!(stats.len, 0);
         assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
-    fn shard_count_knob_applies_the_zero_clamp() {
-        // The parse/fallback semantics live in privelet_matrix::knob (and
-        // are unit-tested there); what is this crate's own policy — and
-        // therefore pinned here — is the ≥ 1 clamp: a parseable 0 cannot
-        // route keys and must become a single-lock cache, applied *after*
-        // the shared parse so a garbage value still falls back to the
-        // default, not to 1.
-        use privelet_matrix::parse_usize_knob;
-        let clamp = |raw: Option<&str>| parse_usize_knob(raw, DEFAULT_SHARD_COUNT).0.max(1);
-        assert_eq!(clamp(None), DEFAULT_SHARD_COUNT);
-        assert_eq!(clamp(Some("16")), 16);
-        assert_eq!(clamp(Some("0")), 1);
-        assert_eq!(clamp(Some("1")), 1);
-        for garbage in ["", "eight", "-2", "1e2", "0x8", "8 shards", "∞"] {
-            assert_eq!(
-                clamp(Some(garbage)),
-                DEFAULT_SHARD_COUNT,
-                "input {garbage:?}"
-            );
-        }
-        // And the env-reading entry point stays ≥ 1 whatever the harness
-        // environment holds (no env mutation here — process-global race).
-        assert!(default_shard_count() >= 1);
-    }
-
-    #[test]
-    fn resharding_retains_entries_and_conserves_stats() {
-        // Populate at the default sharding, then walk through 1, 3 and
-        // 16 shards: every resident entry must survive each hop, the
-        // per-shard stats must sum to the aggregate under every count,
-        // and the total capacity bound must never shrink.
-        // Capacity 320 over ≤16 shards keeps every per-shard bound ≥ 20,
-        // so hash skew can never evict one of the 20 entries mid-test.
-        let mut cache = ShardedSupportCache::new(320, DEFAULT_SHARD_COUNT);
-        let keys: Vec<SupportKey> = (0..20).map(|i| (i % 3, i, i + 1)).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            cache.insert(key, support(i));
-        }
-        for shards in [1usize, 3, 16] {
-            cache = cache.with_shards(shards);
-            assert_eq!(cache.shard_count(), shards);
-            let per_shard = cache.shard_stats();
-            assert_eq!(per_shard.len(), shards);
-            // Fresh epoch: counters are zeroed by the reshard...
-            let agg = cache.stats();
-            assert_eq!((agg.hits, agg.misses, agg.evictions), (0, 0, 0));
-            // ...entries and capacity are not.
-            assert_eq!(agg.len, keys.len(), "all entries survive {shards} shards");
-            assert!(agg.capacity >= 320, "capacity bound never shrinks");
-            // Per-shard stats conserve: the aggregate is exactly the sum.
-            assert_eq!(per_shard.iter().map(|s| s.len).sum::<usize>(), agg.len);
-            assert_eq!(
-                per_shard.iter().map(|s| s.capacity).sum::<usize>(),
-                agg.capacity
-            );
-            // Every key still routes to its support.
-            for (i, &key) in keys.iter().enumerate() {
-                assert_eq!(cache.get(key).unwrap().weights[0].0, i, "{shards} shards");
-            }
-            // ...and the post-reshard lookups count as hits, summing
-            // across shards to one per key.
-            assert_eq!(cache.stats().hits, keys.len() as u64);
-            assert_eq!(
-                cache
-                    .shard_stats()
-                    .iter()
-                    .map(|s| s.hits + s.misses)
-                    .sum::<u64>(),
-                keys.len() as u64,
-                "exactly one counter moves per lookup"
-            );
-        }
-    }
-
-    #[test]
-    fn resharding_to_zero_behaves_as_one_shard() {
-        let cache = ShardedSupportCache::new(8, 4);
-        cache.insert((0, 0, 1), support(1));
-        let cache = cache.with_shards(0);
-        assert_eq!(cache.shard_count(), 1);
-        assert_eq!(cache.get((0, 0, 1)).unwrap().weights[0].0, 1);
-    }
-
-    #[test]
-    fn resharding_preserves_recency_order_within_a_shard() {
-        // Entries with a known recency order in one shard; the rebuild
-        // (drain → re-route → reinsert) must keep that order, so the LRU
-        // victim after the reshard is still the least recently touched
-        // key. One shard on both sides keeps the tick order exact — the
-        // within-shard guarantee `with_shards` documents.
-        let cache = ShardedSupportCache::new(2, 1);
-        cache.insert((0, 0, 1), support(1));
-        cache.insert((0, 2, 3), support(2));
-        cache.get((0, 0, 1)); // (0,2,3) is now the LRU entry
-        let cache = cache.with_shards(1);
-        // Capacity 2, one shard: a third insert evicts exactly (0,2,3).
-        cache.insert((7, 7, 7), support(3));
-        assert!(cache.get((0, 2, 3)).is_none(), "LRU entry evicted");
-        assert!(cache.get((0, 0, 1)).is_some(), "recent entry survives");
-    }
-
-    #[test]
-    fn sharded_clone_copies_entries_and_counters() {
-        let cache = ShardedSupportCache::new(8, 2);
-        cache.insert((0, 0, 1), support(1));
-        cache.get((0, 0, 1));
-        let copy = cache.clone();
-        assert_eq!(copy.stats(), cache.stats());
-        assert_eq!(copy.get((0, 0, 1)).unwrap().weights[0].0, 1);
     }
 }

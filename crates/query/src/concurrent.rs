@@ -1,25 +1,42 @@
-//! The concurrent serving tier: one shared release core, many threads.
+//! The coefficient serving engine: one shared release core, one sharded
+//! support cache, any number of threads.
 //!
-//! A Privelet release is write-once, read-many — published once, then
-//! queried by every serving thread — so the concurrent tier is an
-//! [`Arc`]-shared immutable [`ReleaseCore`] plus a hash-sharded
-//! [`ShardedSupportCache`]: no lock guards the coefficients (nothing
-//! mutates them), and online lookups of different supports hash to
-//! different shards and never contend. Cloning a [`ConcurrentEngine`] is
-//! two `Arc` bumps, so the natural deployment is one clone per serving
-//! thread over one core.
+//! The paper's central structural fact (§IV–§V) is that a range-count
+//! query intersects only O(log m) Haar coefficients per dimension — the
+//! two boundary root-to-leaf paths — so a query can be answered
+//! *directly in the noisy coefficient domain* as a sparse tensor-product
+//! dot, without ever inverting the transform or building O(m) prefix
+//! sums. [`ConcurrentEngine`] serves that path: an [`Arc`]-shared
+//! immutable [`ReleaseCore`] (built once: validation, the O(m')
+//! refinement nominal dimensions need, the total) plus an `Arc`-shared
+//! hash-sharded [`ShardedSupportCache`] memoizing per-dimension supports
+//! for the online path. Each `answer` then reads `∏ᵢ |supportᵢ|`
+//! coefficients.
+//!
+//! Compare [`Answerer`](crate::Answerer): O(m) prefix-sum build, O(2^d)
+//! per query. The coefficient path wins when queries arrive online, when
+//! m is large relative to the query volume, or when the reconstructed
+//! matrix would not fit the serving tier; the prefix path wins for huge
+//! offline workloads over small m. Both return the same answers to
+//! floating-point rounding (property-tested at the workspace root).
+//!
+//! A release is write-once, read-many, so no lock guards the
+//! coefficients (nothing mutates them), and online lookups of different
+//! supports hash to different cache shards and never contend. Cloning
+//! the engine is two `Arc` bumps; the natural deployment is one clone
+//! per serving thread over one core.
 //!
 //! **Bitwise-equality guarantee.** Every arithmetic path (support
 //! derivation, sparse dot, plan execution) lives in the shared
-//! [`ReleaseCore`] and is pure, so any thread's answer — online or via a
-//! shared compiled [`QueryPlan`] — is bit-identical to the serial
-//! [`CoefficientAnswerer`] over the same release. `tests/concurrent_serving.rs` asserts this from scoped
-//! threads on random mixed schemas, along with the sharded cache's
-//! counter conservation under contention and compile-time `Send + Sync`
-//! for the plan, the core and the engine.
+//! [`ReleaseCore`] and is pure, so any thread's answer is bit-identical
+//! to the core's cache-free reference along the same path: online
+//! answers to [`ReleaseCore::answer_uncached`], shared-plan answers to
+//! [`ReleaseCore::execute_plan`]. `tests/concurrent_serving.rs` asserts
+//! this from scoped threads on random mixed schemas, along with the
+//! sharded cache's counter conservation under contention and
+//! compile-time `Send + Sync` for the plan, the core and the engine.
 
-use crate::cache::{CacheStats, ShardedSupportCache, SharedSupport};
-use crate::coefficients::{CoefficientAnswerer, DEFAULT_SUPPORT_CACHE_CAPACITY};
+use crate::cache::{CacheStats, ShardedSupportCache, SharedSupport, DEFAULT_SHARD_COUNT};
 use crate::engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
 use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
@@ -29,8 +46,13 @@ use privelet::mechanism::CoefficientOutput;
 use privelet_data::schema::Schema;
 use std::sync::Arc;
 
-/// A multi-thread coefficient-domain answering engine: an `Arc`-shared
-/// immutable [`ReleaseCore`] plus an `Arc`-shared [`ShardedSupportCache`].
+/// Default bound on the online support cache: each entry holds one
+/// dimension's `O(polylog m)` weight pairs, so the default footprint is
+/// a few hundred kilobytes at most.
+pub const DEFAULT_SUPPORT_CACHE_CAPACITY: usize = 1024;
+
+/// The coefficient-domain answering engine: an `Arc`-shared immutable
+/// [`ReleaseCore`] plus an `Arc`-shared [`ShardedSupportCache`].
 ///
 /// All methods take `&self`; the engine is `Send + Sync` and `Clone`
 /// (two pointer bumps — clones serve the same release through the same
@@ -42,49 +64,22 @@ pub struct ConcurrentEngine {
 }
 
 impl ConcurrentEngine {
-    /// Wraps a (possibly already shared) release core with a fresh
-    /// sharded cache at the default capacity
-    /// ([`DEFAULT_SUPPORT_CACHE_CAPACITY`]) and the process-default
-    /// shard count: the `PRIVELET_CACHE_SHARDS` environment variable
-    /// when set (clamped to ≥ 1, falling back with a warning on
-    /// garbage), [`DEFAULT_SHARD_COUNT`](crate::cache::DEFAULT_SHARD_COUNT) otherwise.
+    /// Wraps a (possibly already shared) release core with a fresh cache
+    /// of [`DEFAULT_SUPPORT_CACHE_CAPACITY`] over
+    /// [`DEFAULT_SHARD_COUNT`] shards. The core's one-time work
+    /// (validation, refinement, total) is not repeated.
     pub fn new(core: Arc<ReleaseCore>) -> Self {
-        Self::with_cache_env_shards(core, DEFAULT_SUPPORT_CACHE_CAPACITY)
+        Self::with_cache(core, DEFAULT_SUPPORT_CACHE_CAPACITY, DEFAULT_SHARD_COUNT)
     }
 
-    /// Wraps a release core with a fresh sharded cache holding at most
-    /// `capacity` supports in total across `shards` shards (capacity 0
-    /// disables caching; shard count is clamped to ≥ 1).
+    /// Wraps a release core with a fresh cache of `shards` shards
+    /// (clamped to ≥ 1), each bounded at `ceil(capacity / shards)`
+    /// supports — so up to `shards · ceil(capacity / shards)` in total.
+    /// Capacity 0 disables caching; one shard is a single exact LRU.
     pub fn with_cache(core: Arc<ReleaseCore>, capacity: usize, shards: usize) -> Self {
         ConcurrentEngine {
             core,
             cache: Arc::new(ShardedSupportCache::new(capacity, shards)),
-        }
-    }
-
-    /// [`with_cache`](Self::with_cache) at the process-default shard
-    /// count (`PRIVELET_CACHE_SHARDS` / [`DEFAULT_SHARD_COUNT`](crate::cache::DEFAULT_SHARD_COUNT)).
-    pub fn with_cache_env_shards(core: Arc<ReleaseCore>, capacity: usize) -> Self {
-        ConcurrentEngine {
-            core,
-            cache: Arc::new(ShardedSupportCache::with_env_shards(capacity)),
-        }
-    }
-
-    /// Replaces the engine's cache with a fresh one re-sharded to
-    /// `shards` lanes (clamped to ≥ 1) at the same total capacity,
-    /// retaining resident entries but zeroing counters (see
-    /// [`ShardedSupportCache::with_shards`]). Clones sharing the old
-    /// cache keep it; the returned engine serves the same core through
-    /// the new one.
-    pub fn with_shards(self, shards: usize) -> Self {
-        let cache = match Arc::try_unwrap(self.cache) {
-            Ok(cache) => cache,
-            Err(shared) => (*shared).clone(),
-        };
-        ConcurrentEngine {
-            core: self.core,
-            cache: Arc::new(cache.with_shards(shards)),
         }
     }
 
@@ -96,18 +91,12 @@ impl ConcurrentEngine {
         Ok(Self::new(Arc::new(ReleaseCore::from_output(out)?)))
     }
 
-    /// Shares an existing answerer's release core (no re-validation or
-    /// re-refinement) under a fresh sharded cache with zeroed counters.
-    pub fn from_answerer(answerer: &CoefficientAnswerer) -> Self {
-        Self::new(Arc::clone(answerer.core()))
-    }
-
     /// Rolls the engine to a new epoch of the same release series (see
     /// [`ReleaseCore::advance_epoch`] for the lineage validation). The
-    /// returned engine shares this engine's sharded cache `Arc`:
-    /// supports are pure functions of `(dim, lo, hi)` and the — lineage-
-    /// pinned — transform, so every shard's warm entries stay valid and
-    /// shared across epochs; only coefficient state rolls with the core.
+    /// returned engine shares this engine's cache `Arc`: supports are
+    /// pure functions of `(dim, lo, hi)` and the — lineage-pinned —
+    /// transform, so every warm entry (and its counters) stays valid
+    /// across epochs; only coefficient state rolls with the core.
     /// `self` keeps serving the old epoch, so a serving tier can drain
     /// in-flight traffic on the old engine while new traffic routes to
     /// the new one.
@@ -118,8 +107,8 @@ impl ConcurrentEngine {
         })
     }
 
-    /// The shared release core. Clone the `Arc` to hand the same release
-    /// to further shells.
+    /// The shared release core. Clone the `Arc` to serve the same
+    /// release through another engine (e.g. one with a fresh cache).
     pub fn core(&self) -> &Arc<ReleaseCore> {
         &self.core
     }
@@ -134,33 +123,39 @@ impl ConcurrentEngine {
         self.core.total()
     }
 
-    /// Answers one range-count query through the sharded support cache.
+    /// Answers one range-count query as a sparse tensor-product dot
+    /// against the coefficients: `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]` over the
+    /// per-dimension supports, `∏ᵢ |supportᵢ|` coefficient reads — for
+    /// all-Haar schemas O(∏ᵢ log mᵢ), versus the O(m) reconstruction the
+    /// prefix-sum path must pay before its first answer.
+    ///
     /// Safe and lock-cheap to call from many threads at once: each
     /// dimension's lookup locks only the shard its `(dim, lo, hi)` key
     /// hashes to, and a concurrent miss on the same key derives exactly
     /// once per shard residency. Bit-identical to
-    /// [`CoefficientAnswerer::answer`] on the same release.
+    /// [`ReleaseCore::answer_uncached`].
     pub fn answer(&self, q: &RangeQuery) -> Result<f64> {
         Ok(self.core.dot(&self.supports(q)?))
     }
 
     /// [`answer`](Self::answer) with its exact noise std-dev: the same
-    /// sharded-cache supports and the same dot (bit-identical value),
-    /// annotated from the supports' precomputed variance factors — on a
-    /// warm cache this adds zero derivations and no extra lock traffic
-    /// beyond the lookups `answer` already performs.
+    /// cached supports and the same dot (bit-identical value), annotated
+    /// from the supports' precomputed variance factors — on a warm cache
+    /// this adds zero derivations and no lock traffic beyond the lookups
+    /// `answer` already performs.
     ///
-    /// Errors with [`QueryError::MissingPrivacyMeta`] when the shared
-    /// release carries no privacy accounting.
+    /// Errors with [`QueryError::MissingPrivacyMeta`] when the release
+    /// carries no privacy accounting.
     pub fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
         let supports = self.supports(q)?;
         self.core.annotate(self.core.dot(&supports), &supports)
     }
 
-    /// Answers a whole workload by compiling a [`QueryPlan`] and
-    /// executing it against the shared core — no cache (and so no lock)
-    /// involved at all. For a workload served repeatedly, compile once
-    /// with [`plan`](Self::plan) and let every thread call
+    /// Answers a whole workload by compiling a [`QueryPlan`] (one
+    /// support derivation per distinct `(dim, lo, hi)` triple across the
+    /// batch) and executing it against the shared core — no cache (and
+    /// so no lock) involved at all. For a workload served repeatedly,
+    /// compile once with [`plan`](Self::plan) and let every thread call
     /// [`answer_plan`](Self::answer_plan) on the shared plan.
     pub fn answer_all(&self, queries: &[RangeQuery]) -> Result<Vec<f64>> {
         self.answer_plan(&self.plan(queries)?)
@@ -215,8 +210,9 @@ impl ConcurrentEngine {
 
     /// Selectivity of a query relative to a tuple count `n`.
     ///
-    /// Errors with [`QueryError::ZeroPopulation`] when `n == 0`, like
-    /// both single-threaded answerers.
+    /// Errors with [`QueryError::ZeroPopulation`] when `n == 0`: the
+    /// ratio is undefined, and both engines reject it identically rather
+    /// than silently reporting 0.
     pub fn selectivity(&self, q: &RangeQuery, n: usize) -> Result<f64> {
         if n == 0 {
             return Err(QueryError::ZeroPopulation);
@@ -225,7 +221,8 @@ impl ConcurrentEngine {
     }
 
     /// Resolves a query to its per-dimension sparse supports through the
-    /// sharded cache.
+    /// sharded cache: repeated `(dim, lo, hi)` predicates across requests
+    /// reuse the memoized support instead of re-deriving it.
     fn supports(&self, q: &RangeQuery) -> Result<Vec<SharedSupport>> {
         let (lo, hi) = q.bounds(self.core.schema())?;
         (0..self.core.schema().arity())
@@ -257,7 +254,7 @@ impl AnswerEngine for ConcurrentEngine {
 
     fn diagnostics(&self) -> EngineDiagnostics {
         EngineDiagnostics {
-            engine: "concurrent",
+            engine: "coefficient",
             build_cells: self.core.coefficients().len(),
             cache: Some(self.cache_stats()),
             shards: self.shard_count(),
@@ -279,45 +276,71 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answerer::Answerer;
     use crate::predicate::Predicate;
     use privelet::mechanism::{publish_coefficients, PriveletConfig};
+    use privelet::transform::HnTransform;
     use privelet_data::medical::medical_example;
+    use privelet_data::schema::Attribute;
     use privelet_data::FrequencyMatrix;
+    use privelet_matrix::NdMatrix;
+    use std::collections::BTreeSet;
 
-    fn medical_release() -> CoefficientOutput {
+    fn medical_release(seed: u64) -> (FrequencyMatrix, CoefficientOutput) {
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
-        publish_coefficients(&fm, &PriveletConfig::pure(1.0, 37)).unwrap()
+        let out = publish_coefficients(&fm, &PriveletConfig::pure(1.0, seed)).unwrap();
+        (fm, out)
     }
 
-    fn queries() -> Vec<RangeQuery> {
+    /// An engine over bare (exact, unmetered) coefficients.
+    fn bare_engine(schema: Schema, hn: HnTransform, coeffs: &NdMatrix) -> Result<ConcurrentEngine> {
+        Ok(ConcurrentEngine::new(Arc::new(ReleaseCore::new(
+            schema, hn, coeffs,
+        )?)))
+    }
+
+    fn medical_queries(fm: &FrequencyMatrix) -> Vec<RangeQuery> {
+        let h = fm.schema().attr(1).domain().hierarchy().unwrap().clone();
         vec![
             RangeQuery::all(2),
             RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]),
-            RangeQuery::new(vec![Predicate::Range { lo: 1, hi: 4 }, Predicate::All]),
+            RangeQuery::new(vec![
+                Predicate::Range { lo: 1, hi: 4 },
+                Predicate::Node {
+                    node: h.leaf_node(1),
+                },
+            ]),
+            RangeQuery::new(vec![Predicate::All, Predicate::Node { node: h.root() }]),
+            // Repeats query 1: both dims hit a warm cache.
             RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]),
         ]
     }
 
     #[test]
-    fn matches_serial_answerer_bitwise() {
-        let out = medical_release();
-        let serial = CoefficientAnswerer::from_output(&out).unwrap();
-        let engine = ConcurrentEngine::from_answerer(&serial);
-        assert!(Arc::ptr_eq(serial.core(), engine.core()));
-        let qs = queries();
-        let batch = serial.answer_all(&qs).unwrap();
-        // Plan path vs plan path on the shared core: bitwise.
-        assert_eq!(engine.answer_all(&qs).unwrap(), batch);
-        for (q, &want) in qs.iter().zip(&batch) {
+    fn matches_the_core_reference_bitwise() {
+        let (fm, out) = medical_release(37);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let core = engine.core();
+        let qs = medical_queries(&fm);
+        // Plan path vs the core's own compile + execute: bitwise.
+        let batch = engine.answer_all(&qs).unwrap();
+        let want = core.execute_plan(&core.plan(&qs).unwrap()).unwrap();
+        assert_eq!(batch.len(), want.len());
+        for (got, want) in batch.iter().zip(&want) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        for (q, &plan) in qs.iter().zip(&batch) {
+            // Online (cached) vs the cache-free reference: bitwise.
+            let got = engine.answer(q).unwrap();
+            assert_eq!(got.to_bits(), core.answer_uncached(q).unwrap().to_bits());
             // Online dot vs the plan's arena kernel (different summation
             // order): 1e-12 relative per docs/architecture.md.
-            let got = engine.answer(q).unwrap();
             assert!(
-                (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                "online {got} vs plan {want}"
+                (got - plan).abs() <= 1e-12 * plan.abs().max(1.0),
+                "online {got} vs plan {plan}"
             );
         }
-        assert_eq!(engine.total(), serial.total());
+        assert_eq!(engine.total().to_bits(), core.total().to_bits());
         assert_eq!(
             engine.selectivity(&qs[0], 0).unwrap_err(),
             QueryError::ZeroPopulation
@@ -325,64 +348,173 @@ mod tests {
     }
 
     #[test]
-    fn annotated_answers_match_the_serial_shell() {
-        let out = medical_release();
-        let serial = CoefficientAnswerer::from_output(&out).unwrap();
-        let engine = ConcurrentEngine::from_answerer(&serial);
-        let qs = queries();
-        let plan = engine.plan(&qs).unwrap();
-        let annotated_plan = engine.answer_plan_with_error(&plan).unwrap();
-        for (i, q) in qs.iter().enumerate() {
-            let via_engine = engine.answer_with_error(q).unwrap();
-            let via_serial = serial.answer_with_error(q).unwrap();
-            // Shared core, shared arithmetic: bit-identical annotations.
-            assert_eq!(via_engine.value, via_serial.value);
-            assert_eq!(via_engine.std_dev.to_bits(), via_serial.std_dev.to_bits());
-            // Plan vs online value: cross-path, 1e-12 relative.
-            assert!(
-                (annotated_plan[i].value - via_engine.value).abs()
-                    <= 1e-12 * via_engine.value.abs().max(1.0),
-                "plan {} vs online {}",
-                annotated_plan[i].value,
-                via_engine.value
-            );
-            assert!((annotated_plan[i].std_dev - via_engine.std_dev).abs() < 1e-12);
+    fn matches_reconstruct_then_prefix_sum_on_noisy_release() {
+        for seed in [1u64, 5, 42] {
+            let (fm, out) = medical_release(seed);
+            let engine = ConcurrentEngine::from_output(&out).unwrap();
+            let rec = out.to_matrix().unwrap();
+            let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
+            for q in medical_queries(&fm) {
+                let a = engine.answer(&q).unwrap();
+                let b = dense.answer(&q).unwrap();
+                assert!((a - b).abs() < 1e-9, "seed {seed}: {a} vs {b}");
+            }
+            assert!((engine.total() - dense.total()).abs() < 1e-9);
         }
-        // The annotations cost cache lookups only — one per (query, dim),
-        // exactly like plain answering.
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits + stats.misses, (qs.len() * 2) as u64);
     }
 
     #[test]
-    fn shared_plan_executes_identically_from_clones() {
-        let out = medical_release();
+    fn exact_coefficients_answer_exactly() {
+        // Forward-transform the exact matrix (no noise): answers equal the
+        // exact evaluation.
+        let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
+        let hn = HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
+        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let engine = bare_engine(fm.schema().clone(), hn, &coeffs).unwrap();
+        for q in medical_queries(&fm) {
+            let (lo, hi) = q.bounds(fm.schema()).unwrap();
+            let want = privelet_matrix::rect_sum_naive(fm.matrix(), &lo, &hi).unwrap();
+            let got = engine.answer(&q).unwrap();
+            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
+        assert!((engine.total() - 8.0).abs() < 1e-9);
+        assert!((engine.selectivity(&RangeQuery::all(2), 8).unwrap() - 1.0).abs() < 1e-9);
+        // No λ, no error model.
+        assert_eq!(
+            engine.answer_with_error(&RangeQuery::all(2)).unwrap_err(),
+            QueryError::MissingPrivacyMeta
+        );
+    }
+
+    #[test]
+    fn single_shard_cache_amortizes_and_zero_capacity_disables_it() {
+        let (fm, out) = medical_release(19);
+        let core = Arc::new(ReleaseCore::from_output(&out).unwrap());
+        let engine = ConcurrentEngine::with_cache(Arc::clone(&core), 64, 1);
+        assert_eq!(engine.cache_stats().hits, 0);
+        let q = &medical_queries(&fm)[1];
+        let first = engine.answer(q).unwrap();
+        let after_first = engine.cache_stats();
+        assert_eq!(after_first.hits, 0);
+        assert_eq!(after_first.misses, 2, "both dims derived once");
+        // Same predicates again: served entirely from the cache, same
+        // answer bit for bit.
+        assert_eq!(engine.answer(q).unwrap().to_bits(), first.to_bits());
+        let after_second = engine.cache_stats();
+        assert_eq!((after_second.hits, after_second.misses), (2, 2));
+        assert_eq!(after_second.capacity, 64);
+        // A disabled cache still answers correctly, and stores nothing.
+        let uncached = ConcurrentEngine::with_cache(core, 0, 1);
+        assert_eq!(uncached.answer(q).unwrap().to_bits(), first.to_bits());
+        assert_eq!(uncached.answer(q).unwrap().to_bits(), first.to_bits());
+        let stats = uncached.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (0, 4, 0));
+    }
+
+    #[test]
+    fn annotated_answers_ride_the_cache_and_match_the_core() {
+        let (fm, out) = medical_release(41);
         let engine = ConcurrentEngine::from_output(&out).unwrap();
-        let plan = engine.plan(&queries()).unwrap();
+        let core = engine.core();
+        let qs = medical_queries(&fm);
+
+        // Warm the cache with the plain answers.
+        let plain: Vec<f64> = qs.iter().map(|q| engine.answer(q).unwrap()).collect();
+        let warm = engine.cache_stats();
+
+        for (q, &v) in qs.iter().zip(&plain) {
+            let annotated = engine.answer_with_error(q).unwrap();
+            // Same cached supports, same dot: bit-identical value, and
+            // the same annotation as the cache-free reference.
+            assert_eq!(annotated.value.to_bits(), v.to_bits());
+            let reference = core.answer_with_error_uncached(q).unwrap();
+            assert_eq!(annotated.value.to_bits(), reference.value.to_bits());
+            assert_eq!(annotated.std_dev.to_bits(), reference.std_dev.to_bits());
+            assert!(annotated.std_dev > 0.0);
+            // Never louder than the analytic worst case.
+            assert!(annotated.variance() <= out.meta.variance_bound * (1.0 + 1e-9));
+        }
+        // Error accounting derived nothing: every lookup hit.
+        let after = engine.cache_stats();
+        assert_eq!(after.misses, warm.misses);
+        assert_eq!(after.hits - warm.hits, (qs.len() * 2) as u64);
+
+        // The plan path annotates from compile-time factors and agrees.
+        let plan = engine.plan(&qs).unwrap();
+        let annotated_plan = engine.answer_plan_with_error(&plan).unwrap();
+        assert_eq!(engine.cache_stats(), after, "plan execution is cache-free");
+        for (q, a) in qs.iter().zip(&annotated_plan) {
+            let online = engine.answer_with_error(q).unwrap();
+            // Cross-path (plan vs online): 1e-12 relative.
+            assert!(
+                (a.value - online.value).abs() <= 1e-12 * online.value.abs().max(1.0),
+                "plan {} vs online {}",
+                a.value,
+                online.value
+            );
+            assert!((a.std_dev - online.std_dev).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn clones_and_epochs_share_the_cache() {
+        let (fm, out) = medical_release(37);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let qs = medical_queries(&fm);
+        let plan = engine.plan(&qs).unwrap();
         let want = engine.answer_plan(&plan).unwrap();
         let clone = engine.clone();
         assert_eq!(clone.answer_plan(&plan).unwrap(), want);
         // Clones share the cache, so online traffic on the clone shows
         // up in the original's counters.
-        clone.answer(&queries()[1]).unwrap();
-        assert!(engine.cache_stats().misses > 0);
+        clone.answer(&qs[1]).unwrap();
+        assert_eq!(engine.cache_stats().misses, 2);
+        // So does the next epoch's engine: the warm entries carry over.
+        let (_, next) = medical_release(38);
+        let rolled = engine.advance_epoch(&next).unwrap();
+        rolled.answer(&qs[1]).unwrap();
+        assert_eq!(engine.cache_stats().hits, 2);
+        assert!(!Arc::ptr_eq(engine.core(), rolled.core()));
     }
 
     #[test]
-    fn diagnostics_report_the_shards() {
-        let out = medical_release();
+    fn a_non_finite_epoch_is_refused_and_the_old_engine_keeps_serving() {
+        let (fm, out) = medical_release(37);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let qs = medical_queries(&fm);
+        let before: Vec<u64> = qs
+            .iter()
+            .map(|q| engine.answer(q).unwrap().to_bits())
+            .collect();
+        let (_, mut next) = medical_release(38);
+        next.coefficients.as_mut_slice()[3] = f64::NAN;
+        assert_eq!(
+            engine.advance_epoch(&next).unwrap_err(),
+            QueryError::NonFiniteCoefficient { index: 3 }
+        );
+        let after: Vec<u64> = qs
+            .iter()
+            .map(|q| engine.answer(q).unwrap().to_bits())
+            .collect();
+        assert_eq!(after, before);
+        assert_eq!(engine.total().to_bits(), engine.core().total().to_bits());
+    }
+
+    #[test]
+    fn diagnostics_report_one_label_and_the_shards() {
+        let (fm, out) = medical_release(37);
         let engine =
             ConcurrentEngine::with_cache(Arc::new(ReleaseCore::from_output(&out).unwrap()), 64, 4);
-        let qs = queries();
+        let qs = medical_queries(&fm);
         for q in &qs {
             engine.answer(q).unwrap();
         }
         let d = engine.diagnostics();
-        assert_eq!(d.engine, "concurrent");
+        assert_eq!(d.engine, "coefficient");
         assert_eq!(d.shards, 4);
         assert_eq!(d.build_cells, out.coefficient_count());
         let stats = d.cache.expect("sharded cache present");
-        // Query 4 repeats query 2: both dims hit; counters conserve.
+        // The last query repeats query 1: both dims hit; counters conserve.
         assert!(stats.hits >= 2);
         assert_eq!(stats.hits + stats.misses, (qs.len() * 2) as u64);
         assert_eq!(
@@ -390,5 +522,119 @@ mod tests {
             stats.len
         );
         assert_eq!(engine.shard_count(), 4);
+        assert_eq!(
+            ConcurrentEngine::from_output(&out).unwrap().shard_count(),
+            8
+        );
+    }
+
+    #[test]
+    fn haar_supports_have_logarithmic_size() {
+        let schema = Schema::new(vec![Attribute::ordinal("v", 1 << 12)]).unwrap();
+        let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
+        let coeffs = NdMatrix::zeros(&hn.output_dims()).unwrap();
+        let engine = bare_engine(schema, hn, &coeffs).unwrap();
+        let q = RangeQuery::new(vec![Predicate::Range { lo: 37, hi: 3901 }]);
+        let support: usize = engine
+            .core()
+            .supports_uncached(&q)
+            .unwrap()
+            .iter()
+            .map(|s| s.len())
+            .product();
+        assert!(support <= 2 * 12 + 1, "support {support}");
+        // The prefix path would have scanned 2^12 cells to build first.
+        assert!(support < 1 << 12);
+        assert_eq!(engine.answer(&q).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn rejects_mismatched_metadata_and_bad_queries() {
+        let (fm, out) = medical_release(9);
+        // Coefficient matrix with the wrong dims.
+        let wrong = NdMatrix::zeros(&[4, 3]).unwrap();
+        assert_eq!(
+            bare_engine(fm.schema().clone(), out.transform.clone(), &wrong).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+        // Transform not matching the schema.
+        let other = Schema::new(vec![Attribute::ordinal("x", 3)]).unwrap();
+        let other_hn = HnTransform::for_schema(&other, &BTreeSet::new()).unwrap();
+        assert_eq!(
+            bare_engine(fm.schema().clone(), other_hn, &out.coefficients).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+        // Query errors propagate; bounds fail before any cache lookup.
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let bad = RangeQuery::new(vec![Predicate::Range { lo: 9, hi: 9 }, Predicate::All]);
+        assert!(engine.answer(&bad).is_err());
+        assert!(engine.answer_all(&[bad]).is_err());
+        assert_eq!(engine.cache_stats().hits + engine.cache_stats().misses, 0);
+    }
+
+    #[test]
+    fn rejects_nominal_transform_over_a_different_hierarchy() {
+        use privelet::transform::{DimTransform, NominalTransform};
+        use privelet_hierarchy::Spec;
+
+        // Schema hierarchy: 6 leaves in two groups of 3 (9 nodes).
+        let schema_h = privelet_hierarchy::builder::three_level(6, 2).unwrap();
+        let schema = Schema::new(vec![Attribute::nominal("n", schema_h)]).unwrap();
+        // Transform hierarchy: same 6 leaves and 9 nodes, grouped (2, 4).
+        let other_h = Arc::new(
+            Spec::internal(
+                "r",
+                vec![
+                    Spec::internal("g1", vec![Spec::leaf("a"), Spec::leaf("b")]),
+                    Spec::internal(
+                        "g2",
+                        vec![
+                            Spec::leaf("c"),
+                            Spec::leaf("d"),
+                            Spec::leaf("e"),
+                            Spec::leaf("f"),
+                        ],
+                    ),
+                ],
+            )
+            .build()
+            .unwrap(),
+        );
+        let hn =
+            HnTransform::new(vec![DimTransform::Nominal(NominalTransform::new(other_h))]).unwrap();
+        // Dims line up (6 in, 9 out) — only the structural check can
+        // reject this.
+        assert_eq!(hn.input_dims(), schema.dims());
+        let coeffs = NdMatrix::zeros(&hn.output_dims()).unwrap();
+        assert_eq!(
+            bare_engine(schema, hn, &coeffs).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+    }
+
+    #[test]
+    fn refinement_at_build_matters_for_nominal_dims() {
+        // Without the build-time refinement, nominal noisy coefficients
+        // would disagree with the inverse_refined matrix; the engine's
+        // core absorbs it once.
+        let (fm, out) = medical_release(77);
+        use privelet::transform::Transform1d;
+        assert!(
+            out.transform.transforms()[1].has_refinement(),
+            "dim 1 is nominal"
+        );
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let rec = out.to_matrix().unwrap();
+        let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
+        let h = fm.schema().attr(1).domain().hierarchy().unwrap().clone();
+        let q = RangeQuery::new(vec![
+            Predicate::All,
+            Predicate::Node {
+                node: h.leaf_node(0),
+            },
+        ]);
+        let a = engine.answer(&q).unwrap();
+        let b = dense.answer(&q).unwrap();
+        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 }

@@ -4,11 +4,9 @@
 //! one query, answer a batch, report cost diagnostics — without caring
 //! whether answers come from prefix sums over a reconstructed matrix
 //! ([`Answerer`](crate::Answerer)) or from sparse dots against noisy
-//! coefficients ([`CoefficientAnswerer`](crate::CoefficientAnswerer)).
-//! The trait is object-safe, so heterogeneous engines can sit behind one
-//! `dyn AnswerEngine` in a router; the multi-threaded
-//! [`ConcurrentEngine`](crate::ConcurrentEngine) plugs in here too (one
-//! trait, one plan format).
+//! coefficients ([`ConcurrentEngine`](crate::ConcurrentEngine)). The
+//! trait is object-safe, so both engines can sit behind one
+//! `dyn AnswerEngine` in a router.
 
 use crate::cache::CacheStats;
 use crate::range_query::RangeQuery;
@@ -74,8 +72,7 @@ impl AnnotatedAnswer {
 /// Cost diagnostics an engine reports about itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineDiagnostics {
-    /// Short engine kind label ("prefix-sum", "coefficient",
-    /// "concurrent").
+    /// Short engine kind label ("prefix-sum" or "coefficient").
     pub engine: &'static str,
     /// Values the engine materialized at build time: matrix cells for
     /// the prefix path, refined coefficients for the coefficient path.
@@ -85,8 +82,8 @@ pub struct EngineDiagnostics {
     /// across shards for sharded caches.
     pub cache: Option<CacheStats>,
     /// Number of independently locked cache shards: 0 for engines
-    /// without a cache, 1 for a single-lock cache, N for the sharded
-    /// concurrent tier.
+    /// without a cache, otherwise the sharded cache's shard count (1 is
+    /// a single-lock cache).
     pub shards: usize,
 }
 
@@ -123,7 +120,7 @@ pub trait AnswerEngine {
 mod tests {
     use super::*;
     use crate::answerer::Answerer;
-    use crate::coefficients::CoefficientAnswerer;
+    use crate::concurrent::ConcurrentEngine;
     use crate::predicate::Predicate;
     use privelet::mechanism::{publish_coefficients, PriveletConfig};
     use privelet_data::medical::medical_example;
@@ -135,7 +132,7 @@ mod tests {
     fn engines_are_interchangeable_behind_the_trait() {
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
         let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 21)).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
+        let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let rec = release.to_matrix().unwrap();
         let prefix = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
         let engines: Vec<&dyn AnswerEngine> = vec![&prefix, &coeff];
@@ -169,7 +166,7 @@ mod tests {
         let d_coeff = coeff.diagnostics();
         assert_eq!(d_coeff.engine, "coefficient");
         assert_eq!(d_coeff.build_cells, release.coefficient_count());
-        assert_eq!(d_coeff.shards, 1);
+        assert_eq!(d_coeff.shards, crate::DEFAULT_SHARD_COUNT);
         let stats = d_coeff.cache.expect("coefficient engine has a cache");
         // The repeated query above hit the cache on both dimensions.
         assert!(stats.hits >= 2, "hits {}", stats.hits);
@@ -179,7 +176,7 @@ mod tests {
     fn annotated_answers_agree_across_engines_behind_the_trait() {
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
         let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 33)).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
+        let coeff = ConcurrentEngine::from_output(&release).unwrap();
         // The prefix engine needs the error model attached explicitly —
         // the reconstructed matrix alone cannot know λ.
         let rec = release.to_matrix().unwrap();

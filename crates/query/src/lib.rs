@@ -18,20 +18,21 @@
 //! - [`predicate`] — per-attribute predicates and their interval resolution.
 //! - [`range_query`] — the query type, naive and prefix-sum evaluation,
 //!   coverage and selectivity.
-//! - [`coefficients`] — coefficient-domain answering over a published
-//!   noisy coefficient matrix: O(log m) coefficient reads per dimension
-//!   instead of an O(m) reconstruction before the first query.
-//! - [`engine`] — the [`AnswerEngine`] trait all answerers implement:
+//! - [`answerer`] — [`Answerer`]: reconstruct-then-prefix-sum answering,
+//!   the baseline engine and the oracle the coefficient path is checked
+//!   against.
+//! - [`engine`] — the [`AnswerEngine`] trait both engines implement:
 //!   answer one, answer a batch, cost diagnostics.
+//! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
+//!   one coefficient-domain release (schema, transform, refined noisy
+//!   coefficients), shared across threads via `Arc`.
+//! - [`concurrent`] — [`ConcurrentEngine`]: the coefficient serving
+//!   engine over a shared core — O(log m) coefficient reads per
+//!   dimension instead of an O(m) reconstruction before the first query.
 //! - [`plan`] — [`QueryPlan`]: a batch compiled into interned supports
 //!   and CSR-style term lists over one contiguous arena.
-//! - [`cache`] — [`SupportCache`]: bounded LRU memoization of
-//!   per-dimension supports for the online path, and its hash-sharded
-//!   concurrent counterpart [`ShardedSupportCache`].
-//! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
-//!   one coefficient-domain release, shared across threads via `Arc`.
-//! - [`concurrent`] — [`ConcurrentEngine`]: the multi-threaded serving
-//!   tier over a shared core and sharded cache.
+//! - [`cache`] — [`ShardedSupportCache`]: hash-sharded, bounded LRU
+//!   memoization of per-dimension supports for the online path.
 //! - [`workload`] — the random workload generator of §VII-A (40 000 queries,
 //!   1–4 predicates each).
 //! - [`metrics`] — square error and relative error with the sanity bound
@@ -47,7 +48,6 @@
 pub mod answerer;
 pub mod buckets;
 pub mod cache;
-pub mod coefficients;
 pub mod concurrent;
 pub mod engine;
 mod kernel;
@@ -60,8 +60,7 @@ pub mod workload;
 
 pub use answerer::Answerer;
 pub use buckets::{quantile_rows, BucketRow};
-pub use cache::{CacheStats, DimSupport, ShardedSupportCache, SupportCache, DEFAULT_SHARD_COUNT};
-pub use coefficients::CoefficientAnswerer;
+pub use cache::{CacheStats, DimSupport, ShardedSupportCache, DEFAULT_SHARD_COUNT};
 pub use concurrent::ConcurrentEngine;
 pub use engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
 pub use metrics::{relative_error, sanity_bound, square_error};
@@ -104,6 +103,11 @@ pub enum QueryError {
     /// release from a publisher output (`from_output` /
     /// `ReleaseCore::with_meta`) to get error accounting.
     MissingPrivacyMeta,
+    /// A release's coefficient matrix holds a NaN or ±∞ at flat
+    /// (row-major) index `index`. Refused when the release core is
+    /// built, because one such coefficient silently poisons every answer
+    /// whose support reads it.
+    NonFiniteCoefficient { index: usize },
     /// A confidence level outside the open interval `(0, 1)` was passed
     /// to [`AnnotatedAnswer::interval`](crate::AnnotatedAnswer::interval):
     /// Chebyshev's `1/√(1−β)` is undefined or meaningless there.
@@ -156,6 +160,9 @@ impl std::fmt::Display for QueryError {
                     "release carries no privacy metadata (λ); build it from a \
                      publisher output to get error-annotated answers"
                 )
+            }
+            QueryError::NonFiniteCoefficient { index } => {
+                write!(f, "coefficient {index} is not finite (NaN or ±∞)")
             }
             QueryError::BadConfidenceLevel(beta) => {
                 write!(f, "confidence level must be in (0, 1), got {beta}")

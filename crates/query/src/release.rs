@@ -8,20 +8,16 @@
 //! only immutable state, so the core is `Send + Sync` by construction
 //! and is meant to live inside an [`Arc`] shared across serving threads.
 //!
-//! The caching shells layer on top: [`CoefficientAnswerer`] pairs one
-//! core with a single-lock [`SupportCache`] for single-threaded online
-//! traffic, and [`ConcurrentEngine`] pairs the *same* `Arc`'d core with
-//! a hash-sharded cache for multi-threaded traffic. Both produce
-//! bit-identical answers *within each path* because every arithmetic
-//! path — support derivation, sparse dot, plan execution — lives here
-//! and is pure. Across paths (the online dot vs a compiled plan's arena
-//! kernel) answers agree to 1e-12 relative, not bitwise: the kernels may
-//! sum a support's terms in different orders (see the summation-order
-//! policy in `docs/architecture.md`).
+//! The serving engine layers on top: [`ConcurrentEngine`] pairs an
+//! `Arc`'d core with a hash-sharded support cache, and its cached
+//! answers are bit-identical to this core's cache-free ones *within each
+//! path* because every arithmetic path — support derivation, sparse dot,
+//! plan execution — lives here and is pure. Across paths (the online dot
+//! vs a compiled plan's arena kernel) answers agree to 1e-12 relative,
+//! not bitwise: the kernels may sum a support's terms in different
+//! orders (see the summation-order policy in `docs/architecture.md`).
 //!
-//! [`CoefficientAnswerer`]: crate::CoefficientAnswerer
 //! [`ConcurrentEngine`]: crate::ConcurrentEngine
-//! [`SupportCache`]: crate::SupportCache
 
 use crate::cache::{DimSupport, SharedSupport};
 use crate::engine::AnnotatedAnswer;
@@ -38,8 +34,8 @@ use std::sync::Arc;
 /// The immutable, shareable core of one coefficient-domain release:
 /// schema + transform + refined coefficients (+ cached strides, the
 /// noisy total, and the release's [`PrivacyMeta`] when it came from a
-/// publisher). See the [module docs](self) for how the caching shells
-/// layer on top.
+/// publisher). See the [module docs](self) for how the serving engine
+/// layers on top.
 #[derive(Debug, Clone)]
 pub struct ReleaseCore {
     schema: Schema,
@@ -73,7 +69,9 @@ impl ReleaseCore {
     /// Errors with [`QueryError::ShapeMismatch`] when the schema, the
     /// transform and the coefficient matrix do not describe the same
     /// release (including a nominal transform whose hierarchy differs
-    /// structurally from the schema's).
+    /// structurally from the schema's), and with
+    /// [`QueryError::NonFiniteCoefficient`] when a coefficient is NaN or
+    /// ±∞.
     pub fn new(schema: Schema, transform: HnTransform, noisy: &NdMatrix) -> Result<Self> {
         Self::build(schema, transform, noisy, None)
     }
@@ -98,6 +96,9 @@ impl ReleaseCore {
         crate::plan::check_release_metadata(&schema, &transform)?;
         if noisy.dims() != transform.output_dims() {
             return Err(QueryError::ShapeMismatch);
+        }
+        if let Some(index) = noisy.as_slice().iter().position(|c| !c.is_finite()) {
+            return Err(QueryError::NonFiniteCoefficient { index });
         }
         let coeffs = transform
             .refine_coefficients(noisy)
@@ -133,10 +134,11 @@ impl ReleaseCore {
     /// Lineage validation errors with [`QueryError::ShapeMismatch`] when
     /// the epoch's transform does not describe this core's schema —
     /// including a nominal hierarchy that differs structurally — or its
-    /// coefficient matrix has different dims. Serving tiers advance by
-    /// swapping the returned core in; the old core stays valid for
-    /// threads still holding it (epoch advance is never destructive to
-    /// in-flight reads).
+    /// coefficient matrix has different dims; a NaN or ±∞ coefficient
+    /// errors with [`QueryError::NonFiniteCoefficient`]. Serving tiers
+    /// advance by swapping the returned core in; the old core stays
+    /// valid for threads still holding it (epoch advance is never
+    /// destructive to in-flight reads).
     ///
     /// Cache note: per-dimension supports are pure functions of
     /// `(dim, lo, hi)` and the transform, and the transform is pinned by
@@ -202,8 +204,8 @@ impl ReleaseCore {
     }
 
     /// Resolves a query to its per-dimension bounds and derives every
-    /// support uncached — the cache-free answering path the shells fall
-    /// back on, and the reference the cached paths must equal bitwise.
+    /// support uncached — the cache-free answering path, and the
+    /// reference the cached paths must equal bitwise.
     pub fn supports_uncached(&self, q: &RangeQuery) -> Result<Vec<SharedSupport>> {
         let (lo, hi) = q.bounds(&self.schema)?;
         (0..self.schema.arity())
@@ -405,5 +407,58 @@ mod tests {
             annotated.value
         );
         assert!((batch[0].std_dev - annotated.std_dev).abs() < 1e-12);
+    }
+
+    /// An 8×8 pure-Haar release and a coefficient index the total's
+    /// support does not read.
+    fn grid_release_and_index_off_the_total() -> (CoefficientOutput, usize) {
+        use privelet_data::schema::{Attribute, Schema};
+        let schema =
+            Schema::new(vec![Attribute::ordinal("x", 8), Attribute::ordinal("y", 8)]).unwrap();
+        let data: Vec<f64> = (0..64).map(|i| (i % 5) as f64).collect();
+        let fm = FrequencyMatrix::from_parts(schema, NdMatrix::from_vec(&[8, 8], data).unwrap())
+            .unwrap();
+        let out = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 3)).unwrap();
+        let core = ReleaseCore::from_output(&out).unwrap();
+        let total = core.supports_uncached(&RangeQuery::all(2)).unwrap();
+        let stride = out.coefficients.shape().strides()[0];
+        let read: Vec<usize> = total[0]
+            .weights
+            .iter()
+            .flat_map(|&(i, _)| total[1].weights.iter().map(move |&(j, _)| i * stride + j))
+            .collect();
+        let index = (0..64).find(|k| !read.contains(k)).unwrap();
+        (out, index)
+    }
+
+    #[test]
+    fn refuses_non_finite_coefficients() {
+        let (out, index) = grid_release_and_index_off_the_total();
+        // A NaN the total never reads would still poison every query
+        // whose support does: refused at build, not served as NaN.
+        let mut poisoned = out.clone();
+        poisoned.coefficients.as_mut_slice()[index] = f64::NAN;
+        assert_eq!(
+            ReleaseCore::from_output(&poisoned).unwrap_err(),
+            QueryError::NonFiniteCoefficient { index }
+        );
+        // ±∞ anywhere, on every constructor.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut noisy = out.coefficients.clone();
+            noisy.as_mut_slice()[0] = bad;
+            let err = QueryError::NonFiniteCoefficient { index: 0 };
+            assert_eq!(
+                ReleaseCore::new(out.schema.clone(), out.transform.clone(), &noisy).unwrap_err(),
+                err
+            );
+            assert_eq!(
+                ReleaseCore::with_meta(out.schema.clone(), out.transform.clone(), &noisy, out.meta)
+                    .unwrap_err(),
+                err
+            );
+        }
+        assert!(QueryError::NonFiniteCoefficient { index }
+            .to_string()
+            .contains("not finite"));
     }
 }

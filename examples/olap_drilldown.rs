@@ -21,7 +21,7 @@ use privelet_repro::data::FrequencyMatrix;
 use privelet_repro::eval::ExactEvaluate;
 use privelet_repro::hierarchy::builder::three_level;
 use privelet_repro::matrix::NdMatrix;
-use privelet_repro::query::{CoefficientAnswerer, Predicate, RangeQuery};
+use privelet_repro::query::{ConcurrentEngine, Predicate, RangeQuery};
 
 fn main() {
     // An Occupation attribute: 60 occupations in 6 groups (height-3
@@ -42,7 +42,7 @@ fn main() {
 
     let epsilon = 0.5;
     let release = publish_coefficients(&fm, &PriveletConfig::pure(epsilon, 11)).expect("publish");
-    let answerer = CoefficientAnswerer::from_output(&release).expect("answerer");
+    let answerer = ConcurrentEngine::from_output(&release).expect("engine");
     println!(
         "published {n} tuples over 60 occupations at ε = {epsilon} \
          ({} noisy coefficients, matrix never rebuilt; variance bound {:.0} = Eq. 6's {:.0})",

@@ -17,7 +17,7 @@ use privelet_repro::core::mechanism::{
 use privelet_repro::data::medical::{medical_example, AGE_GROUPS, DIABETES};
 use privelet_repro::data::FrequencyMatrix;
 use privelet_repro::eval::ExactEvaluate;
-use privelet_repro::query::{AnswerEngine, CoefficientAnswerer, Predicate, RangeQuery};
+use privelet_repro::query::{AnswerEngine, ConcurrentEngine, Predicate, RangeQuery};
 
 fn main() {
     // Table I: the input relation.
@@ -92,12 +92,19 @@ fn main() {
     // the inverse-transform path to floating-point rounding.
     let release = publish_coefficients(&fm, &PriveletConfig::pure(epsilon, 2024))
         .expect("coefficient publish");
-    let answerer = CoefficientAnswerer::from_output(&release).expect("coefficient answerer");
+    let answerer = ConcurrentEngine::from_output(&release).expect("coefficient engine");
     println!(
         "\nserve-from-coefficients ({} noisy coefficients kept, matrix never rebuilt):",
         release.coefficient_count()
     );
-    let (coeff_answer, support) = answerer.answer_with_support(&query).unwrap();
+    let coeff_answer = answerer.answer(&query).unwrap();
+    let support: usize = answerer
+        .core()
+        .supports_uncached(&query)
+        .unwrap()
+        .iter()
+        .map(|s| s.len())
+        .product();
     println!(
         "  coefficient-domain answer = {coeff_answer:+.2} (reads {support} of {} coefficients)",
         release.coefficient_count()

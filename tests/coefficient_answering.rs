@@ -1,6 +1,6 @@
 //! Property tests for coefficient-domain query answering: on random
 //! 1–3-dimensional mixed schemas and random workloads, the
-//! `CoefficientAnswerer`'s sparse tensor-product dot agrees with the
+//! `ConcurrentEngine`'s sparse tensor-product dot agrees with the
 //! inverse-transform + prefix-sum `Answerer` — exactly (to 1e-9) on exact
 //! coefficients, and to floating-point rounding on noisy releases.
 
@@ -10,9 +10,12 @@ use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::data::FrequencyMatrix;
 use privelet_repro::hierarchy::builder::random as random_hierarchy;
 use privelet_repro::matrix::NdMatrix;
-use privelet_repro::query::{generate_workload, Answerer, CoefficientAnswerer, WorkloadConfig};
+use privelet_repro::query::{
+    generate_workload, Answerer, ConcurrentEngine, ReleaseCore, WorkloadConfig,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One random dimension: ordinal, nominal (random hierarchy), or SA.
 #[derive(Debug, Clone)]
@@ -98,7 +101,9 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let hn = HnTransform::for_schema(&schema, &sa).unwrap();
         let coeffs = hn.forward(fm.matrix()).unwrap();
-        let coeff = CoefficientAnswerer::new(schema.clone(), hn, &coeffs).unwrap();
+        let coeff = ConcurrentEngine::new(Arc::new(
+            ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap(),
+        ));
         let dense = Answerer::new(fm.schema().clone(), fm.matrix()).unwrap();
         for q in workload(&schema, wl_seed) {
             let a = coeff.answer(&q).unwrap();
@@ -122,7 +127,7 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
+        let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let rec = release.to_matrix().unwrap();
         let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
         let scale: f64 = release

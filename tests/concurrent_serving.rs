@@ -3,15 +3,16 @@
 //! 1. **Bitwise equivalence** — a `QueryPlan` compiled once and executed
 //!    from many scoped threads against one shared `ReleaseCore` (and the
 //!    online path through the sharded cache) returns answers
-//!    bit-identical to the serial `CoefficientAnswerer`, on random
-//!    1–3-dimensional mixed schemas.
+//!    bit-identical to the core's serial, cache-free reference
+//!    (`ReleaseCore::execute_plan` and `ReleaseCore::answer_uncached`),
+//!    on random 1–3-dimensional mixed schemas.
 //! 2. **Counter conservation under contention** — hammering one
 //!    `ShardedSupportCache` from many threads keeps
 //!    `hits + misses == requests`, `evictions ≤ inserts`, and exactly
 //!    one derivation per distinct `(dim, lo, hi)` key resident in its
 //!    shard.
 //! 3. **Compile-time shareability** — `Send + Sync` static assertions
-//!    for the plan, the release core, the engines and the caches.
+//!    for the plan, the release core, both engines and the cache.
 //!
 //! Thread-stress iteration counts are bounded by default (the dev
 //! container is single-CPU) and scaled up in CI via the
@@ -26,8 +27,8 @@ use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::query::cache::SupportKey;
 use privelet_repro::query::{
-    AnswerEngine, Answerer, CoefficientAnswerer, ConcurrentEngine, DimSupport, QueryPlan,
-    RangeQuery, ReleaseCore, ShardedSupportCache, SupportCache,
+    AnswerEngine, Answerer, ConcurrentEngine, DimSupport, QueryPlan, RangeQuery, ReleaseCore,
+    ShardedSupportCache,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,18 +51,15 @@ fn send_sync_assertion_suite() {
     assert_send_sync::<ConcurrentEngine>();
     assert_send_sync::<ShardedSupportCache>();
     assert_send_sync::<Arc<ShardedSupportCache>>();
-    // The single-lock shells are shareable too (their caches are behind
-    // locks); the concurrent tier just shares *better*.
-    assert_send_sync::<CoefficientAnswerer>();
-    assert_send_sync::<SupportCache>();
     assert_send_sync::<Answerer>();
 }
 
 /// The acceptance scenario, deterministic: one release, one plan
 /// compiled once, `THREADS` scoped threads each executing the shared
 /// plan and answering the workload online through the shared sharded
-/// cache. Every thread's batch is bitwise-identical to the serial
-/// `answer_all`, and the sharded counters conserve.
+/// cache. Every thread's batch is bitwise-identical to the core's serial
+/// plan execution, every online answer to `answer_uncached`, and the
+/// sharded counters conserve.
 #[test]
 fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     let schema = Schema::new(vec![
@@ -71,15 +69,19 @@ fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     .unwrap();
     let fm = data_matrix(&schema, 41);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 59)).unwrap();
-    let serial = CoefficientAnswerer::from_output(&release).unwrap();
-    let engine = ConcurrentEngine::from_answerer(&serial);
+    let engine = ConcurrentEngine::from_output(&release).unwrap();
+    let core = engine.core();
     let queries = workload(&schema, 77);
 
     // Compile ONCE; the serial reference uses its own compilation of the
-    // same workload (plans are deterministic, but nothing is shared).
+    // same workload (plans are deterministic, but nothing is shared) and
+    // the cache-free online path.
     let plan = engine.plan(&queries).unwrap();
-    let serial_batch = serial.answer_all(&queries).unwrap();
-    let serial_online: Vec<f64> = queries.iter().map(|q| serial.answer(q).unwrap()).collect();
+    let serial_batch = core.execute_plan(&core.plan(&queries).unwrap()).unwrap();
+    let serial_online: Vec<f64> = queries
+        .iter()
+        .map(|q| core.answer_uncached(q).unwrap())
+        .collect();
 
     let rounds = stress_iters(3);
     thread::scope(|s| {
@@ -245,9 +247,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random mixed schemas: every thread's shared-plan batch and online
-    /// answers are bitwise-identical to the serial path. The equivalence
-    /// holds because all float arithmetic lives in the shared
-    /// `ReleaseCore` and runs in the same order on every path.
+    /// answers are bitwise-identical to the core's serial reference. The
+    /// equivalence holds because all float arithmetic lives in the
+    /// shared `ReleaseCore` and runs in the same order on every path.
     #[test]
     fn concurrent_answers_are_bitwise_identical_on_random_schemas(
         (schema, sa) in schema_strategy(),
@@ -258,14 +260,14 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
-        let serial = CoefficientAnswerer::from_output(&release).unwrap();
-        let engine = ConcurrentEngine::from_answerer(&serial);
+        let engine = ConcurrentEngine::from_output(&release).unwrap();
+        let core = engine.core();
         let queries = workload(&schema, wl_seed);
 
         let plan = engine.plan(&queries).unwrap();
-        let serial_batch = serial.answer_all(&queries).unwrap();
+        let serial_batch = core.execute_plan(&core.plan(&queries).unwrap()).unwrap();
         let serial_online: Vec<f64> =
-            queries.iter().map(|q| serial.answer(q).unwrap()).collect();
+            queries.iter().map(|q| core.answer_uncached(q).unwrap()).collect();
 
         let results: Vec<(Vec<f64>, Vec<f64>)> = thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -342,20 +344,19 @@ fn empty_workload_is_well_defined_concurrently() {
 }
 
 /// Errors cross the thread boundary intact: a bad query answered
-/// concurrently yields the same error as the serial path, and poisons
-/// nothing (subsequent valid queries still succeed).
+/// concurrently yields the same error as the serial cache-free path, and
+/// poisons nothing (subsequent valid queries still succeed).
 #[test]
 fn errors_from_threads_match_serial_and_poison_nothing() {
     let schema = Schema::new(vec![Attribute::ordinal("a", 8)]).unwrap();
     let fm = data_matrix(&schema, 9);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 11)).unwrap();
-    let serial = CoefficientAnswerer::from_output(&release).unwrap();
-    let engine = ConcurrentEngine::from_answerer(&serial);
+    let engine = ConcurrentEngine::from_output(&release).unwrap();
     let bad = RangeQuery::new(vec![privelet_repro::query::Predicate::Range {
         lo: 8,
         hi: 9,
     }]);
-    let want = serial.answer(&bad).unwrap_err();
+    let want = engine.core().answer_uncached(&bad).unwrap_err();
     thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -371,6 +372,6 @@ fn errors_from_threads_match_serial_and_poison_nothing() {
     // The cache and engine keep working after the errors.
     assert_eq!(
         engine.answer(&RangeQuery::all(1)).unwrap().to_bits(),
-        serial.total().to_bits()
+        engine.core().total().to_bits()
     );
 }

@@ -30,10 +30,11 @@ use privelet_repro::eval::calibration_check;
 use privelet_repro::eval::ExactEvaluate;
 use privelet_repro::noise::RunningStats;
 use privelet_repro::query::{
-    AnswerEngine, Answerer, CoefficientAnswerer, ConcurrentEngine, Predicate, RangeQuery,
+    AnswerEngine, Answerer, ConcurrentEngine, Predicate, RangeQuery, ReleaseCore,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -71,7 +72,8 @@ proptest! {
 
     /// Every engine's annotated answer carries the exact variance the
     /// variance module computes, and a value bit-identical to its plain
-    /// answer.
+    /// answer; the coefficient engine's annotation is bit-identical to
+    /// the core's cache-free reference.
     #[test]
     fn annotated_answers_reproduce_the_variance_module(
         (schema, sa) in schema_strategy(),
@@ -82,14 +84,13 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
-        let engine = ConcurrentEngine::from_answerer(&coeff);
+        let engine = ConcurrentEngine::from_output(&release).unwrap();
         let rec = release.to_matrix().unwrap();
         let prefix = Answerer::new(rec.schema().clone(), rec.matrix())
             .unwrap()
             .with_error_model(release.transform.clone(), release.meta)
             .unwrap();
-        let engines: Vec<&dyn AnswerEngine> = vec![&coeff, &engine, &prefix];
+        let engines: Vec<&dyn AnswerEngine> = vec![&engine, &prefix];
 
         // A workload slice keeps the proptest cheap; the full workload
         // is exercised by the counter test below.
@@ -105,6 +106,10 @@ proptest! {
                     "variance {} vs {want}", a.variance()
                 );
             }
+            let cached = engine.answer_with_error(&q).unwrap();
+            let reference = engine.core().answer_with_error_uncached(&q).unwrap();
+            prop_assert_eq!(cached.value.to_bits(), reference.value.to_bits());
+            prop_assert_eq!(cached.std_dev.to_bits(), reference.std_dev.to_bits());
         }
     }
 }
@@ -126,9 +131,9 @@ fn error_annotation_adds_zero_support_derivations() {
 
     // Cold annotated pass: exactly one derivation (= miss) per distinct
     // triple — the factor rides the derivation instead of adding one.
-    let coeff = CoefficientAnswerer::from_output(&release)
-        .unwrap()
-        .with_cache_capacity(4096);
+    // One shard: a single exact LRU with ample capacity.
+    let core = Arc::new(ReleaseCore::from_output(&release).unwrap());
+    let coeff = ConcurrentEngine::with_cache(Arc::clone(&core), 4096, 1);
     let first: Vec<f64> = queries
         .iter()
         .map(|q| coeff.answer_with_error(q).unwrap().value)
@@ -179,9 +184,9 @@ fn error_annotation_adds_zero_support_derivations() {
         assert!(a.std_dev > 0.0);
     }
 
-    // The concurrent tier honors the same contract through its sharded
-    // counters.
-    let engine = ConcurrentEngine::from_answerer(&coeff);
+    // The default 8-shard cache honors the same contract through its
+    // sharded counters.
+    let engine = ConcurrentEngine::new(core);
     for q in &queries {
         engine.answer_with_error(q).unwrap();
     }
@@ -236,7 +241,7 @@ fn calibration_matches_the_laplace_sum_distribution() {
 
     // Predicted variance never exceeds the analytic worst case.
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 1)).unwrap();
-    let ans = CoefficientAnswerer::from_output(&release).unwrap();
+    let ans = ConcurrentEngine::from_output(&release).unwrap();
     for q in &queries {
         let a = ans.answer_with_error(q).unwrap();
         assert!(a.variance() <= release.meta.variance_bound * (1.0 + 1e-9));
@@ -261,9 +266,10 @@ fn single_coefficient_query_has_laplace_shaped_z_scores() {
     for s in 0..seeds {
         let release =
             publish_coefficients(&fm, &PriveletConfig::pure(1.0, 5000 + s as u64)).unwrap();
-        let ans = CoefficientAnswerer::from_output(&release).unwrap();
+        let ans = ConcurrentEngine::from_output(&release).unwrap();
         // One coefficient read ⇒ one Laplace draw.
-        assert_eq!(ans.support_size(&q).unwrap(), 1);
+        let supports = ans.core().supports_uncached(&q).unwrap();
+        assert_eq!(supports.iter().map(|s| s.len()).product::<usize>(), 1);
         let a = ans.answer_with_error(&q).unwrap();
         let z = a.z_score(exact);
         zs.push(z.abs());
@@ -296,7 +302,9 @@ fn unmetered_releases_refuse_annotation_everywhere() {
     let fm = data_matrix(&schema, 1);
     let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
     let coeffs = hn.forward(fm.matrix()).unwrap();
-    let ans = CoefficientAnswerer::new(schema.clone(), hn, &coeffs).unwrap();
+    let ans = ConcurrentEngine::new(Arc::new(
+        ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap(),
+    ));
     let q = RangeQuery::all(1);
     assert!(ans.answer(&q).is_ok());
     assert_eq!(
@@ -309,9 +317,8 @@ fn unmetered_releases_refuse_annotation_everywhere() {
         ans.answer_plan_with_error(&plan).unwrap_err(),
         QueryError::MissingPrivacyMeta
     );
-    let engine = ConcurrentEngine::from_answerer(&ans);
     assert_eq!(
-        engine.answer_with_error(&q).unwrap_err(),
+        ans.core().answer_with_error_uncached(&q).unwrap_err(),
         QueryError::MissingPrivacyMeta
     );
 }

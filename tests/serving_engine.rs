@@ -11,9 +11,11 @@ use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_repro::core::transform::HnTransform;
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::query::{
-    generate_workload, AnswerEngine, Answerer, CoefficientAnswerer, QueryPlan, WorkloadConfig,
+    generate_workload, AnswerEngine, Answerer, ConcurrentEngine, QueryPlan, ReleaseCore,
+    WorkloadConfig,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -43,7 +45,9 @@ proptest! {
         prop_assert!(plan.dedup_ratio() > 0.0);
 
         let batch = plan.execute(&coeffs).unwrap();
-        let coeff = CoefficientAnswerer::new(schema.clone(), hn, &coeffs).unwrap();
+        let coeff = ConcurrentEngine::new(Arc::new(
+            ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap(),
+        ));
         let dense = Answerer::new(fm.schema().clone(), fm.matrix()).unwrap();
         for (q, &got) in queries.iter().zip(&batch) {
             let one = coeff.answer(q).unwrap();
@@ -67,7 +71,7 @@ proptest! {
         let fm = data_matrix(&schema, data_seed);
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
-        let coeff = CoefficientAnswerer::from_output(&release).unwrap();
+        let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let queries = workload(&schema, wl_seed);
 
         let batch = coeff.answer_all(&queries).unwrap();
@@ -133,9 +137,10 @@ fn online_cache_derives_each_triple_once() {
     .unwrap();
     let fm = data_matrix(&schema, 7);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 13)).unwrap();
-    let coeff = CoefficientAnswerer::from_output(&release)
-        .unwrap()
-        .with_cache_capacity(4096);
+    // One shard: a single exact LRU, so the counters are the plain
+    // derive-once ledger.
+    let core = Arc::new(ReleaseCore::from_output(&release).unwrap());
+    let coeff = ConcurrentEngine::with_cache(core, 4096, 1);
     let queries = workload(&schema, 99);
     let distinct = distinct_triples(&schema, &queries);
 
