@@ -1,76 +1,65 @@
 //! `ingest_throughput`: streaming-ingest cost, sequential vs coalesced.
 //!
-//! The coalesced bulk-ingest path (ISSUE 10) is judged here: at the
-//! acceptance point — m = 2^18 on a 2-dim mixed schema (ordinal 512 ×
-//! nominal `three_level(512, 8)`) — `apply_increments` on clustered
-//! batches of 4096 must beat a sequential `apply_increment` loop by ≥2×.
-//! The sweep crosses batch size (1 / 64 / 1024 / 4096) with cell
-//! locality (clustered: all cells inside one 64×64 tile, so leaf-to-root
-//! paths overlap heavily; uniform: hashed over the whole domain), because
-//! the win is algorithmic — bulk cost is proportional to the *distinct
-//! dirty coefficients*, sequential cost to batch × ∏ log mᵢ.
-//!
-//! Criterion's offline stub ignores CLI arguments, so this is a
-//! hand-written harness, same shape as `publish_throughput`:
+//! The coalesced bulk-ingest path is judged here: at the acceptance
+//! point — m = 2^18 on a 2-dim mixed schema (ordinal 512 × nominal
+//! `three_level(512, 8)`) — `apply_increments` on clustered batches of
+//! 4096 must beat a loop of `apply_increment` calls (each a batch of
+//! one) by ≥2×. The sweep crosses batch size (1 / 64 / 1024 / 4096)
+//! with cell locality (clustered: all cells inside one 64×64 tile, so
+//! leaf-to-root paths overlap heavily; uniform: hashed over the whole
+//! domain), because the win is algorithmic — bulk cost is proportional
+//! to the *distinct dirty coefficients*, the loop's cost to
+//! batch × ∏ log mᵢ.
 //!
 //! - `cargo bench --bench ingest_throughput` — full sweep: per point,
-//!   seconds per batch and increments/sec for both paths, plus the
-//!   speedup and the bulk path's `IngestReport` counters.
-//! - `... -- --test` — smoke mode: tiny fixture, correctness assertions
-//!   only (bulk == sequential == dense forward, bitwise; bulk writes no
-//!   more coefficients than the loop). CI runs this on both feature sets.
-//! - `... -- --record <path>` — additionally writes the sweep as JSON
-//!   (`BENCH_ingest_batch.json` holds such a run: `seq_*` columns are the
-//!   before numbers, `bulk_*` the after).
+//!   seconds per batch and increments/sec for both paths, the bulk
+//!   path's `IngestReport` counters, and the speedup at the acceptance
+//!   point.
+//! - `... -- --test` — smoke mode: a tiny fixture of the same shape,
+//!   the correctness assertions (bulk == sequential == dense forward,
+//!   bitwise, on pure and Privelet⁺ schemas; bulk writes no more
+//!   coefficients than the loop or the touch bound), then one timed
+//!   batch size. CI runs this on both feature sets.
+//! - `... -- --record <path>` — also writes the run in the one BENCH
+//!   schema (`BENCH_ingest_batch.json` is such a run); the counters
+//!   travel in each point's params.
 //!
-//! Methodology: per point, each path replays the same pre-generated
-//! batch until ≥ the time budget has accumulated (minimum 5 iterations)
-//! and the best iteration is reported — best-of is the right statistic
-//! for a single-threaded CPU-bound kernel on a noisy shared box. One
-//! release per path is constructed per point and reused across
-//! iterations, so the bulk path's workspace amortizes exactly as it does
-//! in a serving loop (deltas accumulate across iterations; that only
-//! grows leaf values, never the touched-path structure).
+//! Per point, one release per path is constructed and reused across
+//! the timed calls, so the bulk path's workspace amortizes exactly as
+//! it does in a serving loop (deltas accumulate across calls; that only
+//! grows leaf values, never the touched-path structure). Timing, flags
+//! and the record live in `privelet_bench::harness`.
 
 use privelet::transform::HnTransform;
-use privelet::{IncrementalRelease, IngestReport};
+use privelet::IncrementalRelease;
+use privelet_bench::harness::{best_of, Args, Record};
 use privelet_bench::json::Json;
 use privelet_data::schema::{Attribute, Schema};
 use privelet_data::FrequencyMatrix;
 use privelet_hierarchy::builder::three_level;
 use privelet_matrix::NdMatrix;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::error::Error;
 use std::hint::black_box;
-use std::time::Instant;
 
-/// The acceptance fixture: m = 2^18, 2-dim mixed (Haar × nominal).
-fn acceptance_fixture() -> (Schema, FrequencyMatrix) {
-    fixture(512, 512, 8)
-}
-
-/// Tiny variant of the same shape for smoke mode.
-fn smoke_fixture() -> (Schema, FrequencyMatrix) {
-    fixture(32, 24, 4)
-}
-
-fn fixture(ordinal: usize, leaves: usize, groups: usize) -> (Schema, FrequencyMatrix) {
+/// An ordinal × nominal `three_level(leaves, groups)` table with
+/// deterministic counts.
+fn fixture(
+    ordinal: usize,
+    leaves: usize,
+    groups: usize,
+) -> Result<FrequencyMatrix, Box<dyn Error>> {
     let schema = Schema::new(vec![
         Attribute::ordinal("o", ordinal),
-        Attribute::nominal("n", three_level(leaves, groups).unwrap()),
-    ])
-    .unwrap();
-    let cells: usize = schema.dims().iter().product();
-    let fm = FrequencyMatrix::from_parts(
-        schema.clone(),
-        NdMatrix::from_vec(
-            &schema.dims(),
-            (0..cells).map(|i| (i % 17) as f64).collect(),
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    (schema, fm)
+        Attribute::nominal("n", three_level(leaves, groups)?),
+    ])?;
+    let dims = schema.dims();
+    let cells: usize = dims.iter().product();
+    let data = (0..cells).map(|i| (i % 17) as f64).collect();
+    Ok(FrequencyMatrix::from_parts(
+        schema,
+        NdMatrix::from_vec(&dims, data)?,
+    )?)
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -113,95 +102,77 @@ fn batch(schema: &Schema, seed: u64, n: usize, clustered: bool) -> Vec<(Vec<usiz
         .collect()
 }
 
-/// Best-of timing: repeat `f` until ≥`budget_secs` of wall time has
-/// accumulated (min 5 iters) and return the fastest single iteration.
-fn best_of<R>(budget_secs: f64, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut spent = 0.0;
-    let mut iters = 0u32;
-    while spent < budget_secs || iters < 5 {
-        let t = Instant::now();
-        black_box(f());
-        let dt = t.elapsed().as_secs_f64();
-        best = best.min(dt);
-        spent += dt;
-        iters += 1;
-    }
-    best
-}
-
-/// One measured sweep point.
-struct Point {
-    batch: usize,
+/// Times one batch size and locality on `fm` through both paths and
+/// returns the bulk path's speedup over the loop.
+fn measure(
+    record: &mut Record,
+    fm: &FrequencyMatrix,
+    size: usize,
     clustered: bool,
-    seq_secs: f64,
-    bulk_secs: f64,
-    report: IngestReport,
-    seq_written: usize,
-}
-
-fn measure(fm: &FrequencyMatrix, size: usize, clustered: bool, budget_secs: f64) -> Point {
+    budget_secs: f64,
+) -> Result<f64, Box<dyn Error>> {
     let sa = BTreeSet::new();
-    let increments = batch(
-        fm.schema(),
-        0xB07C * size as u64 + clustered as u64,
-        size,
-        clustered,
-    );
+    let seed = 0xB07C * size as u64 + clustered as u64;
+    let increments = batch(fm.schema(), seed, size, clustered);
+    let mode = Json::Str(if clustered { "clustered" } else { "uniform" }.into());
+    let params = |counters: &[(&'static str, usize)]| {
+        let mut params = vec![("batch", Json::Num(size as f64)), ("mode", mode.clone())];
+        params.extend(counters.iter().map(|&(k, n)| (k, Json::Num(n as f64))));
+        params
+    };
 
     // Before: the per-increment loop (each `apply_increment` a batch of
     // one).
-    let mut seq = IncrementalRelease::new(fm, &sa, 1e9).unwrap();
+    let mut seq = IncrementalRelease::new(fm, &sa, 1e9)?;
     let mut seq_written = 0usize;
     for (cell, delta) in &increments {
-        seq_written += seq.apply_increment(cell, *delta).unwrap();
+        seq_written += seq.apply_increment(cell, *delta)?;
     }
     let seq_secs = best_of(budget_secs, || {
-        let mut w = 0usize;
-        for (cell, delta) in &increments {
-            w += seq.apply_increment(black_box(cell), *delta).unwrap();
-        }
-        w
+        increments
+            .iter()
+            .map(|(cell, delta)| seq.apply_increment(black_box(cell), *delta))
+            .sum::<Result<usize, _>>()
     });
+    let written = [("coefficients_written", seq_written)];
+    record.push("sequential", params(&written), seq_secs, size as f64);
 
     // After: one coalesced dirty-set walk per batch.
-    let mut bulk = IncrementalRelease::new(fm, &sa, 1e9).unwrap();
-    let report = bulk.apply_increments(&increments).unwrap();
+    let mut bulk = IncrementalRelease::new(fm, &sa, 1e9)?;
+    let report = bulk.apply_increments(&increments)?;
     let bulk_secs = best_of(budget_secs, || {
-        bulk.apply_increments(black_box(&increments)).unwrap()
+        bulk.apply_increments(black_box(&increments))
     });
-
-    Point {
-        batch: size,
-        clustered,
-        seq_secs,
-        bulk_secs,
-        report,
-        seq_written,
-    }
+    let counters = [
+        ("coefficients_written", report.coefficients_written),
+        ("coalesced_cells", report.coalesced_cells),
+        ("touch_bound", report.touch_bound),
+    ];
+    record.push("bulk", params(&counters), bulk_secs, size as f64);
+    Ok(seq_secs / bulk_secs)
 }
 
 /// Smoke gate (CI, both feature sets): the bulk path must be bit-identical
 /// to the sequential loop, and both to a dense forward on the updated
 /// table — while writing no more coefficients than the loop did.
-fn assert_bulk_matches_sequential() {
-    let (schema, fm) = smoke_fixture();
+fn assert_bulk_matches_sequential(fm: &FrequencyMatrix) -> Result<(), Box<dyn Error>> {
+    let schema = fm.schema();
     let sa_sets = [BTreeSet::new(), BTreeSet::from([0usize])];
     for sa in &sa_sets {
         for clustered in [true, false] {
-            let increments = batch(&schema, 42 + clustered as u64, 512, clustered);
+            let increments = batch(schema, 42 + clustered as u64, 512, clustered);
 
-            let mut seq = IncrementalRelease::new(&fm, sa, 1.0).unwrap();
+            let mut seq = IncrementalRelease::new(fm, sa, 1.0)?;
             let mut seq_written = 0usize;
             let mut dense = fm.matrix().clone();
             for (cell, delta) in &increments {
-                seq_written += seq.apply_increment(cell, *delta).unwrap();
-                let old = dense.get(cell).unwrap();
-                dense.set(cell, old + delta).unwrap();
+                seq_written += seq.apply_increment(cell, *delta)?;
+                let old = dense.get(cell)?;
+                dense.set(cell, old + delta)?;
             }
 
-            let mut bulk = IncrementalRelease::new(&fm, sa, 1.0).unwrap();
-            let report = bulk.apply_increments(&increments).unwrap();
+            let mut bulk = IncrementalRelease::new(fm, sa, 1.0)?;
+            let report = bulk.apply_increments(&increments)?;
             assert!(
                 report.coefficients_written <= seq_written,
                 "bulk wrote {} coefficients, sequential loop wrote {seq_written}",
@@ -209,8 +180,8 @@ fn assert_bulk_matches_sequential() {
             );
             assert!(report.coefficients_written <= report.touch_bound);
 
-            let hn = HnTransform::for_schema(&schema, sa).unwrap();
-            let want = hn.forward(&dense).unwrap();
+            let hn = HnTransform::for_schema(schema, sa)?;
+            let want = hn.forward(&dense)?;
             assert_eq!(
                 seq.exact_coefficients().as_slice(),
                 want.as_slice(),
@@ -224,96 +195,32 @@ fn assert_bulk_matches_sequential() {
             );
         }
     }
+    Ok(())
 }
 
-fn to_json(points: &[Point]) -> Json {
-    Json::Arr(
-        points
-            .iter()
-            .map(|p| {
-                let mut obj = BTreeMap::new();
-                obj.insert("batch".into(), Json::Num(p.batch as f64));
-                obj.insert(
-                    "mode".into(),
-                    Json::Str(if p.clustered { "clustered" } else { "uniform" }.into()),
-                );
-                obj.insert("seq_secs".into(), Json::Num(p.seq_secs));
-                obj.insert("bulk_secs".into(), Json::Num(p.bulk_secs));
-                obj.insert("speedup".into(), Json::Num(p.seq_secs / p.bulk_secs));
-                obj.insert(
-                    "seq_inc_per_sec".into(),
-                    Json::Num(p.batch as f64 / p.seq_secs),
-                );
-                obj.insert(
-                    "bulk_inc_per_sec".into(),
-                    Json::Num(p.batch as f64 / p.bulk_secs),
-                );
-                obj.insert("seq_written".into(), Json::Num(p.seq_written as f64));
-                obj.insert(
-                    "bulk_written".into(),
-                    Json::Num(p.report.coefficients_written as f64),
-                );
-                obj.insert(
-                    "coalesced_cells".into(),
-                    Json::Num(p.report.coalesced_cells as f64),
-                );
-                obj.insert("touch_bound".into(), Json::Num(p.report.touch_bound as f64));
-                Json::Obj(obj)
-            })
-            .collect(),
-    )
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--test");
-    let record = args
-        .iter()
-        .position(|a| a == "--record")
-        .map(|i| args.get(i + 1).expect("--record needs a path").clone());
-
-    if smoke {
-        assert_bulk_matches_sequential();
-        println!("ingest_throughput smoke OK");
-        return;
+fn main() -> Result<(), Box<dyn Error>> {
+    let args = Args::from_env()?;
+    let mut record = Record::new("ingest_throughput", "increments/s");
+    // Smoke mode runs a tiny fixture of the acceptance shape.
+    let (fm, sizes): (_, &[usize]) = if args.smoke {
+        (fixture(32, 24, 4)?, &[64])
+    } else {
+        (fixture(512, 512, 8)?, &[1, 64, 1024, 4096])
+    };
+    if args.smoke {
+        assert_bulk_matches_sequential(&fm)?;
     }
-
-    let (_, fm) = acceptance_fixture();
-    let budget = 0.3;
-    let mut points = Vec::new();
-    println!(
-        "{:>6} {:>10} {:>12} {:>12} {:>8} {:>12} {:>12}",
-        "batch", "mode", "seq_s", "bulk_s", "speedup", "seq_wr", "bulk_wr"
-    );
     for clustered in [true, false] {
-        for size in [1usize, 64, 1024, 4096] {
-            let p = measure(&fm, size, clustered, budget);
-            println!(
-                "{:>6} {:>10} {:>12.6} {:>12.6} {:>7.1}x {:>12} {:>12}",
-                p.batch,
-                if p.clustered { "clustered" } else { "uniform" },
-                p.seq_secs,
-                p.bulk_secs,
-                p.seq_secs / p.bulk_secs,
-                p.seq_written,
-                p.report.coefficients_written,
-            );
-            points.push(p);
+        for &size in sizes {
+            let speedup = measure(&mut record, &fm, size, clustered, args.budget_secs())?;
+            if clustered && size == 4096 {
+                println!("acceptance (clustered 4096, m = 2^18): {speedup:.1}x (need ≥ 2x)");
+            }
         }
     }
-
-    // The acceptance criterion, asserted where the numbers are made:
-    // ≥2× at clustered batches of 4096 on the 2^18 fixture.
-    let accept = points
-        .iter()
-        .find(|p| p.clustered && p.batch == 4096)
-        .unwrap();
-    let speedup = accept.seq_secs / accept.bulk_secs;
-    println!("\nacceptance (clustered 4096, m = 2^18): {speedup:.1}x (need ≥ 2x)");
-
-    if let Some(path) = record {
-        std::fs::write(&path, to_json(&points).to_string())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("[bench] recorded {} points to {path}", points.len());
+    record.finish(&args)?;
+    if args.smoke {
+        println!("ingest_throughput smoke OK");
     }
+    Ok(())
 }

@@ -26,11 +26,8 @@
 //! Run with: `cargo bench --bench query_answering`
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use privelet::mechanism::{publish_coefficients, PriveletConfig};
-use privelet_data::schema::{Attribute, Schema};
-use privelet_data::FrequencyMatrix;
-use privelet_matrix::NdMatrix;
-use privelet_query::{generate_workload, Answerer, ConcurrentEngine, RangeQuery, WorkloadConfig};
+use privelet_bench::harness::{interval_workload, ordinal_release};
+use privelet_query::{Answerer, ConcurrentEngine, RangeQuery};
 use std::hint::black_box;
 
 /// Domain exponents swept: m = 2^10 … 2^20.
@@ -39,34 +36,11 @@ const EXPONENTS: [u32; 6] = [10, 12, 14, 16, 18, 20];
 /// Workload sizes for the answering benchmarks.
 const WORKLOADS: [usize; 2] = [64, 1024];
 
-fn release_for(exp: u32) -> (Schema, privelet::mechanism::CoefficientOutput) {
-    let m = 1usize << exp;
-    let schema = Schema::new(vec![Attribute::ordinal("v", m)]).unwrap();
-    let data: Vec<f64> = (0..m).map(|i| ((i * 31) % 101) as f64).collect();
-    let fm = FrequencyMatrix::from_parts(schema.clone(), NdMatrix::from_vec(&[m], data).unwrap())
-        .unwrap();
-    let out = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 7)).unwrap();
-    (schema, out)
-}
-
-fn workload(schema: &Schema, n_queries: usize) -> Vec<RangeQuery> {
-    generate_workload(
-        schema,
-        &WorkloadConfig {
-            n_queries,
-            min_predicates: 1,
-            max_predicates: 1,
-            seed: 42,
-        },
-    )
-    .unwrap()
-}
-
 fn bench_query_answering(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_answering");
     group.sample_size(10);
     for exp in EXPONENTS {
-        let (schema, out) = release_for(exp);
+        let out = ordinal_release(exp).unwrap();
 
         // Build costs: refinement copy vs inverse transform + prefix sums.
         group.bench_function(&format!("coeff_build_2^{exp}"), |b| {
@@ -84,7 +58,7 @@ fn bench_query_answering(c: &mut Criterion) {
         let rec = out.to_matrix().unwrap();
         let prefix = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
         for n_queries in WORKLOADS {
-            let queries = workload(&schema, n_queries);
+            let queries = interval_workload(&out.schema, n_queries).unwrap();
             // Sanity: the two paths agree before we time them.
             let a = coeff.answer_all(&queries).unwrap();
             let b = prefix.answer_all(&queries).unwrap();
@@ -107,7 +81,7 @@ fn bench_query_answering(c: &mut Criterion) {
 
         // Serve-one-query-from-scratch: the cost model the coefficient
         // path exists for (no O(m) build before the first answer).
-        let one = workload(&schema, 1);
+        let one = interval_workload(&out.schema, 1).unwrap();
         group.bench_function(&format!("serve1_coeff_2^{exp}"), |b| {
             b.iter(|| {
                 let ans = ConcurrentEngine::from_output(black_box(&out)).unwrap();
@@ -129,7 +103,7 @@ fn bench_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_answering_batched");
     group.sample_size(10);
     for exp in EXPONENTS {
-        let (schema, out) = release_for(exp);
+        let out = ordinal_release(exp).unwrap();
         let coeff = ConcurrentEngine::from_output(&out).unwrap();
         for n_queries in WORKLOADS {
             // The motivating batch workload: a dashboard of 64 distinct
@@ -137,7 +111,7 @@ fn bench_batched(c: &mut Criterion) {
             // consumers re-ask the same predicates every tick). The
             // planner collapses the repeats onto 64 term lists and at
             // most 64 distinct supports.
-            let catalog = workload(&schema, 64.min(n_queries));
+            let catalog = interval_workload(&out.schema, 64.min(n_queries)).unwrap();
             let queries: Vec<RangeQuery> =
                 catalog.iter().cycle().take(n_queries).cloned().collect();
 

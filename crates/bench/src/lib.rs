@@ -1,4 +1,11 @@
-//! Shared plumbing for the per-figure bench targets.
+//! Shared plumbing for the bench targets.
+//!
+//! - [`harness`] — the one harness of the hand-written throughput
+//!   benches (`plan_throughput`, `publish_throughput`,
+//!   `ingest_throughput`): best-of timing, the `--test` / `--record`
+//!   flags, the one BENCH record schema and the shared fixtures.
+//! - [`json`] — the hand-rolled JSON value both the record and the
+//!   panel cache below are written through.
 //!
 //! Figures 6 and 8 (and 7 and 9) plot two metrics of the *same* experiment
 //! runs, so the accuracy panels are computed once per dataset and cached as
@@ -12,6 +19,7 @@
 // with unsafe code is privelet-matrix (worker pool / lane executor).
 #![forbid(unsafe_code)]
 
+pub mod harness;
 pub mod json;
 
 use json::Json;

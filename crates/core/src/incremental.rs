@@ -56,9 +56,9 @@
 //! internal workspace (no per-touch coordinate-vector clones, no
 //! allocation once the buffers reach the batch's working-set size), and
 //! a lane whose distinct dirty-leaf count crosses the
-//! [`PRIVELET_BULK_LANE_CUTOVER`](BULK_LANE_CUTOVER_ENV) density cutover
-//! is recomputed with one contiguous call of the lane's forward kernel
-//! instead of per-node pointer chasing.
+//! [`DEFAULT_BULK_LANE_CUTOVER_PCT`] density cutover is recomputed with
+//! one contiguous call of the lane's forward kernel instead of per-node
+//! pointer chasing.
 //!
 //! **Epoch budgets.** Re-noising the same statistics k times is k releases
 //! of one mechanism: sequential composition sums the epsilons. A
@@ -80,21 +80,14 @@ use crate::transform::{DimTransform, HnTransform, Transform1d};
 use crate::{CoreError, Result};
 use privelet_data::schema::Schema;
 use privelet_data::FrequencyMatrix;
-use privelet_matrix::knob::env_usize_knob;
 use privelet_matrix::{LaneExecutor, NdMatrix, Shape};
 use std::collections::BTreeSet;
 
-/// Environment knob naming the whole-lane recompute cutover as a dirty
-/// leaf *percentage* of the lane length (parsed through the shared
-/// warn-once [`knob`](privelet_matrix::knob) machinery): `0` forces the
-/// contiguous kernel path for every dirty lane, values above `100`
-/// disable it. Read once at [`IncrementalRelease::new`].
-pub const BULK_LANE_CUTOVER_ENV: &str = "PRIVELET_BULK_LANE_CUTOVER";
-
-/// Default whole-lane cutover: a dirty lane switches from per-node dirty
-/// walks to one contiguous kernel recompute when at least half its
-/// leaves are dirty — the point where the dirty closure approaches the
-/// whole coefficient tree and a linear pass beats pointer chasing.
+/// Default whole-lane cutover, as a dirty-leaf *percentage* of the lane
+/// length: a dirty lane switches from per-node dirty walks to one
+/// contiguous kernel recompute when at least half its leaves are dirty —
+/// the point where the dirty closure approaches the whole coefficient
+/// tree and a linear pass beats pointer chasing.
 pub const DEFAULT_BULK_LANE_CUTOVER_PCT: usize = 50;
 
 /// The state slot holding domain position `pos`'s leaf (see
@@ -412,11 +405,6 @@ impl IncrementalRelease {
         let ledger = BudgetLedger::new(total_epsilon)?;
         let states = vec![Vec::new(); transform.ndim()];
         let exact = NdMatrix::zeros(&transform.output_dims())?;
-        let lane_cutover_pct = env_usize_knob(
-            BULK_LANE_CUTOVER_ENV,
-            "a dirty-leaf percentage",
-            DEFAULT_BULK_LANE_CUTOVER_PCT,
-        );
         let mut release = IncrementalRelease {
             schema: fm.schema().clone(),
             transform,
@@ -424,7 +412,7 @@ impl IncrementalRelease {
             states,
             ledger,
             workspace: BatchWorkspace::default(),
-            lane_cutover_pct,
+            lane_cutover_pct: DEFAULT_BULK_LANE_CUTOVER_PCT,
         };
         release.rebuild(fm.matrix())?;
         Ok(release)
@@ -472,7 +460,7 @@ impl IncrementalRelease {
 
     /// Overrides the whole-lane recompute cutover (percent of a lane's
     /// leaves that must be dirty; `0` = always, `> 100` = never),
-    /// normally read from [`PRIVELET_BULK_LANE_CUTOVER`](BULK_LANE_CUTOVER_ENV).
+    /// [`DEFAULT_BULK_LANE_CUTOVER_PCT`] otherwise.
     /// Both modes are bit-identical — this is a performance knob and a
     /// test seam, never a semantics switch.
     pub fn with_lane_cutover_pct(mut self, pct: usize) -> Self {

@@ -40,10 +40,15 @@ impl FrequencyMatrix {
     }
 
     /// Wraps an existing matrix, validating that its dimensions match the
-    /// schema.
+    /// schema and that every cell is finite: a NaN or ±∞ count would
+    /// otherwise publish without complaint and surface only at serve
+    /// time.
     pub fn from_parts(schema: Schema, matrix: NdMatrix) -> Result<Self> {
         if schema.dims() != matrix.dims() {
             return Err(DataError::ShapeMismatch);
+        }
+        if let Some(index) = matrix.as_slice().iter().position(|c| !c.is_finite()) {
+            return Err(DataError::NonFiniteCell { index });
         }
         Ok(FrequencyMatrix { schema, matrix })
     }
@@ -124,6 +129,30 @@ mod tests {
         assert_eq!(
             FrequencyMatrix::from_parts(schema, bad).unwrap_err(),
             DataError::ShapeMismatch
+        );
+    }
+
+    #[test]
+    fn from_parts_refuses_non_finite_cells() {
+        let schema = Schema::new(vec![Attribute::ordinal("a", 8)]).unwrap();
+        for (index, bad) in [(0, f64::NAN), (3, f64::INFINITY), (7, f64::NEG_INFINITY)] {
+            let mut data = vec![1.0; 8];
+            data[index] = bad;
+            let matrix = NdMatrix::from_vec(&[8], data).unwrap();
+            assert_eq!(
+                FrequencyMatrix::from_parts(schema.clone(), matrix).unwrap_err(),
+                DataError::NonFiniteCell { index }
+            );
+        }
+        // The first bad cell is the one reported.
+        let matrix = NdMatrix::from_vec(
+            &[8],
+            vec![1.0, 2.0, f64::NAN, f64::INFINITY, 0.0, 0.0, 0.0, 0.0],
+        )
+        .unwrap();
+        assert_eq!(
+            FrequencyMatrix::from_parts(schema, matrix).unwrap_err(),
+            DataError::NonFiniteCell { index: 2 }
         );
     }
 

@@ -60,6 +60,9 @@ pub enum DataError {
     },
     /// A matrix's dimensions do not match the schema.
     ShapeMismatch,
+    /// A matrix cell is NaN or infinite; `index` is the first such cell's
+    /// linear index.
+    NonFiniteCell { index: usize },
     /// A generator was given an invalid configuration.
     BadConfig(String),
 }
@@ -78,6 +81,9 @@ impl std::fmt::Display for DataError {
                 write!(f, "value {value} out of domain for '{attr}' (size {size})")
             }
             DataError::ShapeMismatch => write!(f, "matrix dimensions do not match schema"),
+            DataError::NonFiniteCell { index } => {
+                write!(f, "matrix cell {index} is not a finite count")
+            }
             DataError::BadConfig(msg) => write!(f, "bad generator config: {msg}"),
         }
     }

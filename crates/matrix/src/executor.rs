@@ -128,12 +128,11 @@ pub const MIN_PARALLEL_CELLS: usize = 1 << 14;
 /// Default tile width for the strided-lane path: how many adjacent
 /// inner-index lanes are gathered, transformed and scattered per tile.
 /// 8 f64s fill one 64-byte cache line, so every fetched line in the
-/// gather is fully consumed; the PR-8 calibration sweep (recorded in
-/// docs/architecture.md) showed the publish throughput plateau starts
-/// here and wider tiles only grow the scratch footprint. Overridable per
-/// executor with [`LaneExecutor::with_tile_lanes`] or process-wide with
-/// the `PRIVELET_TILE_LANES` environment variable (read at executor
-/// construction).
+/// gather is fully consumed; the calibration sweep (`publish_throughput`'s
+/// `tile` sweep, recorded in docs/architecture.md) showed the publish
+/// throughput plateau starts here and wider tiles only grow the scratch
+/// footprint. Overridable per executor with
+/// [`LaneExecutor::with_tile_lanes`].
 pub const DEFAULT_TILE_LANES: usize = 8;
 
 /// Upper bound on one tile buffer's size in f64 cells (`lane_len × T ≤`
@@ -156,13 +155,6 @@ fn default_parallel_threshold() -> usize {
         "a cell count",
         MIN_PARALLEL_CELLS,
     )
-}
-
-/// The construction-time tile width: the `PRIVELET_TILE_LANES` env
-/// override when set and parseable (clamped to ≥ 1), otherwise
-/// [`DEFAULT_TILE_LANES`]. Garbage warns once per process.
-fn default_tile_lanes() -> usize {
-    env_usize_knob("PRIVELET_TILE_LANES", "a lane count", DEFAULT_TILE_LANES).max(1)
 }
 
 /// The tile width actually used by one stage: the requested width,
@@ -261,7 +253,7 @@ impl LaneExecutor {
             back: Vec::new(),
             threads: threads.max(1),
             parallel_min_cells: default_parallel_threshold(),
-            tile_lanes: default_tile_lanes(),
+            tile_lanes: DEFAULT_TILE_LANES,
             pool: None,
         }
     }
@@ -285,8 +277,8 @@ impl LaneExecutor {
     /// inner-index lanes are gathered, transformed and scattered per
     /// cache-blocked tile (`0` is treated as 1, i.e. the per-lane walk).
     /// Tiling only changes the memory access pattern — output is bitwise
-    /// identical for every width. Builder-style; overrides the
-    /// `PRIVELET_TILE_LANES` env default captured at construction.
+    /// identical for every width. Builder-style; overrides
+    /// [`DEFAULT_TILE_LANES`].
     pub fn with_tile_lanes(mut self, lanes: usize) -> Self {
         self.tile_lanes = lanes.max(1);
         self
@@ -967,10 +959,6 @@ mod tests {
             LaneExecutor::new().parallel_threshold(),
             default_parallel_threshold()
         );
-        assert_eq!(LaneExecutor::new().tile_lanes(), default_tile_lanes());
-        if std::env::var("PRIVELET_TILE_LANES").is_err() {
-            assert_eq!(LaneExecutor::new().tile_lanes(), DEFAULT_TILE_LANES);
-        }
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Warn-once parsing of numeric environment knobs.
 //!
-//! The runtime tuning knobs share the same lifecycle: read an
-//! environment variable at construction time, fall back to a compiled-in
-//! default when it is unset, and — crucially — fall back **loudly** when
-//! it is set but unparseable, so a typo'd knob can't silently revert a
-//! deployment to defaults. This module is the one shared implementation
-//! of that parse/fallback logic, serving `PRIVELET_PARALLEL_MIN_CELLS`
-//! and `PRIVELET_TILE_LANES` in the executor and
-//! `PRIVELET_BULK_LANE_CUTOVER` in the incremental release.
+//! A runtime tuning knob is read from an environment variable at
+//! construction time, falls back to a compiled-in default when it is
+//! unset, and — crucially — falls back **loudly** when it is set but
+//! unparseable, so a typo'd knob can't silently revert a deployment to
+//! defaults. The executor's `PRIVELET_PARALLEL_MIN_CELLS` is the one
+//! knob read this way.
 //!
 //! The parse is a pure function of the raw string so it is unit-testable
 //! without racing on the process environment (`std::env::set_var` is a
@@ -24,7 +22,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// stderr warning. Surrounding whitespace is tolerated. Pure, so the
 /// fallback semantics are unit-testable without touching the
 /// environment.
-pub fn parse_usize_knob(raw: Option<&str>, default: usize) -> (usize, bool) {
+pub(crate) fn parse_usize_knob(raw: Option<&str>, default: usize) -> (usize, bool) {
     match raw {
         None => (default, false),
         Some(v) => match v.trim().parse::<usize>() {
@@ -42,7 +40,7 @@ pub fn parse_usize_knob(raw: Option<&str>, default: usize) -> (usize, bool) {
 /// Numeric range constraints (e.g. "at least 1 shard") are the caller's
 /// business: a parseable value is returned as-is so each knob keeps its
 /// own clamping policy.
-pub fn env_usize_knob(name: &'static str, what: &str, default: usize) -> usize {
+pub(crate) fn env_usize_knob(name: &'static str, what: &str, default: usize) -> usize {
     let raw = std::env::var(name).ok();
     let (value, malformed) = parse_usize_knob(raw.as_deref(), default);
     if malformed && first_warning_for(name) {

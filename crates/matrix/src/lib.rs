@@ -28,7 +28,7 @@
 //! (n ≤ 10^7, m ≤ 2^26).
 
 pub mod executor;
-pub mod knob;
+mod knob;
 pub mod lanes;
 pub mod ndmatrix;
 pub mod pool;
@@ -38,7 +38,6 @@ pub mod slice;
 pub mod view;
 
 pub use executor::{AxisStage, LaneExecutor, LaneKernel};
-pub use knob::{env_usize_knob, parse_usize_knob};
 pub use lanes::map_lanes;
 pub use ndmatrix::NdMatrix;
 pub use pool::WorkerPool;

@@ -2,7 +2,7 @@
 //! panic or a silently wrong release.
 
 use privelet_repro::core::mechanism::{
-    publish_basic, publish_hierarchical_1d, publish_privelet, PriveletConfig,
+    publish_basic, publish_coefficients, publish_hierarchical_1d, publish_privelet, PriveletConfig,
 };
 use privelet_repro::core::transform::HnTransform;
 use privelet_repro::core::CoreError;
@@ -129,6 +129,29 @@ fn schema_matrix_mismatch_is_rejected() {
         FrequencyMatrix::from_parts(schema, wrong).unwrap_err(),
         DataError::ShapeMismatch
     ));
+}
+
+#[test]
+fn non_finite_tables_never_reach_a_publisher() {
+    let schema = Schema::new(vec![Attribute::ordinal("x", 8)]).unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut data = vec![3.0; 8];
+        data[5] = bad;
+        let matrix = NdMatrix::from_vec(&[8], data.clone()).unwrap();
+        let err = FrequencyMatrix::from_parts(schema.clone(), matrix).unwrap_err();
+        assert_eq!(err, DataError::NonFiniteCell { index: 5 });
+        assert!(
+            err.to_string().contains("cell 5"),
+            "unhelpful message: {err}"
+        );
+        // The same table with the cell made finite publishes cleanly.
+        data[5] = 0.0;
+        let fm =
+            FrequencyMatrix::from_parts(schema.clone(), NdMatrix::from_vec(&[8], data).unwrap())
+                .unwrap();
+        let out = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 3)).unwrap();
+        assert!(out.coefficients.as_slice().iter().all(|c| c.is_finite()));
+    }
 }
 
 #[test]
