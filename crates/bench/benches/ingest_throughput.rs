@@ -17,9 +17,10 @@
 //!   point.
 //! - `... -- --test` — smoke mode: a tiny fixture of the same shape,
 //!   the correctness assertions (bulk == sequential == dense forward,
-//!   bitwise, on pure and Privelet⁺ schemas; bulk writes no more
-//!   coefficients than the loop or the touch bound), then one timed
-//!   batch size. CI runs this on both feature sets.
+//!   bitwise, on pure and Privelet⁺ schemas, on a batch below the lane
+//!   count and one above it, so both lane groupings run; bulk writes no
+//!   more coefficients than the loop or the touch bound), then one
+//!   timed batch size. CI runs this on both feature sets.
 //! - `... -- --record <path>` — also writes the run in the one BENCH
 //!   schema (`BENCH_ingest_batch.json` is such a run); the counters
 //!   travel in each point's params.
@@ -154,13 +155,16 @@ fn measure(
 
 /// Smoke gate (CI, both feature sets): the bulk path must be bit-identical
 /// to the sequential loop, and both to a dense forward on the updated
-/// table — while writing no more coefficients than the loop did.
+/// table — while writing no more coefficients than the loop did. The
+/// smoke fixture's axes have 24 and 32 lanes: a batch of 8 groups axis 0's
+/// dirty lanes with the comparison sort, a batch of 512 with the
+/// counting pass.
 fn assert_bulk_matches_sequential(fm: &FrequencyMatrix) -> Result<(), Box<dyn Error>> {
     let schema = fm.schema();
     let sa_sets = [BTreeSet::new(), BTreeSet::from([0usize])];
     for sa in &sa_sets {
-        for clustered in [true, false] {
-            let increments = batch(schema, 42 + clustered as u64, 512, clustered);
+        for (size, clustered) in [8, 512].into_iter().flat_map(|n| [(n, true), (n, false)]) {
+            let increments = batch(schema, 42 + clustered as u64, size, clustered);
 
             let mut seq = IncrementalRelease::new(fm, sa, 1.0)?;
             let mut seq_written = 0usize;
@@ -191,7 +195,7 @@ fn assert_bulk_matches_sequential(fm: &FrequencyMatrix) -> Result<(), Box<dyn Er
                 bulk.exact_coefficients().as_slice(),
                 seq.exact_coefficients().as_slice(),
                 "bulk batch must be bit-identical to the sequential loop \
-                 (clustered = {clustered}, sa = {sa:?})"
+                 (batch = {size}, clustered = {clustered}, sa = {sa:?})"
             );
         }
     }

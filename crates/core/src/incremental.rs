@@ -43,7 +43,9 @@
 //! whole batch at a cost proportional to the *distinct dirty
 //! coefficients*: it validates the batch up front, coalesces duplicate
 //! cells, and propagates axis by axis over a **dirty set** — pending
-//! changes are grouped by lane, each dirty lane's kernel state is walked
+//! changes are grouped by lane (one 1-D line of the tensor along the
+//! axis) with a stable counting pass, or with a comparison sort when the
+//! lanes outnumber the batch; each dirty lane's kernel state is walked
 //! once, and every dirty coefficient is recomputed exactly once with the
 //! forward kernels' per-node expressions. Because each touched value is a
 //! pure function of the final child states, the result is
@@ -55,10 +57,8 @@
 //! of one. The propagation works on flat linear indices in a reusable
 //! internal workspace (no per-touch coordinate-vector clones, no
 //! allocation once the buffers reach the batch's working-set size), and
-//! a lane whose distinct dirty-leaf count crosses the
-//! [`DEFAULT_BULK_LANE_CUTOVER_PCT`] density cutover is recomputed with
-//! one contiguous call of the lane's forward kernel instead of per-node
-//! pointer chasing.
+//! the last axis writes its recomputed coefficients straight into the
+//! exact tensor.
 //!
 //! **Epoch budgets.** Re-noising the same statistics k times is k releases
 //! of one mechanism: sequential composition sums the epsilons. A
@@ -82,13 +82,6 @@ use privelet_data::schema::Schema;
 use privelet_data::FrequencyMatrix;
 use privelet_matrix::{LaneExecutor, NdMatrix, Shape};
 use std::collections::BTreeSet;
-
-/// Default whole-lane cutover, as a dirty-leaf *percentage* of the lane
-/// length: a dirty lane switches from per-node dirty walks to one
-/// contiguous kernel recompute when at least half its leaves are dirty —
-/// the point where the dirty closure approaches the whole coefficient
-/// tree and a linear pass beats pointer chasing.
-pub const DEFAULT_BULK_LANE_CUTOVER_PCT: usize = 50;
 
 /// The state slot holding domain position `pos`'s leaf (see
 /// [`Transform1d::state_len`]).
@@ -133,7 +126,7 @@ pub struct IngestReport {
 /// `pos` is the coordinate along the axis being processed, `seq`
 /// preserves arrival order so duplicate-cell `+=` replays happen in
 /// submission order, bit for bit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     lane: usize,
     pos: usize,
@@ -150,16 +143,6 @@ struct LaneScratch {
     marks: Vec<bool>,
     /// The marked nodes of the lane in hand.
     marked: Vec<usize>,
-    lane: LaneBufs,
-}
-
-/// Contiguous lane buffers for whole-lane kernel recomputes.
-#[derive(Debug, Clone, Default)]
-struct LaneBufs {
-    src: Vec<f64>,
-    /// The kernel's scratch, state first.
-    scratch: Vec<f64>,
-    out: Vec<f64>,
 }
 
 /// Dirty-set workspace reused across batches — the bulk-ingest analogue
@@ -175,9 +158,76 @@ struct BatchWorkspace {
     pending: Vec<(usize, f64)>,
     /// Lane-decomposed, `(lane, pos, seq)`-sorted view of `pending`.
     entries: Vec<Entry>,
+    /// Lane cursors of the counting pass, lane count + 1 long.
+    counts: Vec<usize>,
     /// Changes emitted for the next axis.
     next: Vec<(usize, f64)>,
     scratch: LaneScratch,
+}
+
+/// Splits a mixed-space linear index into `(lane, pos)` along an axis of
+/// `len` positions and element stride `stride`.
+fn lane_pos(lin: usize, len: usize, stride: usize) -> (usize, usize) {
+    let chunk = len * stride;
+    let (outer, rem) = (lin / chunk, lin % chunk);
+    (outer * stride + rem % stride, rem / stride)
+}
+
+/// Lane-decomposes `pending` into `entries` in `(lane, pos, seq)` order,
+/// `seq` being the index in `pending` (arrival order on axis 0).
+///
+/// A stable counting pass over the `lanes` lane ids costs
+/// O(batch + lanes) and leaves each lane's group in arrival order, so
+/// only the small groups are sorted by `(pos, seq)`; a comparison sort of
+/// the whole batch costs O(batch · log batch). The counting pass runs
+/// whenever the lanes do not outnumber the pending changes, so a batch
+/// of one never pays for a lane-count sweep. Both paths produce the same
+/// order (the key is unique).
+fn group_by_lane(
+    pending: &[(usize, f64)],
+    entries: &mut Vec<Entry>,
+    counts: &mut Vec<usize>,
+    len: usize,
+    stride: usize,
+    lanes: usize,
+) {
+    let entry = |seq: usize, (lin, value): (usize, f64)| {
+        let (lane, pos) = lane_pos(lin, len, stride);
+        Entry {
+            lane,
+            pos,
+            seq,
+            value,
+        }
+    };
+    entries.clear();
+    // Grow in power-of-two steps, as the pushes filling `pending` and
+    // `next` do, so a later batch a little larger than the first does not
+    // reallocate mid-stream: such a reallocation can land inside a freed
+    // epoch-sized matrix and fragment the heap.
+    entries.reserve(pending.len().next_power_of_two());
+    if lanes > pending.len() {
+        entries.extend(pending.iter().enumerate().map(|(seq, &p)| entry(seq, p)));
+        entries.sort_unstable_by_key(|e| (e.lane, e.pos, e.seq));
+        return;
+    }
+    counts.clear();
+    counts.resize(lanes + 1, 0);
+    for &(lin, _) in pending {
+        counts[lane_pos(lin, len, stride).0 + 1] += 1;
+    }
+    for l in 1..=lanes {
+        counts[l] += counts[l - 1];
+    }
+    entries.resize(pending.len(), Entry::default());
+    for (seq, &p) in pending.iter().enumerate() {
+        let e = entry(seq, p);
+        entries[counts[e.lane]] = e;
+        counts[e.lane] += 1;
+    }
+    for group in entries.chunk_by_mut(|a, b| a.lane == b.lane) {
+        group.sort_unstable_by_key(|e| (e.pos, e.seq));
+    }
 }
 
 /// Geometry + mode of one dirty lane.
@@ -191,119 +241,51 @@ struct LaneCtx {
     out_base: usize,
     /// Entry axis: changes are `+=` deltas, not absolute assignments.
     is_delta: bool,
-    /// Whole-lane recompute density cutover, in percent of lane length.
-    cutover_pct: usize,
-}
-
-/// Whole-lane cutover predicate: switch to the contiguous kernel
-/// recompute when the distinct dirty leaves reach `pct`% of the lane.
-/// `0` always switches; anything above `100` never does. Saturating so a
-/// `usize::MAX` knob can't wrap into "always".
-fn whole_lane(distinct: usize, input_len: usize, pct: usize) -> bool {
-    distinct.saturating_mul(100) >= pct.saturating_mul(input_len)
-}
-
-/// Recomputes one whole lane with the lane's forward kernel: gathers its
-/// leaves from the state, runs [`Transform1d::forward`] contiguously, and
-/// writes the kernel's state back. `lane.out` is left holding the lane's
-/// coefficients.
-fn forward_lane(t: &DimTransform, state: &mut [f64], ctx: LaneCtx, lane: &mut LaneBufs) {
-    let sidx = |k: usize| ctx.state_base + k * ctx.stride;
-    lane.src.clear();
-    lane.src
-        .extend((0..t.input_len()).map(|pos| state[sidx(leaf_slot(t, pos))]));
-    lane.scratch.resize(t.scratch_len().max(t.state_len()), 0.0);
-    lane.out.resize(t.output_len(), 0.0);
-    t.forward(&lane.src, &mut lane.out, &mut lane.scratch);
-    for (k, &v) in lane.scratch[..t.state_len()].iter().enumerate() {
-        state[sidx(k)] = v;
-    }
 }
 
 /// Processes one dirty lane of one axis: applies the lane's pending
 /// changes to the kernel state (duplicate positions replayed in arrival
 /// order), recomputes every dirty node **exactly once** bottom-up with
-/// the kernels' own float expressions — or, past the density cutover,
-/// with one contiguous call of the forward kernel ([`forward_lane`]),
-/// which computes the identical bits because every node value is the
-/// same pure function of the final leaf states — and emits the dirty
-/// output positions into `next`. Returns the lane's distinct dirty
-/// position count (on axis 0: distinct cells after coalescing).
+/// the kernels' own float expressions, and hands each dirty output
+/// position to `emit` exactly once. `group` is in `(pos, seq)` order.
+/// Returns the lane's distinct dirty position count (on axis 0: distinct
+/// cells after coalescing).
 fn process_lane(
     t: &DimTransform,
     state: &mut [f64],
     ctx: LaneCtx,
     group: &[Entry],
     scratch: &mut LaneScratch,
-    next: &mut Vec<(usize, f64)>,
+    emit: &mut impl FnMut(usize, f64),
 ) -> usize {
     let sidx = |k: usize| ctx.state_base + k * ctx.stride;
     let oidx = |q: usize| ctx.out_base + q * ctx.stride;
-    let LaneScratch {
-        marks,
-        marked,
-        lane,
-    } = scratch;
+    let LaneScratch { marks, marked } = scratch;
     marked.clear();
     let mut distinct = 0usize;
-    match t {
-        DimTransform::Haar(_) => {
-            let m = t.output_len();
-            let mut gi = 0usize;
-            while gi < group.len() {
-                let pos = group[gi].pos;
-                distinct += 1;
-                let li = sidx(m + pos);
-                while gi < group.len() && group[gi].pos == pos {
-                    if ctx.is_delta {
-                        state[li] += group[gi].value;
-                    } else {
-                        state[li] = group[gi].value;
-                    }
-                    gi += 1;
-                }
-                let mut j = (m + pos) >> 1;
+    for run in group.chunk_by(|a, b| a.pos == b.pos) {
+        distinct += 1;
+        let pos = run[0].pos;
+        let li = sidx(leaf_slot(t, pos));
+        for e in run {
+            if ctx.is_delta {
+                state[li] += e.value;
+            } else {
+                state[li] = e.value;
+            }
+        }
+        // Mark the dirty closure, stopping at already-marked nodes.
+        match t {
+            DimTransform::Haar(_) => {
+                let mut j = (t.output_len() + pos) >> 1;
                 while j >= 1 && !marks[j] {
                     marks[j] = true;
                     marked.push(j);
                     j >>= 1;
                 }
             }
-            if whole_lane(distinct, t.input_len(), ctx.cutover_pct) {
-                forward_lane(t, state, ctx, lane);
-                for &j in marked.iter() {
-                    next.push((oidx(j), lane.out[j]));
-                }
-                next.push((ctx.out_base, lane.out[0]));
-            } else {
-                // Descending heap index = children before parents.
-                marked.sort_unstable_by(|a, b| b.cmp(a));
-                for &j in marked.iter() {
-                    let a = state[sidx(2 * j)];
-                    let b = state[sidx(2 * j + 1)];
-                    state[sidx(j)] = 0.5 * (a + b);
-                    next.push((oidx(j), 0.5 * (a - b)));
-                }
-                // Base coefficient = the root average (slot 1; for m == 1
-                // slot 1 *is* the single leaf), as in the forward kernel.
-                next.push((ctx.out_base, state[sidx(1)]));
-            }
-        }
-        DimTransform::Nominal(nt) => {
-            let h = nt.hierarchy();
-            let mut gi = 0usize;
-            while gi < group.len() {
-                let pos = group[gi].pos;
-                distinct += 1;
-                let li = sidx(h.leaf_node(pos));
-                while gi < group.len() && group[gi].pos == pos {
-                    if ctx.is_delta {
-                        state[li] += group[gi].value;
-                    } else {
-                        state[li] = group[gi].value;
-                    }
-                    gi += 1;
-                }
+            DimTransform::Nominal(nt) => {
+                let h = nt.hierarchy();
                 let mut node = h.leaf_node(pos);
                 while let Some(p) = h.parent(node) {
                     if marks[p] {
@@ -314,53 +296,44 @@ fn process_lane(
                     node = p;
                 }
             }
-            if whole_lane(distinct, t.input_len(), ctx.cutover_pct) {
-                forward_lane(t, state, ctx, lane);
-                let root_pos = h.level_order_pos(h.root());
-                next.push((oidx(root_pos), lane.out[root_pos]));
-                for &p in marked.iter() {
-                    for &c in h.children(p) {
-                        let q = h.level_order_pos(c);
-                        next.push((oidx(q), lane.out[q]));
-                    }
-                }
-            } else {
-                // Deeper level-order positions first = children before
-                // parents (level order is breadth-first from the root).
-                marked.sort_unstable_by_key(|&id| std::cmp::Reverse(h.level_order_pos(id)));
-                for &p in marked.iter() {
-                    state[sidx(p)] = h.children(p).iter().map(|&c| state[sidx(c)]).sum();
-                }
-                let root = h.root();
-                next.push((oidx(h.level_order_pos(root)), state[sidx(root)]));
-                // A dirty leaf-sum feeds the coefficient of every child of
-                // that node, so whole sibling groups re-derive.
-                for &p in marked.iter() {
-                    let f = h.fanout(p) as f64;
-                    let lsp = state[sidx(p)];
-                    for &c in h.children(p) {
-                        next.push((oidx(h.level_order_pos(c)), state[sidx(c)] - lsp / f));
-                    }
+            DimTransform::Identity(_) => emit(oidx(pos), state[li]),
+        }
+    }
+    match t {
+        DimTransform::Haar(_) => {
+            // Descending heap index = children before parents.
+            marked.sort_unstable_by(|a, b| b.cmp(a));
+            for &j in marked.iter() {
+                let a = state[sidx(2 * j)];
+                let b = state[sidx(2 * j + 1)];
+                state[sidx(j)] = 0.5 * (a + b);
+                emit(oidx(j), 0.5 * (a - b));
+            }
+            // Base coefficient = the root average (slot 1; for m == 1
+            // slot 1 *is* the single leaf), as in the forward kernel.
+            emit(ctx.out_base, state[sidx(1)]);
+        }
+        DimTransform::Nominal(nt) => {
+            let h = nt.hierarchy();
+            // Deeper level-order positions first = children before
+            // parents (level order is breadth-first from the root).
+            marked.sort_unstable_by_key(|&id| std::cmp::Reverse(h.level_order_pos(id)));
+            for &p in marked.iter() {
+                state[sidx(p)] = h.children(p).iter().map(|&c| state[sidx(c)]).sum();
+            }
+            let root = h.root();
+            emit(oidx(h.level_order_pos(root)), state[sidx(root)]);
+            // A dirty leaf-sum feeds the coefficient of every child of
+            // that node, so whole sibling groups re-derive.
+            for &p in marked.iter() {
+                let f = h.fanout(p) as f64;
+                let lsp = state[sidx(p)];
+                for &c in h.children(p) {
+                    emit(oidx(h.level_order_pos(c)), state[sidx(c)] - lsp / f);
                 }
             }
         }
-        DimTransform::Identity(_) => {
-            let mut gi = 0usize;
-            while gi < group.len() {
-                let pos = group[gi].pos;
-                distinct += 1;
-                let li = sidx(pos);
-                while gi < group.len() && group[gi].pos == pos {
-                    if ctx.is_delta {
-                        state[li] += group[gi].value;
-                    } else {
-                        state[li] = group[gi].value;
-                    }
-                    gi += 1;
-                }
-                next.push((oidx(pos), state[li]));
-            }
-        }
+        DimTransform::Identity(_) => {}
     }
     for &id in marked.iter() {
         marks[id] = false;
@@ -392,7 +365,6 @@ pub struct IncrementalRelease {
     states: Vec<Vec<f64>>,
     ledger: BudgetLedger,
     workspace: BatchWorkspace,
-    lane_cutover_pct: usize,
 }
 
 impl IncrementalRelease {
@@ -412,7 +384,6 @@ impl IncrementalRelease {
             states,
             ledger,
             workspace: BatchWorkspace::default(),
-            lane_cutover_pct: DEFAULT_BULK_LANE_CUTOVER_PCT,
         };
         release.rebuild(fm.matrix())?;
         Ok(release)
@@ -456,21 +427,6 @@ impl IncrementalRelease {
     /// Epochs published so far.
     pub fn epoch(&self) -> u32 {
         self.ledger.epochs()
-    }
-
-    /// Overrides the whole-lane recompute cutover (percent of a lane's
-    /// leaves that must be dirty; `0` = always, `> 100` = never),
-    /// [`DEFAULT_BULK_LANE_CUTOVER_PCT`] otherwise.
-    /// Both modes are bit-identical — this is a performance knob and a
-    /// test seam, never a semantics switch.
-    pub fn with_lane_cutover_pct(mut self, pct: usize) -> Self {
-        self.lane_cutover_pct = pct;
-        self
-    }
-
-    /// The active whole-lane recompute cutover, in percent.
-    pub fn lane_cutover_pct(&self) -> usize {
-        self.lane_cutover_pct
     }
 
     /// Upper bound on coefficients touched by one increment:
@@ -564,84 +520,70 @@ impl IncrementalRelease {
             self.workspace.pending.push((lin, delta));
         }
         let increments = self.workspace.pending.len();
-        let cutover_pct = self.lane_cutover_pct;
         let mut distinct_cells = 0usize;
-        {
-            let Self {
-                ref transform,
-                ref mut states,
-                ref mut workspace,
-                ..
-            } = *self;
-            let BatchWorkspace {
-                pending,
-                entries,
-                next,
-                scratch,
-            } = workspace;
-            for (axis, t) in transform.transforms().iter().enumerate() {
-                let state = &mut states[axis];
-                // The element stride along the axis (= the inner block) is
-                // the product of the trailing input dims, which no axis
-                // step changes — shared by the input, state, and output
-                // spaces.
-                let stride = in_strides[axis];
-                let in_n = t.input_len();
-                let out_n = t.output_len();
-                let s_n = t.state_len();
-                if scratch.marks.len() < s_n {
-                    scratch.marks.resize(s_n, false);
-                }
-                let chunk = in_n * stride;
-                entries.clear();
-                for (seq, &(lin, value)) in pending.iter().enumerate() {
-                    let outer = lin / chunk;
-                    let rem = lin % chunk;
-                    entries.push(Entry {
-                        lane: outer * stride + rem % stride,
-                        pos: rem / stride,
-                        seq,
-                        value,
-                    });
-                }
-                // Total order (seq is unique), so the unstable sort is
-                // deterministic and allocation-free.
-                entries.sort_unstable_by_key(|e| (e.lane, e.pos, e.seq));
-                next.clear();
-                let is_delta = axis == 0;
-                let mut i = 0usize;
-                while i < entries.len() {
-                    let lane = entries[i].lane;
-                    let mut j = i + 1;
-                    while j < entries.len() && entries[j].lane == lane {
-                        j += 1;
-                    }
-                    let outer = lane / stride;
-                    let inner = lane % stride;
-                    let ctx = LaneCtx {
-                        stride,
-                        state_base: outer * s_n * stride + inner,
-                        out_base: outer * out_n * stride + inner,
-                        is_delta,
-                        cutover_pct,
-                    };
-                    let dc = process_lane(t, state, ctx, &entries[i..j], scratch, next);
-                    if is_delta {
-                        distinct_cells += dc;
-                    }
-                    i = j;
-                }
-                std::mem::swap(pending, next);
+        let mut written = 0usize;
+        let Self {
+            ref transform,
+            ref mut exact,
+            ref mut states,
+            ref mut workspace,
+            ..
+        } = *self;
+        let BatchWorkspace {
+            pending,
+            entries,
+            counts,
+            next,
+            scratch,
+        } = workspace;
+        let slab = exact.as_mut_slice();
+        // Product of the output lengths of the axes already processed.
+        let mut outer_n = 1usize;
+        for (axis, t) in transform.transforms().iter().enumerate() {
+            let state = &mut states[axis];
+            // The element stride along the axis (= the inner block) is
+            // the product of the trailing input dims, which no axis step
+            // changes — shared by the input, state, and output spaces.
+            let stride = in_strides[axis];
+            let out_n = t.output_len();
+            let s_n = t.state_len();
+            if scratch.marks.len() < s_n {
+                scratch.marks.resize(s_n, false);
             }
+            let lanes = outer_n * stride;
+            group_by_lane(pending, entries, counts, t.input_len(), stride, lanes);
+            next.clear();
+            let is_delta = axis == 0;
+            let is_last = axis + 1 == transform.ndim();
+            for group in entries.chunk_by(|a, b| a.lane == b.lane) {
+                let (outer, inner) = (group[0].lane / stride, group[0].lane % stride);
+                let ctx = LaneCtx {
+                    stride,
+                    state_base: outer * s_n * stride + inner,
+                    out_base: outer * out_n * stride + inner,
+                    is_delta,
+                };
+                // The last axis's emissions are the distinct dirty
+                // coefficients, as linear indices into the (row-major)
+                // exact tensor: write them in place.
+                let dc = if is_last {
+                    process_lane(t, state, ctx, group, scratch, &mut |lin, v| {
+                        slab[lin] = v;
+                        written += 1;
+                    })
+                } else {
+                    process_lane(t, state, ctx, group, scratch, &mut |lin, v| {
+                        next.push((lin, v))
+                    })
+                };
+                if is_delta {
+                    distinct_cells += dc;
+                }
+            }
+            std::mem::swap(pending, next);
+            outer_n *= out_n;
         }
-        // The surviving pending set is the distinct dirty coefficients,
-        // as linear indices into the (row-major) exact tensor.
-        let slab = self.exact.as_mut_slice();
-        for &(lin, v) in &self.workspace.pending {
-            slab[lin] = v;
-        }
-        let written = self.workspace.pending.len();
-        let per_increment = saturating_touch_bound(self.transform.transforms());
+        let per_increment = saturating_touch_bound(transform.transforms());
         let bound = distinct_cells.saturating_mul(per_increment).min(slab.len());
         debug_assert!(written <= bound || increments == 0);
         Ok(IngestReport {
@@ -789,8 +731,8 @@ mod tests {
     }
 
     /// The bulk path must equal the sequential loop bit for bit — same
-    /// cells, same order, duplicates included — in every cutover mode,
-    /// and both must equal the forward of the mirrored table.
+    /// cells, same order, duplicates included — and both must equal the
+    /// forward of the mirrored table.
     #[test]
     fn bulk_batch_matches_sequential_loop_bitwise() {
         let schema = mixed_schema();
@@ -823,24 +765,119 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits(), "sequential coeff {i}");
         }
-        for pct in [0usize, DEFAULT_BULK_LANE_CUTOVER_PCT, 101] {
-            let mut bulk = IncrementalRelease::new(&fm, &BTreeSet::new(), 1.0)
-                .unwrap()
-                .with_lane_cutover_pct(pct);
-            let report = bulk.apply_increments(&batch).unwrap();
-            assert_eq!(report.increments, 6);
-            assert_eq!(report.coalesced_cells, 2, "three arrivals at one cell");
-            assert!(report.coefficients_written <= seq_written);
-            assert!(report.coefficients_written <= report.touch_bound);
-            for (i, (a, b)) in bulk
-                .exact_coefficients()
-                .as_slice()
-                .iter()
-                .zip(seq.exact_coefficients().as_slice())
-                .enumerate()
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "pct {pct} coeff {i}");
-            }
+        let mut bulk = IncrementalRelease::new(&fm, &BTreeSet::new(), 1.0).unwrap();
+        let report = bulk.apply_increments(&batch).unwrap();
+        assert_eq!(report.increments, 6);
+        assert_eq!(report.coalesced_cells, 2, "three arrivals at one cell");
+        assert!(report.coefficients_written <= seq_written);
+        assert!(report.coefficients_written <= report.touch_bound);
+        for (i, (a, b)) in bulk
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .zip(seq.exact_coefficients().as_slice())
+            .enumerate()
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "coeff {i}");
+        }
+    }
+
+    /// The counting pass and the comparison sort order the same entries
+    /// identically: a lane count above the batch forces the sort.
+    #[test]
+    fn both_grouping_paths_order_entries_identically() {
+        // A 4 × 3 × 5 mixed space split along its middle axis: 4 · 5 lanes.
+        let (len, stride, lanes) = (3usize, 5usize, 20usize);
+        let mut state = 7u64;
+        let pending: Vec<(usize, f64)> = (0..90)
+            .map(|k| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as usize % 60, k as f64)
+            })
+            .collect();
+        let key = |e: &Entry| (e.lane, e.pos, e.seq, e.value.to_bits());
+        let (mut counted, mut counts) = (Vec::new(), Vec::new());
+        group_by_lane(&pending, &mut counted, &mut counts, len, stride, lanes);
+        assert_eq!(counts.len(), lanes + 1, "the counting pass ran");
+        let (mut sorted, mut unused) = (Vec::new(), Vec::new());
+        let more_lanes = pending.len() + 1;
+        group_by_lane(&pending, &mut sorted, &mut unused, len, stride, more_lanes);
+        assert!(unused.is_empty(), "the comparison sort ran");
+        assert_eq!(
+            counted.iter().map(key).collect::<Vec<_>>(),
+            sorted.iter().map(key).collect::<Vec<_>>()
+        );
+        assert!(counted.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        for e in &counted {
+            let lin = pending[e.seq].0;
+            assert_eq!((e.lane, e.pos), lane_pos(lin, len, stride));
+        }
+    }
+
+    /// Privelet⁺ with an identity axis 0: the identity kernel emits once
+    /// per distinct position, so duplicate cells must stay adjacent and in
+    /// arrival order after the counting pass. Every cell arrives four
+    /// times, interleaved across all 24 lanes, with deltas whose `+=`
+    /// order changes the bits.
+    #[test]
+    fn counting_pass_replays_identity_axis_duplicates_in_order() {
+        let schema = Schema::new(vec![
+            Attribute::ordinal("sa", 4),
+            Attribute::nominal("occ", three_level(6, 2).unwrap()),
+            Attribute::ordinal("income", 4),
+        ])
+        .unwrap();
+        let sa = BTreeSet::from([0usize]);
+        let fm = fm_for(schema.clone(), 19);
+        let cells: Vec<Vec<usize>> = (0..4)
+            .flat_map(|a| (0..6).flat_map(move |o| (0..4).map(move |i| vec![a, o, i])))
+            .collect();
+        let batch: Vec<(Vec<usize>, f64)> = [0.1, 0.7, -0.3, 1e-3]
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &d)| cells.iter().map(move |c| (c.clone(), d * (r + 1) as f64)))
+            .collect();
+        // Axis 0 has 6 · 4 lanes, far fewer than the batch.
+        assert_eq!(batch.len(), 4 * schema.cell_count());
+
+        let mut seq = IncrementalRelease::new(&fm, &sa, 1.0).unwrap();
+        let mut seq_written = 0usize;
+        for (cell, delta) in &batch {
+            seq_written += seq.apply_increment(cell, *delta).unwrap();
+        }
+        let mut bulk = IncrementalRelease::new(&fm, &sa, 1.0).unwrap();
+        let report = bulk.apply_increments(&batch).unwrap();
+        assert_eq!(report.coalesced_cells, 3 * schema.cell_count());
+        assert!(report.coefficients_written <= seq_written);
+        assert!(report.coefficients_written <= report.touch_bound);
+
+        let mut mirror = fm.matrix().clone();
+        for (cell, delta) in &batch {
+            mirror.add_at(cell, *delta).unwrap();
+        }
+        let dense = bulk.transform().forward(&mirror).unwrap();
+        for (i, ((a, b), c)) in bulk
+            .exact_coefficients()
+            .as_slice()
+            .iter()
+            .zip(seq.exact_coefficients().as_slice())
+            .zip(dense.as_slice())
+            .enumerate()
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "bulk vs loop, coeff {i}");
+            assert_eq!(a.to_bits(), c.to_bits(), "bulk vs forward, coeff {i}");
+        }
+        let eo_bulk = bulk.advance_epoch(0.5, 3).unwrap();
+        let eo_seq = seq.advance_epoch(0.5, 3).unwrap();
+        for (a, b) in eo_bulk
+            .coefficients
+            .as_slice()
+            .iter()
+            .zip(eo_seq.coefficients.as_slice())
+        {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -20,11 +20,12 @@
 //!    invalidated key, evictions don't move, and
 //!    `hits + misses == lookups` stays conserved throughout.
 //! 5. **Coalesced bulk ingest** — `apply_increments` (duplicates
-//!    included, in every lane-recompute cutover mode) leaves the exact
-//!    tensor bit-identical to `HnTransform::forward` of the mirrored
-//!    table, and the tensor and the next epoch output bit-identical to
-//!    an `apply_increment` loop (batches of one), while writing no more
-//!    coefficients than the loop did.
+//!    included, on batches below and above the lane count, so both the
+//!    comparison sort and the counting pass group the dirty lanes)
+//!    leaves the exact tensor bit-identical to `HnTransform::forward` of
+//!    the mirrored table, and the tensor and the next epoch output
+//!    bit-identical to an `apply_increment` loop (batches of one), while
+//!    writing no more coefficients than the loop did.
 //! 6. **Sliding windows** — a full expire-then-ingest cycle equals a
 //!    publish-from-scratch on a table holding exactly the retained
 //!    epochs' increments (exact for the integer-valued deltas used
@@ -224,24 +225,25 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tentpole pin: a coalesced bulk batch — duplicate cells included,
-    /// in every lane-recompute cutover mode (0 = always whole-lane,
-    /// 50 = default, 101 = never) — leaves the exact tensor bit-identical
-    /// to the forward transform of the mirrored table, and the tensor AND
-    /// the next epoch output bit-identical to an `apply_increment` loop
-    /// over the same batch in order, while writing no more coefficients
-    /// than the loop did.
+    /// Tentpole pin: a coalesced bulk batch — duplicate cells included —
+    /// leaves the exact tensor bit-identical to the forward transform of
+    /// the mirrored table, and the tensor AND the next epoch output
+    /// bit-identical to an `apply_increment` loop over the same batch in
+    /// order, while writing no more coefficients than the loop did. The
+    /// batch is either 13 increments, usually fewer than an axis has
+    /// lanes (the comparison sort), or 4 × the cell count plus 3, more
+    /// than axis 0 has lanes (the counting pass).
     #[test]
     fn bulk_ingest_is_bit_identical_to_sequential_loop(
         (schema, sa) in schema_strategy(),
         data_seed in any::<u64>(),
         inc_seed in any::<u64>(),
         noise_seed in any::<u64>(),
-        pct_idx in 0usize..3,
+        large in any::<bool>(),
     ) {
-        let pct = [0usize, 50, 101][pct_idx];
         let fm = data_matrix(&schema, data_seed);
-        let mut batch = increment_stream(&schema, inc_seed, 10);
+        let n = if large { 4 * schema.cell_count() } else { 10 };
+        let mut batch = increment_stream(&schema, inc_seed, n);
         // Guarantee duplicate cells: replay the first three cells with
         // fresh deltas at the end of the batch, so the `+=` arrival-order
         // replay is actually exercised.
@@ -258,9 +260,7 @@ proptest! {
         for (cell, delta) in &batch {
             seq_written += seq.apply_increment(cell, *delta).unwrap();
         }
-        let mut bulk = IncrementalRelease::new(&fm, &sa, 4.0)
-            .unwrap()
-            .with_lane_cutover_pct(pct);
+        let mut bulk = IncrementalRelease::new(&fm, &sa, 4.0).unwrap();
         let report = bulk.apply_increments(&batch).unwrap();
         prop_assert_eq!(report.increments, batch.len());
         prop_assert!(
