@@ -360,9 +360,9 @@ fn ld002_at(m: &FileModel, i: usize) -> bool {
 /// one) whose `.iter()`/`.values()`/`.keys()`/`.drain()`/`.into_iter()`
 /// feeds a `for` loop containing `+=` or an iterator chain ending in
 /// `.sum()`/`.product()`/`.fold()`. Such sums are
-/// nondeterministically ordered, which silently breaks the bitwise and
-/// 1e-12 cross-path determinism contracts. Iterate a `BTreeMap`, sort
-/// keys first, or accumulate integers instead.
+/// nondeterministically ordered, which silently breaks the bitwise
+/// determinism contracts. Iterate a `BTreeMap`, sort keys first, or
+/// accumulate integers instead.
 fn float_determinism(path: &str, m: &FileModel, diags: &mut Vec<Diagnostic>) {
     for f in m.fns.iter().filter(|f| !f.in_test) {
         let Some((blo, bhi)) = f.body else { continue };
@@ -572,7 +572,7 @@ fn fd001(path: &str, line: u32) -> Diagnostic {
         file: path.to_string(),
         line,
         message: "accumulation driven by HashMap/HashSet iteration order — \
-                  nondeterministic float summation breaks the bitwise/1e-12 determinism \
+                  nondeterministic float summation breaks the bitwise determinism \
                   contracts; iterate a BTreeMap or sort keys first"
             .to_string(),
     }

@@ -35,17 +35,15 @@ fn measure(
     let queries = interval_workload(&out.schema, n_queries)?;
 
     let plan = engine.plan(&queries)?;
-    // Correctness gate before timing: the plan path must agree with the
-    // online per-query loop. The plan's unrolled dot sums each support
-    // in a different order than the online path, so the comparison is
-    // 1e-12 relative (the summation-order policy in
-    // docs/architecture.md), not bitwise.
+    // Correctness gate before timing: the plan path must equal the
+    // online per-query loop bit for bit (one derivation, one kernel).
     let batch = engine.answer_plan(&plan)?;
     assert_eq!(batch.len(), queries.len());
     for (q, &got) in queries.iter().zip(&batch) {
         let want = engine.answer(q)?;
-        assert!(
-            (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
             "plan vs online at 2^{exp}: {got} vs {want}"
         );
     }

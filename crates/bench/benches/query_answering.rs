@@ -109,22 +109,21 @@ fn bench_batched(c: &mut Criterion) {
             // The motivating batch workload: a dashboard of 64 distinct
             // queries refreshed n/64 times per batch (WaveCluster-style
             // consumers re-ask the same predicates every tick). The
-            // planner collapses the repeats onto 64 term lists and at
+            // planner collapses the repeats onto 64 span lists and at
             // most 64 distinct supports.
             let catalog = interval_workload(&out.schema, 64.min(n_queries)).unwrap();
             let queries: Vec<RangeQuery> =
                 catalog.iter().cycle().take(n_queries).cloned().collect();
 
-            // Sanity: the compiled plan and the per-query loop agree to
-            // 1e-12 relative — the plan's arena kernel may sum supports
-            // in a different order than the online dot (summation-order
-            // policy, docs/architecture.md).
+            // Sanity: the compiled plan and the per-query loop agree
+            // bit for bit (one derivation, one kernel).
             let plan = coeff.plan(&queries).unwrap();
             let batch = coeff.answer_plan(&plan).unwrap();
             for (q, want) in queries.iter().zip(&batch) {
                 let got = coeff.answer(q).unwrap();
-                assert!(
-                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
                     "2^{exp}: online {got} vs plan {want}"
                 );
             }

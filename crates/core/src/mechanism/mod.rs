@@ -8,8 +8,6 @@
 //!   consistency post-processing for one-dimensional data (§VIII discusses
 //!   it as concurrent work with comparable 1-D utility); included as a
 //!   related-work baseline for the ablation benches.
-//! - [`marginals`] — marginal releases projected from a publication, with
-//!   Theorem-3 per-cell accounting (the Barak et al. use case of §VIII).
 //!
 //! All mechanisms take the *exact* frequency matrix and a `u64` seed and
 //! return a noisy [`privelet_data::FrequencyMatrix`] over the same schema. Both Basic and
@@ -20,12 +18,10 @@
 
 pub mod basic;
 pub mod hierarchical;
-pub mod marginals;
 pub mod privelet;
 
 pub use basic::{publish_basic, publish_basic_geometric, publish_basic_with_noise};
 pub use hierarchical::{publish_hierarchical_1d, publish_hierarchical_1d_kary};
-pub use marginals::{marginal_cell_variance_bound, marginal_of};
 pub use privelet::{
     publish_coefficients, publish_coefficients_with, publish_privelet, publish_privelet_with,
     publish_with_transform, publish_with_transform_on, CoefficientOutput, PriveletConfig,

@@ -63,10 +63,12 @@ impl FrequencyMatrix {
         &self.matrix
     }
 
-    /// Mutable access to the underlying matrix (used by mechanisms and
-    /// post-processing; shape is preserved by construction).
-    pub fn matrix_mut(&mut self) -> &mut NdMatrix {
-        &mut self.matrix
+    /// Rounds every cell to the nearest integer and clamps below at
+    /// zero: count post-processing of a noisy matrix, a pure function of
+    /// the release. Finite cells stay finite, so the invariant
+    /// [`from_parts`](Self::from_parts) checks still holds afterwards.
+    pub fn round_nonnegative(&mut self) {
+        self.matrix.round_nonnegative();
     }
 
     /// Consumes self, returning schema and matrix.
@@ -130,6 +132,17 @@ mod tests {
             FrequencyMatrix::from_parts(schema, bad).unwrap_err(),
             DataError::ShapeMismatch
         );
+    }
+
+    #[test]
+    fn rounding_keeps_cells_finite_integral_and_nonnegative() {
+        let schema = Schema::new(vec![Attribute::ordinal("a", 5)]).unwrap();
+        let cells = vec![-3.7, -0.4, 0.5, 2.49, f64::MAX];
+        let mut fm =
+            FrequencyMatrix::from_parts(schema, NdMatrix::from_vec(&[5], cells).unwrap()).unwrap();
+        fm.round_nonnegative();
+        assert_eq!(fm.matrix().as_slice(), &[0.0, 0.0, 1.0, 2.0, f64::MAX]);
+        assert!(fm.matrix().as_slice().iter().all(|c| c.is_finite()));
     }
 
     #[test]

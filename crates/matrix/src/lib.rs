@@ -43,7 +43,7 @@ pub use ndmatrix::NdMatrix;
 pub use pool::WorkerPool;
 pub use prefix::PrefixSums;
 pub use shape::{CoordIter, Shape};
-pub use slice::{fix_axes, marginalize};
+pub use slice::fix_axes;
 pub use view::{rect_sum_naive, RectIter};
 
 /// Errors produced by shape and matrix construction/access.

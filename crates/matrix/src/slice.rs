@@ -1,9 +1,8 @@
-//! Sub-matrix extraction and marginalization.
+//! Sub-matrix extraction.
 //!
 //! Privelet⁺'s Figure-5 formulation splits the frequency matrix into
-//! sub-matrices along the `SA` dimensions; OLAP roll-ups are marginals
-//! (sums over dimensions). Both are generic dense-array operations, so they
-//! live here in the storage substrate.
+//! sub-matrices along the `SA` dimensions — a generic dense-array
+//! operation, so it lives here in the storage substrate.
 
 use crate::ndmatrix::NdMatrix;
 use crate::{MatrixError, Result};
@@ -75,53 +74,6 @@ pub fn fix_axes(m: &NdMatrix, fixed_axes: &[usize], fixed_coords: &[usize]) -> R
     NdMatrix::from_vec(&sub_dims, out)
 }
 
-/// Sums `m` over the given axes, producing the marginal on the remaining
-/// axes (an OLAP roll-up). Summing over every axis is rejected — use
-/// [`NdMatrix::total`] for the grand total.
-pub fn marginalize(m: &NdMatrix, summed_axes: &[usize]) -> Result<NdMatrix> {
-    let d = m.ndim();
-    for &axis in summed_axes {
-        if axis >= d {
-            return Err(MatrixError::BadAxis { axis, ndim: d });
-        }
-    }
-    let keep: Vec<usize> = (0..d).filter(|a| !summed_axes.contains(a)).collect();
-    if keep.is_empty() {
-        return Err(MatrixError::EmptyShape);
-    }
-    if keep.len() == d {
-        return Ok(m.clone());
-    }
-    let out_dims: Vec<usize> = keep.iter().map(|&a| m.dims()[a]).collect();
-    let mut out = NdMatrix::zeros(&out_dims)?;
-    let out_strides = out.shape().strides().to_vec();
-    let in_strides = m.shape().strides();
-    let in_dims = m.dims().to_vec();
-
-    // Walk every input cell once, accumulating into its projected slot.
-    let mut coords = vec![0usize; d];
-    let data = m.as_slice();
-    let out_data = out.as_mut_slice();
-    for &v in data.iter() {
-        let slot: usize = keep
-            .iter()
-            .zip(&out_strides)
-            .map(|(&a, &s)| coords[a] * s)
-            .sum();
-        out_data[slot] += v;
-        // Odometer.
-        for k in (0..d).rev() {
-            coords[k] += 1;
-            if coords[k] < in_dims[k] {
-                break;
-            }
-            coords[k] = 0;
-        }
-    }
-    let _ = in_strides;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,55 +117,5 @@ mod tests {
         assert!(fix_axes(&m, &[0], &[2]).is_err()); // out of bounds
         assert!(fix_axes(&m, &[1, 0], &[0, 0]).is_err()); // not increasing
         assert!(fix_axes(&m, &[0], &[0, 1]).is_err()); // arity
-    }
-
-    #[test]
-    fn marginalize_matches_manual_sums() {
-        let m = iota(&[2, 3]);
-        let over_rows = marginalize(&m, &[0]).unwrap();
-        assert_eq!(over_rows.dims(), &[3]);
-        assert_eq!(over_rows.as_slice(), &[3.0, 5.0, 7.0]);
-        let over_cols = marginalize(&m, &[1]).unwrap();
-        assert_eq!(over_cols.as_slice(), &[3.0, 12.0]);
-    }
-
-    #[test]
-    fn marginalize_multiple_axes() {
-        let m = iota(&[2, 3, 4]);
-        let keep_mid = marginalize(&m, &[0, 2]).unwrap();
-        assert_eq!(keep_mid.dims(), &[3]);
-        // Sum over i, k of (12i + 4j + k): for each j, 2*4*(4j) + 12*4 + (0+1+2+3)*2
-        // = 32j + 48 + 12 = 32j + 60.
-        assert_eq!(keep_mid.as_slice(), &[60.0, 92.0, 124.0]);
-        let total: f64 = m.total();
-        assert_eq!(keep_mid.as_slice().iter().sum::<f64>(), total);
-    }
-
-    #[test]
-    fn marginalize_rejects_summing_everything() {
-        let m = iota(&[2, 2]);
-        assert!(marginalize(&m, &[0, 1]).is_err());
-        assert!(marginalize(&m, &[5]).is_err());
-    }
-
-    #[test]
-    fn marginalize_no_axes_is_identity() {
-        let m = iota(&[2, 2]);
-        assert_eq!(marginalize(&m, &[]).unwrap(), m);
-    }
-
-    #[test]
-    fn slices_of_marginal_consistency() {
-        // Marginalizing axis 0 equals summing the fixed-axis slices.
-        let m = iota(&[3, 4]);
-        let marg = marginalize(&m, &[0]).unwrap();
-        let mut acc = vec![0.0; 4];
-        for i in 0..3 {
-            let slice = fix_axes(&m, &[0], &[i]).unwrap();
-            for (a, &v) in acc.iter_mut().zip(slice.as_slice()) {
-                *a += v;
-            }
-        }
-        assert_eq!(marg.as_slice(), acc.as_slice());
     }
 }

@@ -4,7 +4,7 @@
 //! O(2^d) is how the experiment harness evaluates 40 000 queries per
 //! published matrix; [`Answerer`] packages that pattern for library users.
 
-use crate::engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
+use crate::engine::AnnotatedAnswer;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
 use privelet::transform::HnTransform;
@@ -126,33 +126,6 @@ impl Answerer {
             return Err(QueryError::ZeroPopulation);
         }
         Ok(self.answer(q)? / n as f64)
-    }
-}
-
-impl AnswerEngine for Answerer {
-    fn schema(&self) -> &Schema {
-        self.schema()
-    }
-
-    fn answer_one(&self, q: &RangeQuery) -> Result<f64> {
-        self.answer(q)
-    }
-
-    fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
-        self.answer_with_error(q)
-    }
-
-    fn answer_batch(&self, queries: &[RangeQuery]) -> Result<Vec<f64>> {
-        self.answer_all(queries)
-    }
-
-    fn diagnostics(&self) -> EngineDiagnostics {
-        EngineDiagnostics {
-            engine: "prefix-sum",
-            build_cells: self.schema.cell_count(),
-            cache: None,
-            shards: 0,
-        }
     }
 }
 

@@ -1,4 +1,10 @@
-//! Bounded LRU memoization of per-dimension query supports.
+//! The one per-dimension support layout, and bounded LRU memoization
+//! of it.
+//!
+//! [`DimSupport`] is what both answering paths read: stride-premultiplied
+//! `(offset, weight)` pairs plus the variance factor, produced by one
+//! derivation. A compiled [`QueryPlan`](crate::QueryPlan) copies them
+//! into its arena; the online path caches them here.
 //!
 //! The online one-query-at-a-time serving path would re-derive each
 //! dimension's sparse support (`Transform1d::query_weights`) on every
@@ -13,14 +19,16 @@
 //! never contend, while each shard is bounded (least-recently-used
 //! eviction) and counts hits, misses and evictions, so serving tiers can
 //! report hit rates and size the capacity. Each entry holds one
-//! dimension's weight pairs behind an [`Arc`] — `O(polylog m)` of them
-//! on Haar/nominal dimensions, but up to O(interval length) on
+//! dimension's pairs behind an [`Arc`] — `O(polylog m)` of them on
+//! Haar/nominal dimensions, but up to O(interval length) on
 //! identity-transformed (SA) dimensions, whose supports are the covered
 //! cells — so a hit is one clone of a pointer, never of the support.
 //! [`ShardedSupportCache::get_or_derive`] holds the one shard's lock
 //! across the derivation, so each distinct `(dim, lo, hi)` key is
 //! derived at most once per residency in its shard.
 
+use crate::{QueryError, Result};
+use privelet::transform::{HnTransform, Transform1d};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -31,30 +39,69 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub type SupportKey = (usize, usize, usize);
 
 /// One dimension's derived query support plus its precomputed noise
-/// accounting: the sparse `(coefficient index, weight)` pairs of the
-/// interval-sum functional, and the per-dimension variance factor
-/// `Σ_j u(j)²/W(j)²` the exact-variance formula consumes
-/// (`Transform1d::support_variance_factor` — an O(|support|) fold done
-/// once at derivation time, so every cached or interned support carries
-/// its error accounting for free).
+/// accounting, in the one layout both answering paths read: the sparse
+/// `(offset, weight)` terms of the interval-sum functional, each offset
+/// the coefficient index already multiplied by the axis stride, and the
+/// per-dimension variance factor `Σ_j u(j)²/W(j)²` the exact-variance
+/// formula consumes (`Transform1d::support_variance_factor` — an
+/// O(|support|) fold done once at derivation time, so every cached or
+/// interned support carries its error accounting for free).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimSupport {
-    /// `(coefficient index, weight)` pairs with strictly nonzero weights.
-    pub weights: Vec<(usize, f64)>,
+    /// `(stride-premultiplied offset, weight)` pairs with strictly
+    /// nonzero weights, in ascending offset order.
+    pub terms: Vec<(usize, f64)>,
     /// The per-dimension variance factor of this support.
     pub variance_factor: f64,
 }
 
 impl DimSupport {
+    /// Derives the support of the interval-sum functional over
+    /// `[lo, hi]` on axis `dim` of a coefficient matrix with row-major
+    /// `strides` — the one derivation behind
+    /// [`ReleaseCore::derive_support`](crate::ReleaseCore::derive_support)
+    /// and [`QueryPlan::compile`](crate::QueryPlan::compile).
+    ///
+    /// The axis and bounds are validated before any stride is read. The
+    /// variance factor is folded over the raw coefficient indices, then
+    /// the offsets are premultiplied in place; the premultiply is
+    /// monotone, so the transforms' ascending index order carries over.
+    pub(crate) fn derive(
+        transform: &HnTransform,
+        strides: &[usize],
+        dim: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Result<DimSupport> {
+        let mut terms = transform
+            .query_weights_for_dim(dim, lo, hi)
+            .map_err(QueryError::from)?;
+        let variance_factor = transform.transforms()[dim].support_variance_factor(&terms);
+        let stride = strides[dim];
+        for (k, _) in &mut terms {
+            *k *= stride;
+        }
+        Ok(DimSupport {
+            terms,
+            variance_factor,
+        })
+    }
+
     /// Number of support entries (= coefficients one dot along this
     /// dimension reads).
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.terms.len()
     }
 
     /// Whether the support is empty (never true for a valid interval).
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.terms.is_empty()
+    }
+}
+
+impl AsRef<[(usize, f64)]> for DimSupport {
+    fn as_ref(&self) -> &[(usize, f64)] {
+        &self.terms
     }
 }
 
@@ -351,7 +398,7 @@ mod tests {
 
     fn support(v: usize) -> SharedSupport {
         Arc::new(DimSupport {
-            weights: vec![(v, 1.0)],
+            terms: vec![(v, 1.0)],
             variance_factor: 1.0,
         })
     }
@@ -362,7 +409,7 @@ mod tests {
         assert!(cache.get((0, 0, 1)).is_none());
         cache.insert((0, 0, 1), support(1));
         cache.insert((0, 2, 3), support(2));
-        assert_eq!(cache.get((0, 0, 1)).unwrap().weights[0].0, 1);
+        assert_eq!(cache.get((0, 0, 1)).unwrap().terms[0].0, 1);
         // Inserting a third entry evicts the least recently used (0,2,3).
         cache.insert((1, 0, 0), support(3));
         assert!(cache.get((0, 2, 3)).is_none());
@@ -382,7 +429,7 @@ mod tests {
         let mut cache = SupportCache::new(2);
         cache.insert((0, 0, 1), support(1));
         cache.insert((0, 0, 1), support(9));
-        assert_eq!(cache.get((0, 0, 1)).unwrap().weights[0].0, 9);
+        assert_eq!(cache.get((0, 0, 1)).unwrap().terms[0].0, 9);
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().len, 1);
     }
@@ -427,12 +474,12 @@ mod tests {
             assert_eq!(stats.len, 1);
             assert_eq!(stats.evictions, i as u64);
             assert!(cache.get((0, i - 1, i - 1)).is_none(), "old entry gone");
-            assert_eq!(cache.get((0, i, i)).unwrap().weights[0].0, i);
+            assert_eq!(cache.get((0, i, i)).unwrap().terms[0].0, i);
         }
         // Re-inserting the resident key replaces in place, no eviction.
         cache.insert((0, 5, 5), support(99));
         assert_eq!(cache.stats().evictions, 5);
-        assert_eq!(cache.get((0, 5, 5)).unwrap().weights[0].0, 99);
+        assert_eq!(cache.get((0, 5, 5)).unwrap().terms[0].0, 99);
     }
 
     #[test]
@@ -514,7 +561,7 @@ mod tests {
         }
         for (i, &key) in keys.iter().enumerate() {
             assert_eq!(
-                cache.get(key).unwrap().weights[0].0,
+                cache.get(key).unwrap().terms[0].0,
                 i,
                 "routing must be stable"
             );
@@ -545,7 +592,7 @@ mod tests {
                     Ok::<_, ()>(support(7))
                 })
                 .unwrap();
-            assert_eq!(s.weights[0].0, 7);
+            assert_eq!(s.terms[0].0, 7);
         }
         assert_eq!(derivations, 1, "first call derives, the rest hit");
         // A failing derivation propagates, stores nothing, counts a miss.

@@ -26,18 +26,18 @@
 //! the engine is two `Arc` bumps; the natural deployment is one clone
 //! per serving thread over one core.
 //!
-//! **Bitwise-equality guarantee.** Every arithmetic path (support
-//! derivation, sparse dot, plan execution) lives in the shared
-//! [`ReleaseCore`] and is pure, so any thread's answer is bit-identical
-//! to the core's cache-free reference along the same path: online
-//! answers to [`ReleaseCore::answer_uncached`], shared-plan answers to
-//! [`ReleaseCore::execute_plan`]. `tests/concurrent_serving.rs` asserts
-//! this from scoped threads on random mixed schemas, along with the
-//! sharded cache's counter conservation under contention and
-//! compile-time `Send + Sync` for the plan, the core and the engine.
+//! **Bitwise-equality guarantee.** Online answers and compiled plans
+//! derive supports through one function and dot them through one pure
+//! kernel, so any thread's answer is bit-identical to the core's
+//! cache-free reference ([`ReleaseCore::answer_uncached`]) and to a
+//! shared plan's ([`ReleaseCore::execute_plan`]).
+//! `tests/concurrent_serving.rs` asserts this from scoped threads on
+//! random mixed schemas, along with the sharded cache's counter
+//! conservation under contention and compile-time `Send + Sync` for the
+//! plan, the core and the engine.
 
 use crate::cache::{CacheStats, ShardedSupportCache, SharedSupport, DEFAULT_SHARD_COUNT};
-use crate::engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
+use crate::engine::AnnotatedAnswer;
 use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::release::ReleaseCore;
@@ -235,33 +235,6 @@ impl ConcurrentEngine {
     }
 }
 
-impl AnswerEngine for ConcurrentEngine {
-    fn schema(&self) -> &Schema {
-        self.schema()
-    }
-
-    fn answer_one(&self, q: &RangeQuery) -> Result<f64> {
-        self.answer(q)
-    }
-
-    fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
-        self.answer_with_error(q)
-    }
-
-    fn answer_batch(&self, queries: &[RangeQuery]) -> Result<Vec<f64>> {
-        self.answer_all(queries)
-    }
-
-    fn diagnostics(&self) -> EngineDiagnostics {
-        EngineDiagnostics {
-            engine: "coefficient",
-            build_cells: self.core.coefficients().len(),
-            cache: Some(self.cache_stats()),
-            shards: self.shard_count(),
-        }
-    }
-}
-
 // The whole point of this engine: provable shareability. A regression
 // here (e.g. an `Rc` or `RefCell` slipping into the core) must fail to
 // compile, not fail in a stress test.
@@ -330,15 +303,11 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits());
         }
         for (q, &plan) in qs.iter().zip(&batch) {
-            // Online (cached) vs the cache-free reference: bitwise.
+            // Online (cached) vs the cache-free reference and the plan:
+            // one derivation, one kernel, so bitwise.
             let got = engine.answer(q).unwrap();
             assert_eq!(got.to_bits(), core.answer_uncached(q).unwrap().to_bits());
-            // Online dot vs the plan's arena kernel (different summation
-            // order): 1e-12 relative per docs/architecture.md.
-            assert!(
-                (got - plan).abs() <= 1e-12 * plan.abs().max(1.0),
-                "online {got} vs plan {plan}"
-            );
+            assert_eq!(got.to_bits(), plan.to_bits(), "online {got} vs plan {plan}");
         }
         assert_eq!(engine.total().to_bits(), core.total().to_bits());
         assert_eq!(
@@ -445,14 +414,9 @@ mod tests {
         assert_eq!(engine.cache_stats(), after, "plan execution is cache-free");
         for (q, a) in qs.iter().zip(&annotated_plan) {
             let online = engine.answer_with_error(q).unwrap();
-            // Cross-path (plan vs online): 1e-12 relative.
-            assert!(
-                (a.value - online.value).abs() <= 1e-12 * online.value.abs().max(1.0),
-                "plan {} vs online {}",
-                a.value,
-                online.value
-            );
-            assert!((a.std_dev - online.std_dev).abs() < 1e-12);
+            // Plan vs online: bitwise, value and std-dev alike.
+            assert_eq!(a.value.to_bits(), online.value.to_bits());
+            assert_eq!(a.std_dev.to_bits(), online.std_dev.to_bits());
         }
     }
 
@@ -501,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_report_one_label_and_the_shards() {
+    fn cache_stats_aggregate_the_shards() {
         let (fm, out) = medical_release(37);
         let engine =
             ConcurrentEngine::with_cache(Arc::new(ReleaseCore::from_output(&out).unwrap()), 64, 4);
@@ -509,11 +473,9 @@ mod tests {
         for q in &qs {
             engine.answer(q).unwrap();
         }
-        let d = engine.diagnostics();
-        assert_eq!(d.engine, "coefficient");
-        assert_eq!(d.shards, 4);
-        assert_eq!(d.build_cells, out.coefficient_count());
-        let stats = d.cache.expect("sharded cache present");
+        assert_eq!(engine.shard_count(), 4);
+        assert_eq!(engine.core().coefficients().len(), out.coefficient_count());
+        let stats = engine.cache_stats();
         // The last query repeats query 1: both dims hit; counters conserve.
         assert!(stats.hits >= 2);
         assert_eq!(stats.hits + stats.misses, (qs.len() * 2) as u64);
@@ -521,7 +483,6 @@ mod tests {
             engine.shard_stats().iter().map(|s| s.len).sum::<usize>(),
             stats.len
         );
-        assert_eq!(engine.shard_count(), 4);
         assert_eq!(
             ConcurrentEngine::from_output(&out).unwrap().shard_count(),
             8

@@ -1,78 +1,78 @@
-//! The innermost sparse-dot kernel shared by every answering path.
+//! The one sparse-dot kernel every answering path runs.
 //!
-//! Both the compiled-plan arena walk ([`QueryPlan`]) and the online
-//! per-query path ([`ReleaseCore::dot`]) bottom out in the same loop: a
-//! gather-multiply-accumulate over one dimension's sparse support
-//! against the flat coefficient slice. Naively that loop is a single
-//! dependency chain of floating-point adds — each `acc += w·c[k]` waits
-//! ~4 cycles on the previous one, which dominates a support of ≲40
-//! entries whose gather loads mostly hit cache. [`gather_dot4`] breaks
-//! the chain with four independent accumulators over 4-wide chunks and
-//! a deterministic final reduction `((a0+a1)+(a2+a3)) + tail`.
+//! A range-count answer is the tensor-product dot of per-dimension
+//! supports against the flat coefficient slice. Both the compiled-plan
+//! arena walk ([`QueryPlan`]) and the online per-query path
+//! ([`ReleaseCore::dot`]) call [`tensor_dot`] over the same layout:
+//! `(offset, weight)` pairs whose offset is the coefficient index
+//! already multiplied by the axis stride. The recursion bottoms out in
+//! one gather-multiply-accumulate over the innermost dimension's pairs.
+//! Naively that loop is a single dependency chain of floating-point
+//! adds — each `acc += w·c[k]` waits ~4 cycles on the previous one,
+//! which dominates a support of ≲40 entries whose gather loads mostly
+//! hit cache. [`gather_dot4`] breaks the chain with four independent
+//! accumulators over 4-wide chunks and a deterministic final reduction
+//! `((a0+a1)+(a2+a3)) + tail`.
 //!
-//! Determinism contract: the kernel is a pure function of its inputs —
-//! every call site sums a given support in the *same* fixed order, so
-//! serial/parallel and cached/uncached comparisons **within one path**
-//! stay bitwise. What changed relative to the pre-kernel code is the
-//! summation order itself (4 interleaved partial sums instead of one
-//! left fold, and the caller's `scale` applied once outside the loop
-//! instead of per element), so comparisons **across** paths that
-//! historically matched bit-for-bit by accident are specified to
-//! `1e-12` relative instead — see "Worker pool and arena layout" in
-//! `docs/architecture.md`.
+//! Determinism contract: the kernel is a pure function of its inputs,
+//! and plans and online answers derive the same pairs in the same
+//! order, so every answer of a query is bitwise identical whichever
+//! path computes it — serial or threaded, cached or uncached, plan or
+//! online (see the summation-order policy in `docs/architecture.md`).
 //!
 //! [`QueryPlan`]: crate::QueryPlan
 //! [`ReleaseCore::dot`]: crate::ReleaseCore::dot
 
-/// `Σ_j w[j] · data[base + idx[j]]` with four independent accumulators.
+use std::ops::Deref;
+
+/// `Σ ∏ᵢ wᵢ · data[base + Σᵢ offsetᵢ]` over the tensor product of the
+/// per-dimension `(offset, weight)` supports, scaled by `weight`:
+/// depth-first over dimensions, accumulating the linear offset and the
+/// weight product. The innermost dimension runs through [`gather_dot4`]
+/// with the accumulated weight applied once to its sum.
 ///
-/// `idx` entries are already stride-premultiplied linear offsets; the
-/// caller guarantees `base + idx[j]` is in bounds (plan compilation and
-/// support derivation both validate against the coefficient shape, so
-/// the slice indexing below never faults — and stays checked anyway).
-/// The reduction order is fixed: `((a0+a1)+(a2+a3)) + tail`, identical
-/// for every call with the same inputs.
-#[inline]
-pub(crate) fn gather_dot4(data: &[f64], base: usize, idx: &[usize], w: &[f64]) -> f64 {
-    debug_assert_eq!(idx.len(), w.len());
-    let n4 = idx.len() & !3;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (ks, ws) in idx[..n4].chunks_exact(4).zip(w[..n4].chunks_exact(4)) {
-        a0 += ws[0] * data[base + ks[0]];
-        a1 += ws[1] * data[base + ks[1]];
-        a2 += ws[2] * data[base + ks[2]];
-        a3 += ws[3] * data[base + ks[3]];
+/// Generic over how a caller holds each dimension's pairs (a plan's
+/// borrowed arena span, or a cached `Arc`'d support), so both paths run
+/// the same monomorphic loop.
+pub(crate) fn tensor_dot<S>(data: &[f64], supports: &[S], base: usize, weight: f64) -> f64
+where
+    S: Deref,
+    S::Target: AsRef<[(usize, f64)]>,
+{
+    match supports {
+        [last] => weight * gather_dot4(data, base, (**last).as_ref()),
+        [first, rest @ ..] => (**first)
+            .as_ref()
+            .iter()
+            .map(|&(k, w)| tensor_dot(data, rest, base + k, weight * w))
+            .sum(),
+        // The empty product: a zero-dimensional tensor is its one cell.
+        [] => weight * data[base],
     }
-    let mut tail = 0.0f64;
-    for (&k, &wk) in idx[n4..].iter().zip(&w[n4..]) {
-        tail += wk * data[base + k];
-    }
-    ((a0 + a1) + (a2 + a3)) + tail
 }
 
-/// [`gather_dot4`] over an unsplit `(index, weight)` pair slice — the
-/// layout the online path's derived supports use. Same accumulator
-/// structure and reduction order, with the per-dimension `stride`
-/// applied to each index during the walk (the online path does not
-/// premultiply).
+/// `Σ_j w_j · data[base + k_j]` over `(offset, weight)` pairs, with four
+/// independent accumulators.
+///
+/// Offsets are already stride-premultiplied; the caller guarantees
+/// `base + k_j` is in bounds (support derivation validates against the
+/// coefficient shape, so the slice indexing below never faults — and
+/// stays checked anyway). The reduction order is fixed:
+/// `((a0+a1)+(a2+a3)) + tail`, identical for every call with the same
+/// inputs.
 #[inline]
-pub(crate) fn gather_dot4_pairs(
-    data: &[f64],
-    base: usize,
-    stride: usize,
-    pairs: &[(usize, f64)],
-) -> f64 {
+fn gather_dot4(data: &[f64], base: usize, pairs: &[(usize, f64)]) -> f64 {
     let n4 = pairs.len() & !3;
     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for p in pairs[..n4].chunks_exact(4) {
-        a0 += p[0].1 * data[base + p[0].0 * stride];
-        a1 += p[1].1 * data[base + p[1].0 * stride];
-        a2 += p[2].1 * data[base + p[2].0 * stride];
-        a3 += p[3].1 * data[base + p[3].0 * stride];
+        a0 += p[0].1 * data[base + p[0].0];
+        a1 += p[1].1 * data[base + p[1].0];
+        a2 += p[2].1 * data[base + p[2].0];
+        a3 += p[3].1 * data[base + p[3].0];
     }
     let mut tail = 0.0f64;
     for &(k, wk) in &pairs[n4..] {
-        tail += wk * data[base + k * stride];
+        tail += wk * data[base + k];
     }
     ((a0 + a1) + (a2 + a3)) + tail
 }
@@ -83,11 +83,11 @@ mod tests {
 
     /// Reference single-accumulator fold in the kernel's summation
     /// order: partials a0..a3 then `((a0+a1)+(a2+a3)) + tail`.
-    fn reference(data: &[f64], base: usize, idx: &[usize], w: &[f64]) -> f64 {
+    fn reference(data: &[f64], base: usize, pairs: &[(usize, f64)]) -> f64 {
         let mut acc = [0.0f64; 4];
         let mut tail = 0.0;
-        for (j, (&k, &wk)) in idx.iter().zip(w).enumerate() {
-            if j < (idx.len() & !3) {
+        for (j, &(k, wk)) in pairs.iter().enumerate() {
+            if j < (pairs.len() & !3) {
                 acc[j % 4] += wk * data[base + k];
             } else {
                 tail += wk * data[base + k];
@@ -102,28 +102,15 @@ mod tests {
         // chunk+tail shapes.
         let data: Vec<f64> = (0..64).map(|i| (i as f64).sin() * 1e3).collect();
         for len in 0..=9usize {
-            let idx: Vec<usize> = (0..len).map(|j| (j * 7) % 60).collect();
-            let w: Vec<f64> = (0..len).map(|j| 0.5 + j as f64).collect();
-            let got = gather_dot4(&data, 3, &idx, &w);
-            assert_eq!(got.to_bits(), reference(&data, 3, &idx, &w).to_bits());
-            // The pair variant with stride 1 performs the identical ops.
-            let pairs: Vec<(usize, f64)> = idx.iter().copied().zip(w.iter().copied()).collect();
+            let pairs: Vec<(usize, f64)> =
+                (0..len).map(|j| ((j * 7) % 60, 0.5 + j as f64)).collect();
+            let got = gather_dot4(&data, 3, &pairs);
+            assert_eq!(got.to_bits(), reference(&data, 3, &pairs).to_bits());
+            // A one-dimensional tensor dot is the kernel times its weight.
             assert_eq!(
-                got.to_bits(),
-                gather_dot4_pairs(&data, 3, 1, &pairs).to_bits()
+                tensor_dot(&data, &[pairs.as_slice()], 3, 1.0).to_bits(),
+                got.to_bits()
             );
         }
-    }
-
-    #[test]
-    fn strided_pairs_match_premultiplied_indices() {
-        let data: Vec<f64> = (0..120).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let pairs: Vec<(usize, f64)> = (0..7).map(|j| (j * 2, 1.0 + j as f64)).collect();
-        let idx: Vec<usize> = pairs.iter().map(|&(k, _)| k * 8).collect();
-        let w: Vec<f64> = pairs.iter().map(|&(_, wk)| wk).collect();
-        assert_eq!(
-            gather_dot4_pairs(&data, 5, 8, &pairs).to_bits(),
-            gather_dot4(&data, 5, &idx, &w).to_bits()
-        );
     }
 }

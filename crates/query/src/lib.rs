@@ -21,8 +21,8 @@
 //! - [`answerer`] — [`Answerer`]: reconstruct-then-prefix-sum answering,
 //!   the baseline engine and the oracle the coefficient path is checked
 //!   against.
-//! - [`engine`] — the [`AnswerEngine`] trait both engines implement:
-//!   answer one, answer a batch, cost diagnostics.
+//! - [`engine`] — [`AnnotatedAnswer`]: an answer with its exact noise
+//!   std-dev, confidence interval and z-score.
 //! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
 //!   one coefficient-domain release (schema, transform, refined noisy
 //!   coefficients), shared across threads via `Arc`.
@@ -30,15 +30,20 @@
 //!   engine over a shared core — O(log m) coefficient reads per
 //!   dimension instead of an O(m) reconstruction before the first query.
 //! - [`plan`] — [`QueryPlan`]: a batch compiled into interned supports
-//!   and CSR-style term lists over one contiguous arena.
-//! - [`cache`] — [`ShardedSupportCache`]: hash-sharded, bounded LRU
-//!   memoization of per-dimension supports for the online path.
+//!   and CSR-style span lists over one contiguous arena.
+//! - [`cache`] — [`DimSupport`], the one support layout both paths read
+//!   (stride-premultiplied `(offset, weight)` pairs, derived by one
+//!   function), and [`ShardedSupportCache`]: hash-sharded, bounded LRU
+//!   memoization of supports for the online path.
 //! - [`workload`] — the random workload generator of §VII-A (40 000 queries,
 //!   1–4 predicates each).
 //! - [`metrics`] — square error and relative error with the sanity bound
 //!   `s = 0.1% · n`.
 //! - [`buckets`] — quintile bucketing of queries by coverage / selectivity
 //!   used to produce the series in Figures 6–9.
+//!
+//! Plans and online answers dot their supports through one crate-private
+//! kernel, so a query's answer is bitwise identical on every path.
 
 // No unsafe anywhere in this crate — enforced at compile time (and
 // pinned by privelet-analysis lint US002). The only workspace crate
@@ -62,7 +67,7 @@ pub use answerer::Answerer;
 pub use buckets::{quantile_rows, BucketRow};
 pub use cache::{CacheStats, DimSupport, ShardedSupportCache, DEFAULT_SHARD_COUNT};
 pub use concurrent::ConcurrentEngine;
-pub use engine::{AnnotatedAnswer, AnswerEngine, EngineDiagnostics};
+pub use engine::AnnotatedAnswer;
 pub use metrics::{relative_error, sanity_bound, square_error};
 pub use plan::QueryPlan;
 pub use predicate::Predicate;

@@ -5,14 +5,16 @@
 //! sparse support even when a thousand-query OLAP batch repeats the same
 //! predicate intervals. [`QueryPlan::compile`] walks the batch once and
 //! interns at two levels: repeated **whole queries** (a dashboard
-//! refreshed every tick) collapse onto one term list and one sparse dot
+//! refreshed every tick) collapse onto one span list and one sparse dot
 //! per execution, and across distinct queries each distinct
 //! `(dim, lo, hi)` support is derived exactly once into a shared pool
-//! (via [`HnTransform::query_weights_for_dim`]), its coefficient
-//! indices pre-multiplied by the axis stride. Executing the plan is
-//! then a pure sparse tensor-product dot per distinct query over one
-//! contiguous arena — no per-query allocation, hashing, or bounds
-//! re-validation.
+//! of `(offset, weight)` pairs — the same derivation, and the same
+//! stride-premultiplied layout, as the online path's
+//! [`ReleaseCore::derive_support`]. Executing the plan is then the
+//! online path's sparse tensor-product dot per distinct query, over
+//! spans of one contiguous arena — no per-query allocation, hashing, or
+//! bounds re-validation — so plan answers equal online answers bit for
+//! bit.
 //!
 //! The plan is also the dedup ledger: [`support_requests`] counts the
 //! `(query, dim)` pairs the batch asked for, [`distinct_supports`] the
@@ -24,11 +26,14 @@
 //! [`support_requests`]: QueryPlan::support_requests
 //! [`distinct_supports`]: QueryPlan::distinct_supports
 //! [`dedup_ratio`]: QueryPlan::dedup_ratio
+//! [`ReleaseCore::derive_support`]: crate::ReleaseCore::derive_support
 
+use crate::cache::DimSupport;
 use crate::engine::AnnotatedAnswer;
+use crate::kernel::tensor_dot;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
-use privelet::transform::{DimTransform, HnTransform, Transform1d};
+use privelet::transform::{DimTransform, HnTransform};
 use privelet::PrivacyMeta;
 use privelet_data::schema::{Domain, Schema};
 use privelet_matrix::{NdMatrix, Shape};
@@ -63,18 +68,16 @@ pub(crate) fn check_release_metadata(schema: &Schema, transform: &HnTransform) -
 /// matching shape.
 ///
 /// Interning happens at two levels: repeated *whole queries* share one
-/// term list and are evaluated once per execution (their answer fans
+/// span list and are evaluated once per execution (their answer fans
 /// out), and distinct queries that repeat a per-dimension predicate
 /// share the interned support.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// Coefficient dims the plan was compiled for (execution validates).
     coeff_dims: Vec<usize>,
-    /// Arena of pooled supports: coefficient indices, pre-multiplied by
-    /// the axis stride so execution is a pure add.
-    arena_idx: Vec<usize>,
-    /// Arena of pooled supports: the matching weights.
-    arena_w: Vec<f64>,
+    /// Arena of pooled supports: each one's [`DimSupport::terms`],
+    /// back to back.
+    arena: Vec<(usize, f64)>,
     /// Per pool entry: `(start, len)` of its slice of the arena.
     spans: Vec<(usize, usize)>,
     /// Per pool entry: the per-dimension variance factor
@@ -82,16 +85,12 @@ pub struct QueryPlan {
     /// (one extra f64 per distinct `(dim, lo, hi)` — this is what makes
     /// error-annotated execution derivation-free).
     span_factors: Vec<f64>,
-    /// Fixed-width term lists: `ndim` pool ids per **distinct** query.
-    terms: Vec<u32>,
+    /// Fixed-width span lists: `ndim` pool ids per **distinct** query.
+    span_ids: Vec<u32>,
     /// Per input query: the distinct-query id it resolves to.
     query_ids: Vec<u32>,
-    /// Execution order over distinct queries, sorted by the deepest
-    /// (largest) arena offset of each query's leading span. Supports are
-    /// root-to-leaf coefficient paths whose shallow entries cluster near
-    /// the front of the coefficient slice; the deepest entry is the most
-    /// dispersed address, so walking distinct queries in this order
-    /// makes consecutive dots gather from neighbouring cache lines.
+    /// Execution order over distinct queries, sorted by the arena start
+    /// of each query's leading span (see the schedule in `compile`).
     /// Results are stored by distinct-query id, so the order changes no
     /// float — it is pure memory locality.
     exec_order: Vec<u32>,
@@ -109,9 +108,9 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// Compiles a batch: validates every query against `schema`, derives
-    /// each distinct `(dim, lo, hi)` support exactly once via
-    /// [`HnTransform::query_weights_for_dim`], and flattens the batch
-    /// into pool references.
+    /// each distinct `(dim, lo, hi)` support exactly once (the derivation
+    /// behind [`ReleaseCore::derive_support`](crate::ReleaseCore::derive_support)),
+    /// and flattens the batch into pool references.
     ///
     /// Errors if `transform` does not fit `schema`
     /// ([`QueryError::ShapeMismatch`], including a nominal transform
@@ -133,11 +132,10 @@ impl QueryPlan {
 
         let mut pool: HashMap<(usize, usize, usize), u32> = HashMap::new();
         let mut query_pool: HashMap<&RangeQuery, u32> = HashMap::new();
-        let mut arena_idx = Vec::new();
-        let mut arena_w = Vec::new();
+        let mut arena = Vec::new();
         let mut spans: Vec<(usize, usize)> = Vec::new();
         let mut span_factors: Vec<f64> = Vec::new();
-        let mut terms = Vec::new();
+        let mut span_ids = Vec::new();
         let mut query_ids = Vec::with_capacity(queries.len());
         let mut distinct_reads: Vec<usize> = Vec::new();
         let mut distinct_factors: Vec<f64> = Vec::new();
@@ -145,7 +143,7 @@ impl QueryPlan {
 
         for q in queries {
             // First interning level: a repeated whole query maps to the
-            // already-compiled term list without touching bounds again.
+            // already-compiled span list without touching bounds again.
             if let Some(&qid) = query_pool.get(q) {
                 query_ids.push(qid);
                 support_sum += distinct_reads[qid as usize];
@@ -161,48 +159,19 @@ impl QueryPlan {
                 let id = match pool.get(&key) {
                     Some(&id) => id,
                     None => {
-                        let support = transform
-                            .query_weights_for_dim(dim, lo[dim], hi[dim])
-                            .map_err(QueryError::from)?;
-                        // The variance factor rides on the one derivation
-                        // (folded before the stride premultiply, which
-                        // only reshapes indices).
-                        span_factors
-                            .push(transform.transforms()[dim].support_variance_factor(&support));
-                        let start = arena_idx.len();
-                        for (k, w) in support {
-                            arena_idx.push(k * strides[dim]);
-                            arena_w.push(w);
-                        }
-                        // Arena invariant: every span is ascending in
-                        // coefficient index, so the dot kernel streams
-                        // forward through memory. `query_weights` already
-                        // emits ascending indices for all three transforms
-                        // (pinned by `query_weights_boundaries`) and the
-                        // stride premultiply is monotone, so the sort
-                        // below is a no-op today — it is insurance for
-                        // future transforms, not a reorder of anything.
-                        if !arena_idx[start..].windows(2).all(|p| p[0] <= p[1]) {
-                            let mut pairs: Vec<(usize, f64)> = arena_idx[start..]
-                                .iter()
-                                .copied()
-                                .zip(arena_w[start..].iter().copied())
-                                .collect();
-                            pairs.sort_by_key(|&(k, _)| k);
-                            for (i, (k, w)) in pairs.into_iter().enumerate() {
-                                arena_idx[start + i] = k;
-                                arena_w[start + i] = w;
-                            }
-                        }
+                        let support =
+                            DimSupport::derive(transform, &strides, dim, lo[dim], hi[dim])?;
                         let id = spans.len() as u32;
-                        spans.push((start, arena_idx.len() - start));
+                        spans.push((arena.len(), support.len()));
+                        span_factors.push(support.variance_factor);
+                        arena.extend_from_slice(&support.terms);
                         pool.insert(key, id);
                         id
                     }
                 };
                 reads *= spans[id as usize].1;
                 factor_product *= span_factors[id as usize];
-                terms.push(id);
+                span_ids.push(id);
             }
             let qid = distinct_reads.len() as u32;
             distinct_reads.push(reads);
@@ -214,9 +183,9 @@ impl QueryPlan {
 
         // Locality schedule: run distinct queries in order of their
         // leading span's arena position, tie-broken by id for
-        // determinism. The arena (idx + weights) is the largest
-        // structure an execution streams, so the schedule must keep its
-        // walk forward-sequential — span-start order does, and it
+        // determinism. The arena is the largest structure an execution
+        // streams, so the schedule must keep its walk
+        // forward-sequential — span-start order does, and it
         // additionally groups queries that share a leading support so
         // their deep coefficient lines are still hot when the next dot
         // gathers them. (Sorting by *coefficient* address instead was
@@ -225,15 +194,14 @@ impl QueryPlan {
         // a by-id scratch vector, so this permutes only the memory
         // access pattern, never any summation.
         let mut exec_order: Vec<u32> = (0..distinct_reads.len() as u32).collect();
-        exec_order.sort_by_key(|&qid| (spans[terms[qid as usize * ndim] as usize].0, qid));
+        exec_order.sort_by_key(|&qid| (spans[span_ids[qid as usize * ndim] as usize].0, qid));
 
         Ok(QueryPlan {
             coeff_dims,
-            arena_idx,
-            arena_w,
+            arena,
             spans,
             span_factors,
-            terms,
+            span_ids,
             query_ids,
             exec_order,
             ndim,
@@ -267,12 +235,22 @@ impl QueryPlan {
         let data = coeffs.as_slice();
         // Distinct dots run in the locality schedule computed at compile
         // time and land by id, so the fan-out below (and every float)
-        // is independent of the schedule.
+        // is independent of the schedule. One reusable buffer holds the
+        // current query's borrowed arena spans.
         let mut distinct = vec![0.0f64; self.distinct_reads.len()];
+        let mut supports: Vec<&[(usize, f64)]> = Vec::with_capacity(self.ndim);
         for &qid in &self.exec_order {
             let q = qid as usize;
-            let term = &self.terms[q * self.ndim..(q + 1) * self.ndim];
-            distinct[q] = self.dot(data, term, 0, 0, 1.0);
+            supports.clear();
+            supports.extend(
+                self.span_ids[q * self.ndim..(q + 1) * self.ndim]
+                    .iter()
+                    .map(|&id| {
+                        let (start, len) = self.spans[id as usize];
+                        &self.arena[start..start + len]
+                    }),
+            );
+            distinct[q] = tensor_dot(data, &supports, 0, 1.0);
         }
         out.reserve(self.query_ids.len());
         out.extend(self.query_ids.iter().map(|&qid| distinct[qid as usize]));
@@ -313,26 +291,6 @@ impl QueryPlan {
     /// Panics if `i >= len()`.
     pub fn variance_factor(&self, i: usize) -> f64 {
         self.distinct_factors[self.query_ids[i] as usize]
-    }
-
-    /// One query's sparse tensor-product dot: depth-first over its pool
-    /// spans, accumulating the (pre-multiplied) linear index and the
-    /// weight product. The innermost dimension runs through the shared
-    /// 4-accumulator kernel with the outer weight applied once to its
-    /// sum — the same op order as the online path's innermost level, and
-    /// a fixed order for any given plan, so repeated executions (and the
-    /// annotated variant) stay bitwise-identical to each other.
-    fn dot(&self, data: &[f64], term: &[u32], depth: usize, base: usize, weight: f64) -> f64 {
-        let (start, len) = self.spans[term[depth] as usize];
-        let idx = &self.arena_idx[start..start + len];
-        let w = &self.arena_w[start..start + len];
-        if depth + 1 == term.len() {
-            return weight * crate::kernel::gather_dot4(data, base, idx, w);
-        }
-        idx.iter()
-            .zip(w)
-            .map(|(&k, &wk)| self.dot(data, term, depth + 1, base + k, weight * wk))
-            .sum()
     }
 
     /// Number of compiled queries.
@@ -397,10 +355,10 @@ impl QueryPlan {
         }
     }
 
-    /// Total `(index, weight)` pairs held in the arena — the plan's
+    /// Total `(offset, weight)` pairs held in the arena — the plan's
     /// resident footprint, for capacity planning.
     pub fn arena_len(&self) -> usize {
-        self.arena_idx.len()
+        self.arena.len()
     }
 }
 
@@ -432,7 +390,7 @@ mod tests {
         let q3 = RangeQuery::new(vec![Predicate::Range { lo: 1, hi: 4 }, Predicate::All]);
         let plan = QueryPlan::compile(fm.schema(), &hn, &[q1.clone(), q2, q3, q1.clone()]).unwrap();
         assert_eq!(plan.len(), 4);
-        // q1, q2 and the trailing q1 are the same query: one term list,
+        // q1, q2 and the trailing q1 are the same query: one span list,
         // one dot per execution.
         assert_eq!(plan.distinct_queries(), 2);
         assert_eq!(plan.support_requests(), 8);
@@ -473,6 +431,68 @@ mod tests {
         plan.execute_into(&coeffs, &mut out).unwrap();
         assert_eq!(out.len(), 1 + queries.len());
         assert_eq!(&out[1..], got.as_slice());
+    }
+
+    /// Every interned span is exactly the online path's support for its
+    /// `(dim, lo, hi)` key — the same pairs bit for bit, the same
+    /// variance factor, ascending offsets — on all three kernels.
+    #[test]
+    fn interned_spans_are_the_online_supports() {
+        use crate::release::ReleaseCore;
+
+        let h = privelet_hierarchy::builder::three_level(6, 2).unwrap();
+        let schema = Schema::new(vec![
+            Attribute::ordinal("x", 12),
+            Attribute::nominal("n", h.clone()),
+            Attribute::ordinal("a", 5),
+        ])
+        .unwrap();
+        // Haar × nominal × identity (attribute 2 in SA).
+        let hn = HnTransform::for_schema(&schema, &BTreeSet::from([2])).unwrap();
+        let zeros = NdMatrix::zeros(&hn.output_dims()).unwrap();
+        let core = ReleaseCore::new(schema.clone(), hn.clone(), &zeros).unwrap();
+        let xs = [(0, 11), (3, 7), (5, 5)];
+        let nodes = [h.root(), h.leaf_node(2), h.parent(h.leaf_node(4)).unwrap()];
+        let sas = [(0, 4), (1, 3)];
+        let mut queries = Vec::new();
+        for &(xlo, xhi) in &xs {
+            for &node in &nodes {
+                for &(alo, ahi) in &sas {
+                    queries.push(RangeQuery::new(vec![
+                        Predicate::Range { lo: xlo, hi: xhi },
+                        Predicate::Node { node },
+                        Predicate::Range { lo: alo, hi: ahi },
+                    ]));
+                }
+            }
+        }
+        let plan = QueryPlan::compile(&schema, &hn, &queries).unwrap();
+        let bits = |pairs: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            pairs.iter().map(|&(k, w)| (k, w.to_bits())).collect()
+        };
+        let mut checked = BTreeSet::new();
+        for (q, &qid) in queries.iter().zip(&plan.query_ids) {
+            let (lo, hi) = q.bounds(&schema).unwrap();
+            for dim in 0..3 {
+                let id = plan.span_ids[qid as usize * 3 + dim] as usize;
+                let (start, len) = plan.spans[id];
+                let span = &plan.arena[start..start + len];
+                let online = core.derive_support(dim, lo[dim], hi[dim]).unwrap();
+                assert_eq!(
+                    bits(span),
+                    bits(&online.terms),
+                    "dim {dim} [{lo:?}, {hi:?}]"
+                );
+                assert_eq!(
+                    plan.span_factors[id].to_bits(),
+                    online.variance_factor.to_bits()
+                );
+                assert!(span.windows(2).all(|p| p[0].0 < p[1].0), "ascending");
+                checked.insert(id);
+            }
+        }
+        assert_eq!(checked.len(), plan.distinct_supports());
+        assert_eq!(plan.distinct_supports(), xs.len() + nodes.len() + sas.len());
     }
 
     #[test]

@@ -9,13 +9,10 @@
 //! and is meant to live inside an [`Arc`] shared across serving threads.
 //!
 //! The serving engine layers on top: [`ConcurrentEngine`] pairs an
-//! `Arc`'d core with a hash-sharded support cache, and its cached
-//! answers are bit-identical to this core's cache-free ones *within each
-//! path* because every arithmetic path — support derivation, sparse dot,
-//! plan execution — lives here and is pure. Across paths (the online dot
-//! vs a compiled plan's arena kernel) answers agree to 1e-12 relative,
-//! not bitwise: the kernels may sum a support's terms in different
-//! orders (see the summation-order policy in `docs/architecture.md`).
+//! `Arc`'d core with a hash-sharded support cache. Its cached answers
+//! are bit-identical to this core's cache-free ones, and to a compiled
+//! plan's, because every path derives supports through one function and
+//! dots them through one kernel (`crate::kernel`), both pure.
 //!
 //! [`ConcurrentEngine`]: crate::ConcurrentEngine
 
@@ -25,7 +22,7 @@ use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
 use privelet::mechanism::CoefficientOutput;
-use privelet::transform::{HnTransform, Transform1d};
+use privelet::transform::HnTransform;
 use privelet::PrivacyMeta;
 use privelet_data::schema::Schema;
 use privelet_matrix::NdMatrix;
@@ -43,7 +40,7 @@ pub struct ReleaseCore {
     /// Refined coefficients (mean subtraction already applied on nominal
     /// axes), so every answer is a pure dot product.
     coeffs: NdMatrix,
-    /// Row-major strides of `coeffs`, cached for the per-query walk.
+    /// Row-major strides of `coeffs`, cached for support derivation.
     strides: Vec<usize>,
     /// The (noisy) total count — the unconstrained query's answer,
     /// computed once at construction.
@@ -184,23 +181,15 @@ impl ReleaseCore {
     }
 
     /// Derives one dimension's sparse support, uncached: the
-    /// `(coefficient index, weight)` pairs of the interval-sum functional
-    /// over `[lo, hi]` on dimension `dim`, plus the per-dimension
+    /// `(stride-premultiplied offset, weight)` pairs of the interval-sum
+    /// functional over `[lo, hi]` on dimension `dim`, plus the per-dimension
     /// variance factor (an O(|support|) fold piggybacking on the
     /// derivation — no second derivation, so cached supports carry their
     /// error accounting for free). This is the derivation every cache
-    /// memoizes; it is pure, so two threads deriving the same triple
-    /// produce identical supports.
+    /// memoizes, and the one a compiled plan interns; it is pure, so two
+    /// threads deriving the same triple produce identical supports.
     pub fn derive_support(&self, dim: usize, lo: usize, hi: usize) -> Result<SharedSupport> {
-        let weights = self
-            .transform
-            .query_weights_for_dim(dim, lo, hi)
-            .map_err(QueryError::from)?;
-        let variance_factor = self.transform.transforms()[dim].support_variance_factor(&weights);
-        Ok(Arc::new(DimSupport {
-            weights,
-            variance_factor,
-        }))
+        DimSupport::derive(&self.transform, &self.strides, dim, lo, hi).map(Arc::new)
     }
 
     /// Resolves a query to its per-dimension bounds and derives every
@@ -214,8 +203,8 @@ impl ReleaseCore {
     }
 
     /// Answers one query with no cache involved: derive supports, sparse
-    /// dot. The cached paths reuse [`dot`](Self::dot), so they equal this
-    /// bit for bit.
+    /// dot. The cached path and compiled plans run the same derivation
+    /// and kernel, so they equal this bit for bit.
     pub fn answer_uncached(&self, q: &RangeQuery) -> Result<f64> {
         Ok(self.dot(&self.supports_uncached(q)?))
     }
@@ -232,7 +221,7 @@ impl ReleaseCore {
     /// supports against the refined coefficients:
     /// `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]`, reading `∏ᵢ |supportᵢ|` coefficients.
     pub fn dot(&self, supports: &[SharedSupport]) -> f64 {
-        sparse_dot(self.coeffs.as_slice(), &self.strides, supports, 0, 0, 1.0)
+        crate::kernel::tensor_dot(self.coeffs.as_slice(), supports, 0, 1.0)
     }
 
     /// Annotates an already-computed answer with its exact noise std-dev,
@@ -282,42 +271,6 @@ impl ReleaseCore {
     }
 }
 
-/// Folds the tensor product of the per-dimension sparse supports against
-/// the flat coefficient data: depth-first over dimensions, accumulating
-/// the linear index and the weight product. The innermost dimension runs
-/// through the shared 4-accumulator kernel (`crate::kernel`) with the
-/// accumulated weight applied once to its sum — the same op structure as
-/// the compiled-plan dot, so the summation order is fixed per path and
-/// cached/uncached online answers stay bitwise-identical.
-fn sparse_dot(
-    data: &[f64],
-    strides: &[usize],
-    supports: &[SharedSupport],
-    dim: usize,
-    base: usize,
-    weight: f64,
-) -> f64 {
-    if dim + 1 == supports.len() {
-        // Innermost dimension: contiguous-ish reads, no recursion.
-        return weight
-            * crate::kernel::gather_dot4_pairs(data, base, strides[dim], &supports[dim].weights);
-    }
-    supports[dim]
-        .weights
-        .iter()
-        .map(|&(k, w)| {
-            sparse_dot(
-                data,
-                strides,
-                supports,
-                dim + 1,
-                base + k * strides[dim],
-                weight * w,
-            )
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,12 +297,10 @@ mod tests {
         let queries = vec![RangeQuery::all(2)];
         let plan = core.plan(&queries).unwrap();
         let batch = core.execute_plan(&plan).unwrap();
-        // Plan (arena kernel) vs uncached online dot: cross-path, so
-        // 1e-12 relative — the summation-order policy.
+        // Plan vs uncached online dot: one derivation, one kernel.
         let online = core.answer_uncached(&queries[0]).unwrap();
-        let tol = 1e-12 * online.abs().max(1.0);
-        assert!((batch[0] - online).abs() <= tol, "{} vs {online}", batch[0]);
-        assert!((batch[0] - core.total()).abs() <= tol);
+        assert_eq!(batch[0].to_bits(), online.to_bits());
+        assert_eq!(batch[0].to_bits(), core.total().to_bits());
     }
 
     #[test]
@@ -397,16 +348,10 @@ mod tests {
         )
         .unwrap();
         assert!((annotated.variance() - want).abs() <= 1e-9 * want);
-        // Plan-path annotation agrees with the uncached path (cross-path
-        // value: 1e-12 relative).
+        // Plan-path annotation equals the uncached path bit for bit.
         let batch = core.execute_plan_with_error(&plan).unwrap();
-        assert!(
-            (batch[0].value - annotated.value).abs() <= 1e-12 * annotated.value.abs().max(1.0),
-            "plan {} vs online {}",
-            batch[0].value,
-            annotated.value
-        );
-        assert!((batch[0].std_dev - annotated.std_dev).abs() < 1e-12);
+        assert_eq!(batch[0].value.to_bits(), annotated.value.to_bits());
+        assert_eq!(batch[0].std_dev.to_bits(), annotated.std_dev.to_bits());
     }
 
     /// An 8×8 pure-Haar release and a coefficient index the total's
@@ -421,11 +366,10 @@ mod tests {
         let out = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 3)).unwrap();
         let core = ReleaseCore::from_output(&out).unwrap();
         let total = core.supports_uncached(&RangeQuery::all(2)).unwrap();
-        let stride = out.coefficients.shape().strides()[0];
         let read: Vec<usize> = total[0]
-            .weights
+            .terms
             .iter()
-            .flat_map(|&(i, _)| total[1].weights.iter().map(move |&(j, _)| i * stride + j))
+            .flat_map(|&(i, _)| total[1].terms.iter().map(move |&(j, _)| i + j))
             .collect();
         let index = (0..64).find(|k| !read.contains(k)).unwrap();
         (out, index)

@@ -135,11 +135,12 @@ fn main() {
         .iter()
         .map(|q| answerer.answer(q).unwrap())
         .collect();
-    // Online vs the plan's arena kernel: 1e-12 relative, not bitwise
-    // (docs/architecture.md summation-order policy).
+    // Online vs the plan: the same supports through the same kernel,
+    // so bitwise.
     for (r, n) in refreshed.iter().zip(&noisy) {
-        assert!(
-            (r - n).abs() <= 1e-12 * n.abs().max(1.0),
+        assert_eq!(
+            r.to_bits(),
+            n.to_bits(),
             "refresh must reproduce the batch: {r} vs {n}"
         );
     }

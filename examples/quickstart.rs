@@ -17,7 +17,7 @@ use privelet_repro::core::mechanism::{
 use privelet_repro::data::medical::{medical_example, AGE_GROUPS, DIABETES};
 use privelet_repro::data::FrequencyMatrix;
 use privelet_repro::eval::ExactEvaluate;
-use privelet_repro::query::{AnswerEngine, ConcurrentEngine, Predicate, RangeQuery};
+use privelet_repro::query::{ConcurrentEngine, Predicate, RangeQuery};
 
 fn main() {
     // Table I: the input relation.
@@ -78,7 +78,7 @@ fn main() {
 
     // Optional count post-processing (pure function of the release).
     let mut rounded = out.matrix.clone();
-    rounded.matrix_mut().round_nonnegative();
+    rounded.round_nonnegative();
     println!(
         "  Privelet (rounded to counts): answer = {}",
         query.evaluate(&rounded).unwrap()
@@ -160,12 +160,12 @@ fn main() {
         100.0 * plan.dedup_ratio()
     );
     for (q, a) in workload.iter().zip(&batch) {
-        // Plan vs online: 1e-12 relative, not bitwise — the plan's arena
-        // kernel may sum supports in a different order than the online
-        // dot (docs/architecture.md summation-order policy).
+        // Plan vs online: bitwise — both paths derive the same supports
+        // and dot them through the same kernel.
         let online = answerer.answer(q).unwrap();
-        assert!(
-            (online - a).abs() <= 1e-12 * online.abs().max(1.0),
+        assert_eq!(
+            online.to_bits(),
+            a.to_bits(),
             "batch must equal the per-query loop: {a} vs {online}"
         );
     }
@@ -176,10 +176,11 @@ fn main() {
             .map(|a| (a * 100.0).round() / 100.0)
             .collect::<Vec<_>>()
     );
-    let diagnostics = answerer.diagnostics();
-    let cache = diagnostics.cache.expect("coefficient engine has a cache");
+    let cache = answerer.cache_stats();
     println!(
-        "  engine \"{}\": {} coefficients held, online cache {} hits / {} misses",
-        diagnostics.engine, diagnostics.build_cells, cache.hits, cache.misses
+        "  engine: {} coefficients held, online cache {} hits / {} misses",
+        answerer.core().coefficients().len(),
+        cache.hits,
+        cache.misses
     );
 }

@@ -98,7 +98,7 @@ fn rounding_post_process_keeps_schema_and_integrality() {
     let mut out = publish_privelet(&fm, &PriveletConfig::pure(1.0, 9))
         .unwrap()
         .matrix;
-    out.matrix_mut().round_nonnegative();
+    out.round_nonnegative();
     for &v in out.matrix().as_slice() {
         assert!(v >= 0.0);
         assert_eq!(v, v.round());

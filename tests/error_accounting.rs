@@ -29,9 +29,7 @@ use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::eval::calibration_check;
 use privelet_repro::eval::ExactEvaluate;
 use privelet_repro::noise::RunningStats;
-use privelet_repro::query::{
-    AnswerEngine, Answerer, ConcurrentEngine, Predicate, RangeQuery, ReleaseCore,
-};
+use privelet_repro::query::{Answerer, ConcurrentEngine, Predicate, RangeQuery, ReleaseCore};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -90,7 +88,6 @@ proptest! {
             .unwrap()
             .with_error_model(release.transform.clone(), release.meta)
             .unwrap();
-        let engines: Vec<&dyn AnswerEngine> = vec![&engine, &prefix];
 
         // A workload slice keeps the proptest cheap; the full workload
         // is exercised by the counter test below.
@@ -98,9 +95,12 @@ proptest! {
             let (lo, hi) = q.bounds(&schema).unwrap();
             let want =
                 exact_query_variance(&release.transform, release.meta.lambda, &lo, &hi).unwrap();
-            for e in &engines {
-                let a = e.answer_with_error(&q).unwrap();
-                prop_assert_eq!(a.value, e.answer_one(&q).unwrap());
+            let annotated = [
+                (engine.answer_with_error(&q).unwrap(), engine.answer(&q).unwrap()),
+                (prefix.answer_with_error(&q).unwrap(), prefix.answer(&q).unwrap()),
+            ];
+            for (a, plain) in annotated {
+                prop_assert_eq!(a.value, plain);
                 prop_assert!(
                     (a.variance() - want).abs() <= 1e-9 * want.max(1e-12),
                     "variance {} vs {want}", a.variance()
@@ -173,11 +173,10 @@ fn error_annotation_adds_zero_support_derivations() {
         "plan execution is cache-free"
     );
     for (a, &v) in annotated.iter().zip(&plain) {
-        // Plan (arena kernel) vs online dot: summation order may differ,
-        // so cross-path agreement is 1e-12 relative, not bitwise (see
-        // docs/architecture.md).
-        assert!(
-            (a.value - v).abs() <= 1e-12 * v.abs().max(1.0),
+        // Plan vs online: one derivation, one kernel, so bitwise.
+        assert_eq!(
+            a.value.to_bits(),
+            v.to_bits(),
             "plan {} vs online {v}",
             a.value
         );
