@@ -6,13 +6,13 @@
 //! coefficient-domain subsystem):
 //!
 //! - `coeff_build_*` is the O(m') refinement copy; `prefix_build_*` is the
-//!   O(m) inverse transform + prefix-sum pass — both linear in m, with the
-//!   prefix path paying the full reconstruction.
+//!   O(m) inverse transform (`to_matrix`) + `PrefixSums::build` — both
+//!   linear in m, with the prefix path paying the full reconstruction.
 //! - `coeff_answer*` grows ~log(m) per query (a range query reads at most
-//!   `2·log₂ m + 1` Haar coefficients), while `prefix_answer*` is O(2^d)
-//!   per query *after* its O(m) build — so serve-one-query-from-scratch
-//!   (`serve1_*`) flips from prefix-favored to coefficient-favored as m
-//!   grows.
+//!   `2·log₂ m + 1` Haar coefficients), while `prefix_answer*`
+//!   (`RangeQuery::evaluate_prefix`) is O(2^d) per query *after* its O(m)
+//!   build — so serve-one-query-from-scratch (`serve1_*`) flips from
+//!   prefix-favored to coefficient-favored as m grows.
 //!
 //! The `query_answering_batched` group isolates the serving engine's
 //! batch machinery at m = 2^10 … 2^20, workloads 64 and 1024:
@@ -27,7 +27,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use privelet_bench::harness::{interval_workload, ordinal_release};
-use privelet_query::{Answerer, ConcurrentEngine, RangeQuery};
+use privelet_matrix::PrefixSums;
+use privelet_query::{ConcurrentEngine, RangeQuery};
 use std::hint::black_box;
 
 /// Domain exponents swept: m = 2^10 … 2^20.
@@ -49,19 +50,26 @@ fn bench_query_answering(c: &mut Criterion) {
         group.bench_function(&format!("prefix_build_2^{exp}"), |b| {
             b.iter(|| {
                 let rec = black_box(&out).to_matrix().unwrap();
-                Answerer::new(rec.schema().clone(), rec.matrix()).unwrap()
+                PrefixSums::build(rec.matrix())
             })
         });
 
-        // Per-query costs on prebuilt answerers, at each workload size.
+        // Per-query costs on a prebuilt engine and prebuilt prefix sums,
+        // at each workload size.
         let coeff = ConcurrentEngine::from_output(&out).unwrap();
         let rec = out.to_matrix().unwrap();
-        let prefix = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
+        let prefix = PrefixSums::build(rec.matrix());
+        let prefix_all = |queries: &[RangeQuery]| -> Vec<f64> {
+            queries
+                .iter()
+                .map(|q| q.evaluate_prefix(&out.schema, &prefix).unwrap())
+                .collect()
+        };
         for n_queries in WORKLOADS {
             let queries = interval_workload(&out.schema, n_queries).unwrap();
             // Sanity: the two paths agree before we time them.
             let a = coeff.answer_all(&queries).unwrap();
-            let b = prefix.answer_all(&queries).unwrap();
+            let b = prefix_all(&queries);
             for (x, y) in a.iter().zip(&b) {
                 // Relative tolerance: the two paths sum the same noisy
                 // mass in different orders, so rounding scales with the
@@ -75,7 +83,7 @@ fn bench_query_answering(c: &mut Criterion) {
                 b.iter(|| coeff.answer_all(black_box(&queries)).unwrap())
             });
             group.bench_function(&format!("prefix_answer{n_queries}_2^{exp}"), |b| {
-                b.iter(|| prefix.answer_all(black_box(&queries)).unwrap())
+                b.iter(|| prefix_all(black_box(&queries)))
             });
         }
 
@@ -91,8 +99,8 @@ fn bench_query_answering(c: &mut Criterion) {
         group.bench_function(&format!("serve1_prefix_2^{exp}"), |b| {
             b.iter(|| {
                 let rec = black_box(&out).to_matrix().unwrap();
-                let ans = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
-                ans.answer(&one[0]).unwrap()
+                let prefix = PrefixSums::build(rec.matrix());
+                one[0].evaluate_prefix(rec.schema(), &prefix).unwrap()
             })
         });
     }

@@ -403,6 +403,14 @@ impl HnTransform {
         lo: usize,
         hi: usize,
     ) -> Result<Vec<(usize, f64)>> {
+        self.check_query_bounds(axis, lo, hi)?;
+        Ok(self.transforms[axis].query_weights(lo, hi))
+    }
+
+    /// The validation [`query_weights_for_dim`](Self::query_weights_for_dim)
+    /// runs before deriving: [`CoreError::BadAxis`] unless `axis` names a
+    /// dimension, [`CoreError::BadQueryBounds`] unless `lo ≤ hi < len`.
+    pub fn check_query_bounds(&self, axis: usize, lo: usize, hi: usize) -> Result<()> {
         let t = self.transforms.get(axis).ok_or(CoreError::BadAxis {
             axis,
             ndim: self.ndim(),
@@ -415,7 +423,7 @@ impl HnTransform {
                 len: t.input_len(),
             });
         }
-        Ok(t.query_weights(lo, hi))
+        Ok(())
     }
 
     /// Sparse coefficient support of **one** dimension's single-cell
@@ -755,6 +763,13 @@ mod tests {
                 ..
             }
         ));
+        // The validation alone: same verdicts, nothing derived.
+        for (axis, l, h) in [(4, 0, 0), (0, 3, 2), (1, 0, 2), (2, 2, 4)] {
+            assert_eq!(
+                hn.check_query_bounds(axis, l, h).err(),
+                hn.query_weights_for_dim(axis, l, h).err()
+            );
+        }
     }
 
     #[test]

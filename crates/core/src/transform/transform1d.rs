@@ -87,7 +87,10 @@ pub trait Transform1d: Sync {
     /// only a few coefficients: O(log m) entries for Haar (the two
     /// boundary root-to-leaf paths), O(cells + height) for nominal, and
     /// exactly the covered cells for identity. Coefficient-domain query
-    /// answering rests on this method.
+    /// answering rests on this method on Haar and nominal axes. The
+    /// serving core (`privelet_query::ReleaseCore`) stores identity axes
+    /// as prefix sums and reads two entries there instead, while the
+    /// covered-cell support still defines identity's variance factor.
     ///
     /// For transforms with a refinement step ([`refine`](Self::refine)),
     /// the identity is stated against the plain `inverse`; callers serving

@@ -111,28 +111,17 @@ pub fn exact_query_variance(
     Ok(product)
 }
 
-/// Shared validation of `(axis, lo, hi)` against the transform — the same
-/// checks [`HnTransform::query_weights_for_dim`] performs, so the
-/// variance and serving paths reject bad input identically.
+/// Validates `(axis, lo, hi)` with [`HnTransform::check_query_bounds`],
+/// the check the serving derivation runs, so the variance and serving
+/// paths reject bad input identically.
 fn checked_transform(
     hn: &HnTransform,
     axis: usize,
     lo: usize,
     hi: usize,
 ) -> Result<&crate::transform::DimTransform> {
-    let t = hn.transforms().get(axis).ok_or(CoreError::BadAxis {
-        axis,
-        ndim: hn.ndim(),
-    })?;
-    if lo > hi || hi >= t.input_len() {
-        return Err(CoreError::BadQueryBounds {
-            axis,
-            lo,
-            hi,
-            len: t.input_len(),
-        });
-    }
-    Ok(t)
+    hn.check_query_bounds(axis, lo, hi)?;
+    Ok(&hn.transforms()[axis])
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ pub use executor::{AxisStage, LaneExecutor, LaneKernel};
 pub use lanes::map_lanes;
 pub use ndmatrix::NdMatrix;
 pub use pool::WorkerPool;
-pub use prefix::PrefixSums;
+pub use prefix::{prefix_sum_axis, PrefixSums};
 pub use shape::{CoordIter, Shape};
 pub use slice::fix_axes;
 pub use view::{rect_sum_naive, RectIter};

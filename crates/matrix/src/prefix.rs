@@ -21,29 +21,13 @@ pub struct PrefixSums {
 }
 
 impl PrefixSums {
-    /// Builds prefix sums for `m`.
+    /// Builds prefix sums for `m`: one [`prefix_sum_axis`] pass per axis,
+    /// so after axis k the data holds prefix sums over axes 0..=k.
     pub fn build(m: &NdMatrix) -> Self {
         let shape = m.shape().clone();
         let mut data = m.as_slice().to_vec();
-        let dims = shape.dims().to_vec();
-        // Accumulate along each axis in turn: after processing axis k, data
-        // holds prefix sums over axes 0..=k.
-        for (axis, &len) in dims.iter().enumerate() {
-            if len == 1 {
-                continue;
-            }
-            let inner: usize = dims[axis + 1..].iter().product();
-            let outer: usize = dims[..axis].iter().product();
-            for o in 0..outer {
-                let base = o * len * inner;
-                for j in 1..len {
-                    let (prev_part, cur_part) =
-                        data[base + (j - 1) * inner..base + (j + 1) * inner].split_at_mut(inner);
-                    for i in 0..inner {
-                        cur_part[i] += prev_part[i];
-                    }
-                }
-            }
+        for axis in 0..shape.ndim() {
+            accumulate_axis(&mut data, shape.dims(), axis);
         }
         PrefixSums { shape, data }
     }
@@ -99,6 +83,37 @@ impl PrefixSums {
     /// Sum of the whole matrix (the prefix value at the far corner).
     pub fn total(&self) -> f64 {
         *self.data.last().expect("shapes are never empty")
+    }
+}
+
+/// Accumulates `m` in place along `axis` only: every entry becomes the
+/// sum of itself and all entries before it on its axis-`axis` line (the
+/// pass [`PrefixSums::build`] runs once per axis). Errors with
+/// [`MatrixError::BadAxis`] when `axis >= m.ndim()`.
+pub fn prefix_sum_axis(m: &mut NdMatrix, axis: usize) -> Result<()> {
+    if axis >= m.ndim() {
+        return Err(MatrixError::BadAxis {
+            axis,
+            ndim: m.ndim(),
+        });
+    }
+    let dims = m.dims().to_vec();
+    accumulate_axis(m.as_mut_slice(), &dims, axis);
+    Ok(())
+}
+
+/// The one prefix pass: row `j` of every `len × inner` block gains row
+/// `j − 1`, `j` ascending. Needs `data.len() == ∏ dims`, `axis < d`.
+fn accumulate_axis(data: &mut [f64], dims: &[usize], axis: usize) {
+    let len = dims[axis];
+    let inner: usize = dims[axis + 1..].iter().product();
+    for block in data.chunks_exact_mut(len * inner) {
+        for j in 1..len {
+            let (prev, cur) = block[(j - 1) * inner..(j + 1) * inner].split_at_mut(inner);
+            for (c, p) in cur.iter_mut().zip(prev.iter()) {
+                *c += *p;
+            }
+        }
     }
 }
 
@@ -170,6 +185,25 @@ mod tests {
             MatrixError::OutOfBounds { axis: 1, .. }
         ));
         assert!(p.rect_sum(&[0], &[1, 1]).is_err());
+    }
+
+    #[test]
+    fn one_axis_pass_leaves_the_other_axes_alone() {
+        // [[0, 1, 2], [3, 4, 5]] summed down axis 0, then along axis 1.
+        let mut m = iota(&[2, 3]);
+        prefix_sum_axis(&mut m, 0).unwrap();
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 3.0, 5.0, 7.0]);
+        prefix_sum_axis(&mut m, 1).unwrap();
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 3.0, 3.0, 8.0, 15.0]);
+        // A pass per axis is the table `build` answers from.
+        assert_eq!(
+            m.as_slice(),
+            PrefixSums::build(&iota(&[2, 3])).data.as_slice()
+        );
+        assert!(matches!(
+            prefix_sum_axis(&mut m, 2).unwrap_err(),
+            MatrixError::BadAxis { axis: 2, ndim: 2 }
+        ));
     }
 
     #[test]

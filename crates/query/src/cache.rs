@@ -20,15 +20,16 @@
 //! eviction) and counts hits, misses and evictions, so serving tiers can
 //! report hit rates and size the capacity. Each entry holds one
 //! dimension's pairs behind an [`Arc`] — `O(polylog m)` of them on
-//! Haar/nominal dimensions, but up to O(interval length) on
-//! identity-transformed (SA) dimensions, whose supports are the covered
-//! cells — so a hit is one clone of a pointer, never of the support.
-//! [`ShardedSupportCache::get_or_derive`] holds the one shard's lock
-//! across the derivation, so each distinct `(dim, lo, hi)` key is
-//! derived at most once per residency in its shard.
+//! Haar dimensions, O(covered leaves + height) on nominal ones, and at
+//! most two on identity-transformed (SA) dimensions, which the core
+//! stores as prefix sums — so a hit is one clone of a pointer, never of
+//! the support. [`ShardedSupportCache::get_or_derive`] holds the one
+//! shard's lock across the derivation, so each distinct `(dim, lo, hi)`
+//! key is derived at most once per residency in its shard.
 
+use crate::release::ReleaseCore;
 use crate::{QueryError, Result};
-use privelet::transform::{HnTransform, Transform1d};
+use privelet::transform::{DimTransform, Transform1d};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -40,44 +41,67 @@ pub type SupportKey = (usize, usize, usize);
 
 /// One dimension's derived query support plus its precomputed noise
 /// accounting, in the one layout both answering paths read: the sparse
-/// `(offset, weight)` terms of the interval-sum functional, each offset
-/// the coefficient index already multiplied by the axis stride, and the
-/// per-dimension variance factor `Σ_j u(j)²/W(j)²` the exact-variance
-/// formula consumes (`Transform1d::support_variance_factor` — an
+/// `(offset, weight)` terms of the interval-sum functional over the
+/// core's **stored** coefficients, each offset the coefficient index
+/// already multiplied by the axis stride, and the per-dimension variance
+/// factor `Σ_j u(j)²/W(j)²` the exact-variance formula consumes (an
 /// O(|support|) fold done once at derivation time, so every cached or
 /// interned support carries its error accounting for free).
+///
+/// The fields are private and the crate's one derivation is the only
+/// constructor, so every support a core dots came from a core; obtain
+/// one through
+/// [`ReleaseCore::derive_support`](crate::ReleaseCore::derive_support).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimSupport {
     /// `(stride-premultiplied offset, weight)` pairs with strictly
     /// nonzero weights, in ascending offset order.
-    pub terms: Vec<(usize, f64)>,
+    terms: Vec<(usize, f64)>,
     /// The per-dimension variance factor of this support.
-    pub variance_factor: f64,
+    variance_factor: f64,
 }
 
 impl DimSupport {
     /// Derives the support of the interval-sum functional over
-    /// `[lo, hi]` on axis `dim` of a coefficient matrix with row-major
-    /// `strides` — the one derivation behind
+    /// `[lo, hi]` on axis `dim` of `core`'s stored coefficients — the one
+    /// derivation behind
     /// [`ReleaseCore::derive_support`](crate::ReleaseCore::derive_support)
-    /// and [`QueryPlan::compile`](crate::QueryPlan::compile).
+    /// and [`ReleaseCore::plan`](crate::ReleaseCore::plan).
     ///
-    /// The axis and bounds are validated before any stride is read. The
-    /// variance factor is folded over the raw coefficient indices, then
-    /// the offsets are premultiplied in place; the premultiply is
-    /// monotone, so the transforms' ascending index order carries over.
+    /// The axis and bounds are validated before any stride is read. Haar
+    /// and nominal axes take the transform's `query_weights` and fold the
+    /// variance factor over them. Identity (SA) axes are stored as prefix
+    /// sums, so their support is `{(lo − 1, −1), (hi, +1)}` (no first
+    /// entry when `lo = 0`), while the variance factor stays the covered
+    /// count `hi − lo + 1`: it describes the noise on the covered cells,
+    /// not the stored layout. The offsets are then premultiplied in place;
+    /// the premultiply is monotone, so the ascending order carries over.
     pub(crate) fn derive(
-        transform: &HnTransform,
-        strides: &[usize],
+        core: &ReleaseCore,
         dim: usize,
         lo: usize,
         hi: usize,
     ) -> Result<DimSupport> {
-        let mut terms = transform
-            .query_weights_for_dim(dim, lo, hi)
+        let transform = core.transform();
+        transform
+            .check_query_bounds(dim, lo, hi)
             .map_err(QueryError::from)?;
-        let variance_factor = transform.transforms()[dim].support_variance_factor(&terms);
-        let stride = strides[dim];
+        let (mut terms, variance_factor) = match &transform.transforms()[dim] {
+            DimTransform::Identity(_) => {
+                let mut terms = Vec::with_capacity(2);
+                if lo > 0 {
+                    terms.push((lo - 1, -1.0));
+                }
+                terms.push((hi, 1.0));
+                (terms, (hi - lo + 1) as f64)
+            }
+            t => {
+                let terms = t.query_weights(lo, hi);
+                let factor = t.support_variance_factor(&terms);
+                (terms, factor)
+            }
+        };
+        let stride = core.coefficients().shape().strides()[dim];
         for (k, _) in &mut terms {
             *k *= stride;
         }
@@ -85,6 +109,17 @@ impl DimSupport {
             terms,
             variance_factor,
         })
+    }
+
+    /// The `(stride-premultiplied offset, weight)` pairs, ascending by
+    /// offset.
+    pub fn terms(&self) -> &[(usize, f64)] {
+        &self.terms
+    }
+
+    /// The per-dimension variance factor of this support.
+    pub fn variance_factor(&self) -> f64 {
+        self.variance_factor
     }
 
     /// Number of support entries (= coefficients one dot along this
@@ -321,14 +356,11 @@ impl ShardedSupportCache {
     /// — all under the key's shard lock, so concurrent requests for the
     /// same key perform exactly one derivation (the losers of the lock
     /// race hit the freshly inserted entry). Requests hashing to other
-    /// shards are unaffected either way. On Haar/nominal dimensions a
-    /// derivation is O(polylog m) — comparable to the LRU touch itself —
-    /// so the derive-once guarantee costs next to nothing; on
-    /// identity-transformed (SA) dimensions a wide predicate derives
-    /// O(interval length) pairs while the shard is locked, which is
-    /// exactly when derive-once matters most (redundant O(m) derivations
-    /// would hurt far more than the wait), but SA-heavy deployments
-    /// should size the shard count with that tail in mind.
+    /// shards are unaffected either way. A Haar or identity derivation is
+    /// O(log m) or O(1) — comparable to the LRU touch itself — so the
+    /// derive-once guarantee costs next to nothing; a wide nominal
+    /// predicate derives O(covered leaves) pairs while the shard is
+    /// locked, which is exactly when derive-once matters most.
     ///
     /// Errors from `derive` propagate untouched and insert nothing; the
     /// miss is still counted (every call moves exactly one hit or miss

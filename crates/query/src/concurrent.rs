@@ -8,16 +8,14 @@
 //! dot, without ever inverting the transform or building O(m) prefix
 //! sums. [`ConcurrentEngine`] serves that path: an [`Arc`]-shared
 //! immutable [`ReleaseCore`] (built once: validation, the O(m')
-//! refinement nominal dimensions need, the total) plus an `Arc`-shared
-//! hash-sharded [`ShardedSupportCache`] memoizing per-dimension supports
-//! for the online path. Each `answer` then reads `∏ᵢ |supportᵢ|`
-//! coefficients.
-//!
-//! Compare [`Answerer`](crate::Answerer): O(m) prefix-sum build, O(2^d)
-//! per query. The coefficient path wins when queries arrive online, when
-//! m is large relative to the query volume, or when the reconstructed
-//! matrix would not fit the serving tier; the prefix path wins for huge
-//! offline workloads over small m. Both return the same answers to
+//! refinement nominal dimensions need, the prefix-sum pass along
+//! identity axes, the total) plus an `Arc`-shared hash-sharded
+//! [`ShardedSupportCache`] memoizing per-dimension supports for the
+//! online path. Each `answer` then reads `∏ᵢ |supportᵢ|` coefficients:
+//! O(log mᵢ) on a Haar axis and at most two on an identity (SA) axis, so
+//! a Basic release (every axis identity) reads the 2^d corners of a
+//! summed-area table. It is the one engine for every release; its
+//! answers agree with reconstruct-then-prefix-sum over `to_matrix()` to
 //! floating-point rounding (property-tested at the workspace root).
 //!
 //! A release is write-once, read-many, so no lock guards the
@@ -126,8 +124,8 @@ impl ConcurrentEngine {
     /// Answers one range-count query as a sparse tensor-product dot
     /// against the coefficients: `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]` over the
     /// per-dimension supports, `∏ᵢ |supportᵢ|` coefficient reads — for
-    /// all-Haar schemas O(∏ᵢ log mᵢ), versus the O(m) reconstruction the
-    /// prefix-sum path must pay before its first answer.
+    /// all-Haar schemas O(∏ᵢ log mᵢ), with no O(m) reconstruction before
+    /// the first answer.
     ///
     /// Safe and lock-cheap to call from many threads at once: each
     /// dimension's lookup locks only the shard its `(dim, lo, hi)` key
@@ -135,7 +133,7 @@ impl ConcurrentEngine {
     /// once per shard residency. Bit-identical to
     /// [`ReleaseCore::answer_uncached`].
     pub fn answer(&self, q: &RangeQuery) -> Result<f64> {
-        Ok(self.core.dot(&self.supports(q)?))
+        self.core.dot(&self.supports(q)?)
     }
 
     /// [`answer`](Self::answer) with its exact noise std-dev: the same
@@ -148,7 +146,7 @@ impl ConcurrentEngine {
     /// carries no privacy accounting.
     pub fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
         let supports = self.supports(q)?;
-        self.core.annotate(self.core.dot(&supports), &supports)
+        self.core.annotate(self.core.dot(&supports)?, &supports)
     }
 
     /// Answers a whole workload by compiling a [`QueryPlan`] (one
@@ -168,7 +166,7 @@ impl ConcurrentEngine {
         self.core.plan(queries)
     }
 
-    /// Executes a compiled plan against the shared refined coefficients.
+    /// Executes a compiled plan against the shared stored coefficients.
     /// Allocates only the output vector; any number of threads may
     /// execute the same plan concurrently, each getting a bit-identical
     /// result.
@@ -211,8 +209,8 @@ impl ConcurrentEngine {
     /// Selectivity of a query relative to a tuple count `n`.
     ///
     /// Errors with [`QueryError::ZeroPopulation`] when `n == 0`: the
-    /// ratio is undefined, and both engines reject it identically rather
-    /// than silently reporting 0.
+    /// ratio is undefined, so it is refused rather than silently
+    /// reported as 0.
     pub fn selectivity(&self, q: &RangeQuery, n: usize) -> Result<f64> {
         if n == 0 {
             return Err(QueryError::ZeroPopulation);
@@ -249,14 +247,13 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::answerer::Answerer;
     use crate::predicate::Predicate;
     use privelet::mechanism::{publish_coefficients, PriveletConfig};
     use privelet::transform::HnTransform;
     use privelet_data::medical::medical_example;
     use privelet_data::schema::Attribute;
     use privelet_data::FrequencyMatrix;
-    use privelet_matrix::NdMatrix;
+    use privelet_matrix::{NdMatrix, PrefixSums};
     use std::collections::BTreeSet;
 
     fn medical_release(seed: u64) -> (FrequencyMatrix, CoefficientOutput) {
@@ -322,13 +319,13 @@ mod tests {
             let (fm, out) = medical_release(seed);
             let engine = ConcurrentEngine::from_output(&out).unwrap();
             let rec = out.to_matrix().unwrap();
-            let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
+            let prefix = PrefixSums::build(rec.matrix());
             for q in medical_queries(&fm) {
                 let a = engine.answer(&q).unwrap();
-                let b = dense.answer(&q).unwrap();
+                let b = q.evaluate_prefix(rec.schema(), &prefix).unwrap();
                 assert!((a - b).abs() < 1e-9, "seed {seed}: {a} vs {b}");
             }
-            assert!((engine.total() - dense.total()).abs() < 1e-9);
+            assert!((engine.total() - prefix.total()).abs() < 1e-9);
         }
     }
 
@@ -504,7 +501,7 @@ mod tests {
             .map(|s| s.len())
             .product();
         assert!(support <= 2 * 12 + 1, "support {support}");
-        // The prefix path would have scanned 2^12 cells to build first.
+        // Reconstructing the matrix would have scanned 2^12 cells first.
         assert!(support < 1 << 12);
         assert_eq!(engine.answer(&q).unwrap(), 0.0);
     }
@@ -586,7 +583,7 @@ mod tests {
         );
         let engine = ConcurrentEngine::from_output(&out).unwrap();
         let rec = out.to_matrix().unwrap();
-        let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
+        let prefix = PrefixSums::build(rec.matrix());
         let h = fm.schema().attr(1).domain().hierarchy().unwrap().clone();
         let q = RangeQuery::new(vec![
             Predicate::All,
@@ -595,7 +592,7 @@ mod tests {
             },
         ]);
         let a = engine.answer(&q).unwrap();
-        let b = dense.answer(&q).unwrap();
+        let b = q.evaluate_prefix(rec.schema(), &prefix).unwrap();
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 }

@@ -1,10 +1,10 @@
 //! Error-annotated answers: a value plus its exact noise std-dev.
 //!
-//! Every serving path — the coefficient engine's online answers and
-//! compiled plans ([`ConcurrentEngine`](crate::ConcurrentEngine),
-//! [`ReleaseCore`](crate::ReleaseCore)) and the prefix-sum
-//! [`Answerer`](crate::Answerer) given an error model — returns an
-//! [`AnnotatedAnswer`] when asked for one.
+//! Both serving paths of the one engine — online answers and compiled
+//! plans ([`ConcurrentEngine`](crate::ConcurrentEngine),
+//! [`ReleaseCore`](crate::ReleaseCore)) — return an [`AnnotatedAnswer`]
+//! when asked for one, on a release that carries its privacy
+//! accounting.
 
 use crate::Result;
 

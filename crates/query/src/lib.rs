@@ -18,23 +18,23 @@
 //! - [`predicate`] — per-attribute predicates and their interval resolution.
 //! - [`range_query`] — the query type, naive and prefix-sum evaluation,
 //!   coverage and selectivity.
-//! - [`answerer`] — [`Answerer`]: reconstruct-then-prefix-sum answering,
-//!   the baseline engine and the oracle the coefficient path is checked
-//!   against.
 //! - [`engine`] — [`AnnotatedAnswer`]: an answer with its exact noise
 //!   std-dev, confidence interval and z-score.
 //! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
-//!   one coefficient-domain release (schema, transform, refined noisy
-//!   coefficients), shared across threads via `Arc`.
-//! - [`concurrent`] — [`ConcurrentEngine`]: the coefficient serving
-//!   engine over a shared core — O(log m) coefficient reads per
-//!   dimension instead of an O(m) reconstruction before the first query.
+//!   one coefficient-domain release (schema, transform, and the noisy
+//!   coefficients stored refined, with identity axes as prefix sums),
+//!   shared across threads via `Arc`.
+//! - [`concurrent`] — [`ConcurrentEngine`]: the one serving engine over
+//!   a shared core, for every release — O(log m) coefficient reads per
+//!   Haar dimension and two per identity (SA) dimension, instead of an
+//!   O(m) reconstruction before the first query.
 //! - [`plan`] — [`QueryPlan`]: a batch compiled into interned supports
 //!   and CSR-style span lists over one contiguous arena.
 //! - [`cache`] — [`DimSupport`], the one support layout both paths read
-//!   (stride-premultiplied `(offset, weight)` pairs, derived by one
-//!   function), and [`ShardedSupportCache`]: hash-sharded, bounded LRU
-//!   memoization of supports for the online path.
+//!   (stride-premultiplied `(offset, weight)` pairs over the core's
+//!   stored coefficients, derived by one function), and
+//!   [`ShardedSupportCache`]: hash-sharded, bounded LRU memoization of
+//!   supports for the online path.
 //! - [`workload`] — the random workload generator of §VII-A (40 000 queries,
 //!   1–4 predicates each).
 //! - [`metrics`] — square error and relative error with the sanity bound
@@ -50,7 +50,6 @@
 // with unsafe code is privelet-matrix (worker pool / lane executor).
 #![forbid(unsafe_code)]
 
-pub mod answerer;
 pub mod buckets;
 pub mod cache;
 pub mod concurrent;
@@ -63,7 +62,6 @@ pub mod range_query;
 pub mod release;
 pub mod workload;
 
-pub use answerer::Answerer;
 pub use buckets::{quantile_rows, BucketRow};
 pub use cache::{CacheStats, DimSupport, ShardedSupportCache, DEFAULT_SHARD_COUNT};
 pub use concurrent::ConcurrentEngine;
@@ -108,10 +106,13 @@ pub enum QueryError {
     /// release from a publisher output (`from_output` /
     /// `ReleaseCore::with_meta`) to get error accounting.
     MissingPrivacyMeta,
-    /// A release's coefficient matrix holds a NaN or ±∞ at flat
-    /// (row-major) index `index`. Refused when the release core is
+    /// A release core's stored coefficient matrix (after refinement and
+    /// the identity axes' prefix sums) holds a NaN or ±∞; `index` is the
+    /// flat (row-major) index of the first one. Refused when the core is
     /// built, because one such coefficient silently poisons every answer
-    /// whose support reads it.
+    /// whose support reads it. It comes from a non-finite published
+    /// coefficient, or from finite ones whose refinement or prefix sums
+    /// overflow.
     NonFiniteCoefficient { index: usize },
     /// A confidence level outside the open interval `(0, 1)` was passed
     /// to [`AnnotatedAnswer::interval`](crate::AnnotatedAnswer::interval):

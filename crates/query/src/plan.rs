@@ -3,18 +3,20 @@
 //!
 //! `answer`ing a workload query by query re-derives each dimension's
 //! sparse support even when a thousand-query OLAP batch repeats the same
-//! predicate intervals. [`QueryPlan::compile`] walks the batch once and
+//! predicate intervals. [`ReleaseCore::plan`] walks the batch once and
 //! interns at two levels: repeated **whole queries** (a dashboard
 //! refreshed every tick) collapse onto one span list and one sparse dot
 //! per execution, and across distinct queries each distinct
 //! `(dim, lo, hi)` support is derived exactly once into a shared pool
 //! of `(offset, weight)` pairs — the same derivation, and the same
 //! stride-premultiplied layout, as the online path's
-//! [`ReleaseCore::derive_support`]. Executing the plan is then the
-//! online path's sparse tensor-product dot per distinct query, over
-//! spans of one contiguous arena — no per-query allocation, hashing, or
-//! bounds re-validation — so plan answers equal online answers bit for
-//! bit.
+//! [`ReleaseCore::derive_support`]. Executing the plan
+//! ([`ReleaseCore::execute_plan`]) is then the online path's sparse
+//! tensor-product dot per distinct query, over spans of one contiguous
+//! arena — no per-query allocation, hashing, or bounds re-validation —
+//! so plan answers equal online answers bit for bit. The supports are in
+//! the core's stored layout, so a plan is compiled and executed only
+//! through a core.
 //!
 //! The plan is also the dedup ledger: [`support_requests`] counts the
 //! `(query, dim)` pairs the batch asked for, [`distinct_supports`] the
@@ -26,51 +28,32 @@
 //! [`support_requests`]: QueryPlan::support_requests
 //! [`distinct_supports`]: QueryPlan::distinct_supports
 //! [`dedup_ratio`]: QueryPlan::dedup_ratio
+//! [`ReleaseCore::plan`]: crate::ReleaseCore::plan
+//! [`ReleaseCore::execute_plan`]: crate::ReleaseCore::execute_plan
 //! [`ReleaseCore::derive_support`]: crate::ReleaseCore::derive_support
 
 use crate::cache::DimSupport;
 use crate::engine::AnnotatedAnswer;
 use crate::kernel::tensor_dot;
 use crate::range_query::RangeQuery;
+use crate::release::ReleaseCore;
 use crate::{QueryError, Result};
-use privelet::transform::{DimTransform, HnTransform};
 use privelet::PrivacyMeta;
-use privelet_data::schema::{Domain, Schema};
-use privelet_matrix::{NdMatrix, Shape};
+use privelet_matrix::NdMatrix;
 use std::collections::HashMap;
 
-/// Validates that `transform` and `schema` describe the same release:
-/// matching dimension sizes, and structurally equal hierarchies on
-/// nominal axes. Dimension sizes alone would let a nominal transform
-/// built over a *different* hierarchy with the same leaf count slip
-/// through; node predicates would then resolve through the schema's
-/// hierarchy while weights come from the transform's, silently producing
-/// wrong answers. (Haar/identity transforms carry no structure beyond
-/// their lengths — Haar over a nominal attribute's imposed leaf order is
-/// a legitimate §V-D ablation pairing.)
-pub(crate) fn check_release_metadata(schema: &Schema, transform: &HnTransform) -> Result<()> {
-    if transform.input_dims() != schema.dims() {
-        return Err(QueryError::ShapeMismatch);
-    }
-    for (attr, dim) in schema.attrs().iter().zip(transform.transforms()) {
-        if let DimTransform::Nominal(t) = dim {
-            match attr.domain() {
-                Domain::Nominal { hierarchy } if hierarchy.as_ref() == t.hierarchy().as_ref() => {}
-                _ => return Err(QueryError::ShapeMismatch),
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A batch of range-count queries compiled against one release's schema
-/// and transform, ready to execute against any coefficient matrix of the
-/// matching shape.
+/// A batch of range-count queries compiled against one release core,
+/// ready to execute against that core's stored coefficients.
 ///
 /// Interning happens at two levels: repeated *whole queries* share one
 /// span list and are evaluated once per execution (their answer fans
 /// out), and distinct queries that repeat a per-dimension predicate
 /// share the interned support.
+///
+/// The supports are in the core's stored layout (identity axes read
+/// prefix sums), so a plan is compiled with [`ReleaseCore::plan`] and
+/// executed with [`ReleaseCore::execute_plan`]; it has no public entry
+/// point of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// Coefficient dims the plan was compiled for (execution validates).
@@ -107,28 +90,19 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Compiles a batch: validates every query against `schema`, derives
-    /// each distinct `(dim, lo, hi)` support exactly once (the derivation
-    /// behind [`ReleaseCore::derive_support`](crate::ReleaseCore::derive_support)),
+    /// Compiles a batch: validates every query against the core's
+    /// schema, derives each distinct `(dim, lo, hi)` support exactly once
+    /// (the derivation behind
+    /// [`ReleaseCore::derive_support`](crate::ReleaseCore::derive_support)),
     /// and flattens the batch into pool references.
     ///
-    /// Errors if `transform` does not fit `schema`
-    /// ([`QueryError::ShapeMismatch`], including a nominal transform
-    /// whose hierarchy differs structurally from the schema's) or any
-    /// query fails validation (the per-query error, naming the
-    /// offending attribute and bounds).
-    pub fn compile(
-        schema: &Schema,
-        transform: &HnTransform,
-        queries: &[RangeQuery],
-    ) -> Result<QueryPlan> {
-        check_release_metadata(schema, transform)?;
+    /// Errors if any query fails validation (the per-query error, naming
+    /// the offending attribute and bounds). The core validated its
+    /// schema and transform against each other when it was built.
+    pub(crate) fn compile(core: &ReleaseCore, queries: &[RangeQuery]) -> Result<QueryPlan> {
+        let schema = core.schema();
         let ndim = schema.arity();
-        let coeff_dims = transform.output_dims();
-        let strides = Shape::new(&coeff_dims)
-            .map_err(|_| QueryError::ShapeMismatch)?
-            .strides()
-            .to_vec();
+        let coeff_dims = core.coefficients().dims().to_vec();
 
         let mut pool: HashMap<(usize, usize, usize), u32> = HashMap::new();
         let mut query_pool: HashMap<&RangeQuery, u32> = HashMap::new();
@@ -159,12 +133,11 @@ impl QueryPlan {
                 let id = match pool.get(&key) {
                     Some(&id) => id,
                     None => {
-                        let support =
-                            DimSupport::derive(transform, &strides, dim, lo[dim], hi[dim])?;
+                        let support = DimSupport::derive(core, dim, lo[dim], hi[dim])?;
                         let id = spans.len() as u32;
                         spans.push((arena.len(), support.len()));
-                        span_factors.push(support.variance_factor);
-                        arena.extend_from_slice(&support.terms);
+                        span_factors.push(support.variance_factor());
+                        arena.extend_from_slice(support.terms());
                         pool.insert(key, id);
                         id
                     }
@@ -211,24 +184,12 @@ impl QueryPlan {
         })
     }
 
-    /// Executes the plan against a (refined) coefficient matrix,
-    /// returning one answer per compiled query. The only allocation is
-    /// the returned vector; see
-    /// [`execute_into`](Self::execute_into) for the allocation-free
-    /// variant.
-    pub fn execute(&self, coeffs: &NdMatrix) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.query_ids.len());
-        self.execute_into(coeffs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`execute`](Self::execute) appending into a caller-owned buffer,
-    /// so a serving loop reusing one buffer performs zero allocations
-    /// per query (one `O(distinct queries)` scratch vector per batch).
-    ///
-    /// Each **distinct** query's sparse dot runs once; repeated queries
-    /// fan the memoized answer out in input order.
-    pub fn execute_into(&self, coeffs: &NdMatrix, out: &mut Vec<f64>) -> Result<()> {
+    /// Executes the plan against its core's stored coefficients,
+    /// returning one answer per compiled query. The allocations are the
+    /// returned vector and one `O(distinct queries)` scratch vector:
+    /// each **distinct** query's sparse dot runs once, and repeated
+    /// queries fan the memoized answer out in input order.
+    pub(crate) fn execute(&self, coeffs: &NdMatrix) -> Result<Vec<f64>> {
         if coeffs.dims() != self.coeff_dims {
             return Err(QueryError::ShapeMismatch);
         }
@@ -252,9 +213,11 @@ impl QueryPlan {
             );
             distinct[q] = tensor_dot(data, &supports, 0, 1.0);
         }
-        out.reserve(self.query_ids.len());
-        out.extend(self.query_ids.iter().map(|&qid| distinct[qid as usize]));
-        Ok(())
+        Ok(self
+            .query_ids
+            .iter()
+            .map(|&qid| distinct[qid as usize])
+            .collect())
     }
 
     /// [`execute`](Self::execute) with error accounting: one
@@ -264,13 +227,12 @@ impl QueryPlan {
     /// sparse dots as `execute` (bit-identical values) plus one
     /// multiply-and-sqrt per **distinct** query — zero additional support
     /// derivations, by construction.
-    pub fn execute_annotated(
+    pub(crate) fn execute_annotated(
         &self,
         coeffs: &NdMatrix,
         meta: &PrivacyMeta,
     ) -> Result<Vec<AnnotatedAnswer>> {
-        let mut values = Vec::with_capacity(self.query_ids.len());
-        self.execute_into(coeffs, &mut values)?;
+        let values = self.execute(coeffs)?;
         let distinct_stds: Vec<f64> = self
             .distinct_factors
             .iter()
@@ -287,10 +249,11 @@ impl QueryPlan {
     }
 
     /// The product of per-dimension variance factors of input query `i`
-    /// (`Var = 2λ²·` this), read from the compile-time interned factors.
-    /// Panics if `i >= len()`.
-    pub fn variance_factor(&self, i: usize) -> f64 {
-        self.distinct_factors[self.query_ids[i] as usize]
+    /// (`Var = 2λ²·` this), read from the compile-time interned factors;
+    /// `None` when `i >= len()`.
+    pub fn variance_factor(&self, i: usize) -> Option<f64> {
+        let qid = *self.query_ids.get(i)?;
+        Some(self.distinct_factors[qid as usize])
     }
 
     /// Number of compiled queries.
@@ -366,15 +329,20 @@ impl QueryPlan {
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
+    use privelet::transform::HnTransform;
     use privelet_data::medical::medical_example;
     use privelet_data::schema::{Attribute, Schema};
     use privelet_data::FrequencyMatrix;
     use std::collections::BTreeSet;
 
-    fn medical() -> (FrequencyMatrix, HnTransform) {
+    /// The medical table and a bare core over its exact forward
+    /// coefficients (pure Privelet: Haar × nominal).
+    fn medical() -> (FrequencyMatrix, ReleaseCore) {
         let fm = FrequencyMatrix::from_table(&medical_example()).unwrap();
         let hn = HnTransform::for_schema(fm.schema(), &BTreeSet::new()).unwrap();
-        (fm, hn)
+        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let core = ReleaseCore::new(fm.schema().clone(), hn, &coeffs).unwrap();
+        (fm, core)
     }
 
     fn exact(fm: &FrequencyMatrix, q: &RangeQuery) -> f64 {
@@ -384,11 +352,11 @@ mod tests {
 
     #[test]
     fn interns_each_distinct_triple_once() {
-        let (fm, hn) = medical();
+        let (_, core) = medical();
         let q1 = RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]);
         let q2 = RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]);
         let q3 = RangeQuery::new(vec![Predicate::Range { lo: 1, hi: 4 }, Predicate::All]);
-        let plan = QueryPlan::compile(fm.schema(), &hn, &[q1.clone(), q2, q3, q1.clone()]).unwrap();
+        let plan = core.plan(&[q1.clone(), q2, q3, q1.clone()]).unwrap();
         assert_eq!(plan.len(), 4);
         // q1, q2 and the trailing q1 are the same query: one span list,
         // one dot per execution.
@@ -407,8 +375,7 @@ mod tests {
 
     #[test]
     fn executes_to_exact_answers() {
-        let (fm, hn) = medical();
-        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let (fm, core) = medical();
         let h = fm.schema().attr(1).domain().hierarchy().unwrap().clone();
         let queries = vec![
             RangeQuery::all(2),
@@ -420,17 +387,16 @@ mod tests {
                 },
             ]),
         ];
-        let plan = QueryPlan::compile(fm.schema(), &hn, &queries).unwrap();
-        let got = plan.execute(&coeffs).unwrap();
+        let plan = core.plan(&queries).unwrap();
+        let got = core.execute_plan(&plan).unwrap();
         for (q, a) in queries.iter().zip(&got) {
             let want = exact(&fm, q);
             assert!((a - want).abs() < 1e-9, "{a} vs {want}");
         }
-        // execute_into appends without clearing.
-        let mut out = vec![f64::NAN];
-        plan.execute_into(&coeffs, &mut out).unwrap();
-        assert_eq!(out.len(), 1 + queries.len());
-        assert_eq!(&out[1..], got.as_slice());
+        // A second execution is the same answers, bit for bit.
+        let again = core.execute_plan(&plan).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&got));
     }
 
     /// Every interned span is exactly the online path's support for its
@@ -438,8 +404,6 @@ mod tests {
     /// variance factor, ascending offsets — on all three kernels.
     #[test]
     fn interned_spans_are_the_online_supports() {
-        use crate::release::ReleaseCore;
-
         let h = privelet_hierarchy::builder::three_level(6, 2).unwrap();
         let schema = Schema::new(vec![
             Attribute::ordinal("x", 12),
@@ -450,7 +414,7 @@ mod tests {
         // Haar × nominal × identity (attribute 2 in SA).
         let hn = HnTransform::for_schema(&schema, &BTreeSet::from([2])).unwrap();
         let zeros = NdMatrix::zeros(&hn.output_dims()).unwrap();
-        let core = ReleaseCore::new(schema.clone(), hn.clone(), &zeros).unwrap();
+        let core = ReleaseCore::new(schema.clone(), hn, &zeros).unwrap();
         let xs = [(0, 11), (3, 7), (5, 5)];
         let nodes = [h.root(), h.leaf_node(2), h.parent(h.leaf_node(4)).unwrap()];
         let sas = [(0, 4), (1, 3)];
@@ -466,7 +430,7 @@ mod tests {
                 }
             }
         }
-        let plan = QueryPlan::compile(&schema, &hn, &queries).unwrap();
+        let plan = core.plan(&queries).unwrap();
         let bits = |pairs: &[(usize, f64)]| -> Vec<(usize, u64)> {
             pairs.iter().map(|&(k, w)| (k, w.to_bits())).collect()
         };
@@ -480,12 +444,12 @@ mod tests {
                 let online = core.derive_support(dim, lo[dim], hi[dim]).unwrap();
                 assert_eq!(
                     bits(span),
-                    bits(&online.terms),
+                    bits(online.terms()),
                     "dim {dim} [{lo:?}, {hi:?}]"
                 );
                 assert_eq!(
                     plan.span_factors[id].to_bits(),
-                    online.variance_factor.to_bits()
+                    online.variance_factor().to_bits()
                 );
                 assert!(span.windows(2).all(|p| p[0].0 < p[1].0), "ascending");
                 checked.insert(id);
@@ -499,15 +463,17 @@ mod tests {
     fn annotated_execution_matches_plain_execution_bitwise() {
         use privelet::variance::exact_query_variance;
 
-        let (fm, hn) = medical();
-        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let (fm, bare) = medical();
+        let hn = bare.transform().clone();
         let meta = PrivacyMeta::for_transform(&hn, 1.0).unwrap();
+        let coeffs = hn.forward(fm.matrix()).unwrap();
+        let core = ReleaseCore::with_meta(fm.schema().clone(), hn.clone(), &coeffs, meta).unwrap();
         let q1 = RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]);
         let queries = vec![RangeQuery::all(2), q1.clone(), q1.clone()];
-        let plan = QueryPlan::compile(fm.schema(), &hn, &queries).unwrap();
+        let plan = core.plan(&queries).unwrap();
 
-        let plain = plan.execute(&coeffs).unwrap();
-        let annotated = plan.execute_annotated(&coeffs, &meta).unwrap();
+        let plain = core.execute_plan(&plan).unwrap();
+        let annotated = core.execute_plan_with_error(&plan).unwrap();
         assert_eq!(annotated.len(), plain.len());
         for (i, (a, &v)) in annotated.iter().zip(&plain).enumerate() {
             // Identical dots: the annotation never perturbs the value.
@@ -521,57 +487,19 @@ mod tests {
                 "query {i}: {} vs {want}",
                 a.variance()
             );
-            assert!(
-                (plan.variance_factor(i) - want / (2.0 * meta.lambda * meta.lambda)).abs() < 1e-9
-            );
+            let factor = plan.variance_factor(i).unwrap();
+            assert!((factor - want / (2.0 * meta.lambda * meta.lambda)).abs() < 1e-9);
         }
+        // Out of range is `None`, not a panic.
+        assert_eq!(plan.variance_factor(plan.len()), None);
+        assert_eq!(plan.variance_factor(usize::MAX), None);
         // Repeated whole queries share one interned std-dev.
         assert_eq!(annotated[1], annotated[2]);
 
         // Empty plans annotate to an empty batch.
-        let empty = QueryPlan::compile(fm.schema(), &hn, &[]).unwrap();
-        assert_eq!(empty.execute_annotated(&coeffs, &meta).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn rejects_nominal_transform_over_a_different_hierarchy() {
-        use privelet::transform::NominalTransform;
-        use privelet_hierarchy::Spec;
-        use std::sync::Arc;
-
-        // Schema hierarchy: 6 leaves in two groups of 3 (9 nodes);
-        // transform hierarchy: same leaf and node counts, grouped (2, 4).
-        let schema_h = privelet_hierarchy::builder::three_level(6, 2).unwrap();
-        let schema = Schema::new(vec![Attribute::nominal("n", schema_h)]).unwrap();
-        let other_h = Arc::new(
-            Spec::internal(
-                "r",
-                vec![
-                    Spec::internal("g1", vec![Spec::leaf("a"), Spec::leaf("b")]),
-                    Spec::internal(
-                        "g2",
-                        vec![
-                            Spec::leaf("c"),
-                            Spec::leaf("d"),
-                            Spec::leaf("e"),
-                            Spec::leaf("f"),
-                        ],
-                    ),
-                ],
-            )
-            .build()
-            .unwrap(),
-        );
-        let hn =
-            HnTransform::new(vec![DimTransform::Nominal(NominalTransform::new(other_h))]).unwrap();
-        // Dims line up (6 in, 9 out) — only the structural check can
-        // reject this; without it the plan would silently mix the two
-        // hierarchies and return wrong answers.
-        assert_eq!(hn.input_dims(), schema.dims());
-        assert_eq!(
-            QueryPlan::compile(&schema, &hn, &[RangeQuery::all(1)]).unwrap_err(),
-            QueryError::ShapeMismatch
-        );
+        let empty = core.plan(&[]).unwrap();
+        assert_eq!(core.execute_plan_with_error(&empty).unwrap(), vec![]);
+        assert_eq!(empty.variance_factor(0), None);
     }
 
     #[test]
@@ -580,12 +508,11 @@ mod tests {
         // request count must return a well-defined 0-value on an empty
         // workload instead of NaN/∞ — serving tiers feed these straight
         // into reports.
-        let (fm, hn) = medical();
-        let coeffs = hn.forward(fm.matrix()).unwrap();
-        let plan = QueryPlan::compile(fm.schema(), &hn, &[]).unwrap();
+        let (_, core) = medical();
+        let plan = core.plan(&[]).unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 0);
-        assert_eq!(plan.execute(&coeffs).unwrap(), Vec::<f64>::new());
+        assert_eq!(core.execute_plan(&plan).unwrap(), Vec::<f64>::new());
         assert_eq!(plan.support_requests(), 0);
         assert_eq!(plan.distinct_supports(), 0);
         assert_eq!(plan.distinct_queries(), 0);
@@ -596,22 +523,18 @@ mod tests {
         assert!(plan.dedup_ratio().is_finite());
         assert_eq!(plan.mean_support(), 0.0);
         assert!(plan.mean_support().is_finite());
-        // execute_into on an empty plan appends nothing and still
-        // validates the coefficient shape.
-        let mut out = vec![1.5];
-        plan.execute_into(&coeffs, &mut out).unwrap();
-        assert_eq!(out, vec![1.5]);
+        // An empty plan still validates the coefficient shape.
         let wrong = NdMatrix::zeros(&[2, 2]).unwrap();
         assert_eq!(plan.execute(&wrong).unwrap_err(), QueryError::ShapeMismatch);
     }
 
     #[test]
     fn rejects_bad_queries_and_shapes() {
-        let (fm, hn) = medical();
+        let (_, core) = medical();
         // Invalid interval: the error names the attribute and bounds.
         let bad = RangeQuery::new(vec![Predicate::Range { lo: 9, hi: 9 }, Predicate::All]);
         assert_eq!(
-            QueryPlan::compile(fm.schema(), &hn, &[bad]).unwrap_err(),
+            core.plan(&[bad]).unwrap_err(),
             QueryError::BadInterval {
                 attr: 0,
                 lo: 9,
@@ -619,16 +542,19 @@ mod tests {
                 size: 5
             }
         );
-        // Transform over a different schema.
-        let other = Schema::new(vec![Attribute::ordinal("x", 3)]).unwrap();
-        let other_hn = HnTransform::for_schema(&other, &BTreeSet::new()).unwrap();
-        assert_eq!(
-            QueryPlan::compile(fm.schema(), &other_hn, &[]).unwrap_err(),
-            QueryError::ShapeMismatch
-        );
-        // Executing against wrongly shaped coefficients.
-        let plan = QueryPlan::compile(fm.schema(), &hn, &[RangeQuery::all(2)]).unwrap();
+        // Executing against wrongly shaped coefficients, directly and
+        // through a core of another shape.
+        let plan = core.plan(&[RangeQuery::all(2)]).unwrap();
         let wrong = NdMatrix::zeros(&[4, 3]).unwrap();
         assert_eq!(plan.execute(&wrong).unwrap_err(), QueryError::ShapeMismatch);
+        let other =
+            Schema::new(vec![Attribute::ordinal("x", 3), Attribute::ordinal("y", 2)]).unwrap();
+        let other_hn = HnTransform::for_schema(&other, &BTreeSet::new()).unwrap();
+        let zeros = NdMatrix::zeros(&other_hn.output_dims()).unwrap();
+        let other_core = ReleaseCore::new(other, other_hn, &zeros).unwrap();
+        assert_eq!(
+            other_core.execute_plan(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
     }
 }

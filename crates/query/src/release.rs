@@ -1,12 +1,21 @@
 //! The immutable core of a coefficient-domain release: everything a
 //! serving thread needs to answer queries, and nothing that mutates.
 //!
-//! [`ReleaseCore`] holds the schema, the transform and the **refined**
+//! [`ReleaseCore`] holds the schema, the transform and the **stored**
 //! noisy coefficients of one published release. Construction performs
-//! the one-time work (metadata validation, the §V-B refinement pass, the
-//! total-count query); after that every method takes `&self` and touches
-//! only immutable state, so the core is `Send + Sync` by construction
-//! and is meant to live inside an [`Arc`] shared across serving threads.
+//! the one-time work (metadata validation, the §V-B refinement pass, a
+//! prefix-sum pass along every identity axis, the finiteness scan and
+//! the total-count query); after that every method takes `&self` and
+//! touches only immutable state, so the core is `Send + Sync` by
+//! construction and is meant to live inside an [`Arc`] shared across
+//! serving threads.
+//!
+//! Stored layout: Haar and nominal axes hold their (refined)
+//! coefficients, and identity (Privelet⁺ SA) axes hold prefix sums along
+//! the axis, so an interval there reads two entries instead of every
+//! covered cell, and an all-identity release (Basic) reads the 2^d
+//! corners of a summed-area table. Supports ([`DimSupport`]) are derived
+//! against this layout, so plans compile and execute only through a core.
 //!
 //! The serving engine layers on top: [`ConcurrentEngine`] pairs an
 //! `Arc`'d core with a hash-sharded support cache. Its cached answers
@@ -22,26 +31,49 @@ use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::{QueryError, Result};
 use privelet::mechanism::CoefficientOutput;
-use privelet::transform::HnTransform;
+use privelet::transform::{DimTransform, HnTransform};
 use privelet::PrivacyMeta;
-use privelet_data::schema::Schema;
-use privelet_matrix::NdMatrix;
+use privelet_data::schema::{Domain, Schema};
+use privelet_matrix::{prefix_sum_axis, NdMatrix};
 use std::sync::Arc;
 
+/// Validates that `transform` and `schema` describe the same release:
+/// matching dimension sizes, and structurally equal hierarchies on
+/// nominal axes. Dimension sizes alone would let a nominal transform
+/// built over a *different* hierarchy with the same leaf count slip
+/// through; node predicates would then resolve through the schema's
+/// hierarchy while weights come from the transform's, silently producing
+/// wrong answers. (Haar/identity transforms carry no structure beyond
+/// their lengths — Haar over a nominal attribute's imposed leaf order is
+/// a legitimate §V-D ablation pairing.)
+fn check_release_metadata(schema: &Schema, transform: &HnTransform) -> Result<()> {
+    if transform.input_dims() != schema.dims() {
+        return Err(QueryError::ShapeMismatch);
+    }
+    for (attr, dim) in schema.attrs().iter().zip(transform.transforms()) {
+        if let DimTransform::Nominal(t) = dim {
+            match attr.domain() {
+                Domain::Nominal { hierarchy } if hierarchy.as_ref() == t.hierarchy().as_ref() => {}
+                _ => return Err(QueryError::ShapeMismatch),
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The immutable, shareable core of one coefficient-domain release:
-/// schema + transform + refined coefficients (+ cached strides, the
-/// noisy total, and the release's [`PrivacyMeta`] when it came from a
-/// publisher). See the [module docs](self) for how the serving engine
+/// schema + transform + stored coefficients (+ the noisy total, and the
+/// release's [`PrivacyMeta`] when it came from a publisher). See the
+/// [module docs](self) for the stored layout and how the serving engine
 /// layers on top.
 #[derive(Debug, Clone)]
 pub struct ReleaseCore {
     schema: Schema,
     transform: HnTransform,
-    /// Refined coefficients (mean subtraction already applied on nominal
-    /// axes), so every answer is a pure dot product.
+    /// Stored coefficients: refined (mean subtraction already applied on
+    /// nominal axes) and prefix-summed along identity axes, so every
+    /// answer is a pure dot product.
     coeffs: NdMatrix,
-    /// Row-major strides of `coeffs`, cached for support derivation.
-    strides: Vec<usize>,
     /// The (noisy) total count — the unconstrained query's answer,
     /// computed once at construction.
     total: f64,
@@ -60,15 +92,17 @@ impl ReleaseCore {
     /// [`with_meta`](Self::with_meta) or
     /// [`from_output`](Self::from_output) to carry it). Applies the
     /// refinement once (O(m'); idempotent, so exact or already-refined
-    /// coefficients pass through unchanged) and answers the unconstrained
-    /// query once for [`total`](Self::total).
+    /// coefficients pass through unchanged), runs one O(m') prefix-sum
+    /// pass per identity axis, and answers the unconstrained query once
+    /// for [`total`](Self::total).
     ///
     /// Errors with [`QueryError::ShapeMismatch`] when the schema, the
     /// transform and the coefficient matrix do not describe the same
     /// release (including a nominal transform whose hierarchy differs
     /// structurally from the schema's), and with
-    /// [`QueryError::NonFiniteCoefficient`] when a coefficient is NaN or
-    /// ±∞.
+    /// [`QueryError::NonFiniteCoefficient`] when a stored coefficient is
+    /// NaN or ±∞ (non-finite input, or a refinement or prefix sum that
+    /// overflows).
     pub fn new(schema: Schema, transform: HnTransform, noisy: &NdMatrix) -> Result<Self> {
         Self::build(schema, transform, noisy, None)
     }
@@ -90,22 +124,25 @@ impl ReleaseCore {
         noisy: &NdMatrix,
         meta: Option<PrivacyMeta>,
     ) -> Result<Self> {
-        crate::plan::check_release_metadata(&schema, &transform)?;
+        check_release_metadata(&schema, &transform)?;
         if noisy.dims() != transform.output_dims() {
             return Err(QueryError::ShapeMismatch);
         }
-        if let Some(index) = noisy.as_slice().iter().position(|c| !c.is_finite()) {
-            return Err(QueryError::NonFiniteCoefficient { index });
-        }
-        let coeffs = transform
+        let mut coeffs = transform
             .refine_coefficients(noisy)
             .map_err(QueryError::from)?;
-        let strides = coeffs.shape().strides().to_vec();
+        for (axis, t) in transform.transforms().iter().enumerate() {
+            if let DimTransform::Identity(_) = t {
+                prefix_sum_axis(&mut coeffs, axis).map_err(|_| QueryError::ShapeMismatch)?;
+            }
+        }
+        if let Some(index) = coeffs.as_slice().iter().position(|c| !c.is_finite()) {
+            return Err(QueryError::NonFiniteCoefficient { index });
+        }
         let mut core = ReleaseCore {
             schema,
             transform,
             coeffs,
-            strides,
             total: 0.0,
             meta,
         };
@@ -125,25 +162,24 @@ impl ReleaseCore {
     /// Rolls this core to a new epoch of the *same* release series: a
     /// fresh [`CoefficientOutput`] (e.g. from
     /// `IncrementalRelease::advance_epoch` in `privelet`) re-validated
-    /// against this core's serving lineage, then rebuilt (refinement +
-    /// total) into a new immutable core.
+    /// against this core's serving lineage, then rebuilt (refinement,
+    /// prefix sums, total) into a new immutable core.
     ///
     /// Lineage validation errors with [`QueryError::ShapeMismatch`] when
     /// the epoch's transform does not describe this core's schema —
     /// including a nominal hierarchy that differs structurally — or its
-    /// coefficient matrix has different dims; a NaN or ±∞ coefficient
-    /// errors with [`QueryError::NonFiniteCoefficient`]. Serving tiers
-    /// advance by swapping the returned core in; the old core stays
-    /// valid for threads still holding it (epoch advance is never
-    /// destructive to in-flight reads).
+    /// coefficient matrix has different dims; a non-finite stored
+    /// coefficient errors with [`QueryError::NonFiniteCoefficient`].
+    /// Serving tiers advance by swapping the returned core in; the old
+    /// core stays valid for threads still holding it (epoch advance is
+    /// never destructive to in-flight reads).
     ///
     /// Cache note: per-dimension supports are pure functions of
     /// `(dim, lo, hi)` and the transform, and the transform is pinned by
     /// the lineage check — so support caches **survive** an epoch
-    /// advance untouched. Only coefficient state (this core's refined
+    /// advance untouched. Only coefficient state (this core's stored
     /// matrix and noisy total) rolls.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
-        crate::plan::check_release_metadata(&self.schema, &out.transform)?;
         if out.coefficients.dims() != self.coeffs.dims() {
             return Err(QueryError::ShapeMismatch);
         }
@@ -165,7 +201,9 @@ impl ReleaseCore {
         &self.transform
     }
 
-    /// The refined coefficient matrix answers are dotted against.
+    /// The stored coefficient matrix answers are dotted against: the
+    /// refined coefficients, prefix-summed along every identity axis (see
+    /// the [module docs](self)).
     pub fn coefficients(&self) -> &NdMatrix {
         &self.coeffs
     }
@@ -182,14 +220,15 @@ impl ReleaseCore {
 
     /// Derives one dimension's sparse support, uncached: the
     /// `(stride-premultiplied offset, weight)` pairs of the interval-sum
-    /// functional over `[lo, hi]` on dimension `dim`, plus the per-dimension
-    /// variance factor (an O(|support|) fold piggybacking on the
-    /// derivation — no second derivation, so cached supports carry their
-    /// error accounting for free). This is the derivation every cache
-    /// memoizes, and the one a compiled plan interns; it is pure, so two
-    /// threads deriving the same triple produce identical supports.
+    /// functional over `[lo, hi]` on dimension `dim`, in this core's
+    /// stored layout, plus the per-dimension variance factor (an
+    /// O(|support|) fold piggybacking on the derivation — no second
+    /// derivation, so cached supports carry their error accounting for
+    /// free). This is the derivation every cache memoizes, and the one a
+    /// compiled plan interns; it is pure, so two threads deriving the
+    /// same triple produce identical supports.
     pub fn derive_support(&self, dim: usize, lo: usize, hi: usize) -> Result<SharedSupport> {
-        DimSupport::derive(&self.transform, &self.strides, dim, lo, hi).map(Arc::new)
+        DimSupport::derive(self, dim, lo, hi).map(Arc::new)
     }
 
     /// Resolves a query to its per-dimension bounds and derives every
@@ -206,7 +245,7 @@ impl ReleaseCore {
     /// dot. The cached path and compiled plans run the same derivation
     /// and kernel, so they equal this bit for bit.
     pub fn answer_uncached(&self, q: &RangeQuery) -> Result<f64> {
-        Ok(self.dot(&self.supports_uncached(q)?))
+        self.dot(&self.supports_uncached(q)?)
     }
 
     /// [`answer_uncached`](Self::answer_uncached) with error accounting:
@@ -214,14 +253,37 @@ impl ReleaseCore {
     /// [`annotate`](Self::annotate).
     pub fn answer_with_error_uncached(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
         let supports = self.supports_uncached(q)?;
-        self.annotate(self.dot(&supports), &supports)
+        self.annotate(self.dot(&supports)?, &supports)
     }
 
     /// The sparse tensor-product dot of already-derived per-dimension
-    /// supports against the refined coefficients:
+    /// supports against the stored coefficients:
     /// `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]`, reading `∏ᵢ |supportᵢ|` coefficients.
-    pub fn dot(&self, supports: &[SharedSupport]) -> f64 {
-        crate::kernel::tensor_dot(self.coeffs.as_slice(), supports, 0, 1.0)
+    ///
+    /// Errors with [`QueryError::WrongArity`] when the number of supports
+    /// is not the schema's arity, and with [`QueryError::ShapeMismatch`]
+    /// when the sum of their last (largest) offsets reaches the
+    /// coefficient count, e.g. supports of a larger release. The check is
+    /// O(d); a support of another release that stays in bounds passes.
+    pub fn dot(&self, supports: &[SharedSupport]) -> Result<f64> {
+        if supports.len() != self.schema.arity() {
+            return Err(QueryError::WrongArity {
+                expected: self.schema.arity(),
+                got: supports.len(),
+            });
+        }
+        let reach = supports.iter().try_fold(0usize, |acc, s| {
+            acc.checked_add(s.terms().last().map_or(0, |&(k, _)| k))
+        });
+        match reach {
+            Some(reach) if reach < self.coeffs.len() => Ok(crate::kernel::tensor_dot(
+                self.coeffs.as_slice(),
+                supports,
+                0,
+                1.0,
+            )),
+            _ => Err(QueryError::ShapeMismatch),
+        }
     }
 
     /// Annotates an already-computed answer with its exact noise std-dev,
@@ -233,25 +295,26 @@ impl ReleaseCore {
     /// built without accounting ([`new`](Self::new)).
     pub fn annotate(&self, value: f64, supports: &[SharedSupport]) -> Result<AnnotatedAnswer> {
         let meta = self.meta.as_ref().ok_or(QueryError::MissingPrivacyMeta)?;
-        let product: f64 = supports.iter().map(|s| s.variance_factor).product();
+        let product: f64 = supports.iter().map(|s| s.variance_factor()).product();
         Ok(AnnotatedAnswer {
             value,
             std_dev: meta.query_variance(product).sqrt(),
         })
     }
 
-    /// Compiles a workload against this release's schema and transform.
-    /// The returned plan is immutable and `Send + Sync`; it stays valid
-    /// for the core's lifetime, so one compiled plan can be executed from
-    /// many threads against one shared core.
+    /// Compiles a workload against this release's schema, transform and
+    /// stored layout. The returned plan is immutable and `Send + Sync`;
+    /// it stays valid for the core's lifetime, so one compiled plan can
+    /// be executed from many threads against one shared core.
     pub fn plan(&self, queries: &[RangeQuery]) -> Result<QueryPlan> {
-        QueryPlan::compile(&self.schema, &self.transform, queries)
+        QueryPlan::compile(self, queries)
     }
 
-    /// Executes a compiled plan against the refined coefficients. Takes
-    /// `&self` and allocates only the output vector, so any number of
-    /// threads can execute the same plan against the same core
-    /// concurrently.
+    /// Executes a compiled plan against the stored coefficients. Takes
+    /// `&self`, so any number of threads can execute the same plan
+    /// against the same core concurrently. Errors with
+    /// [`QueryError::ShapeMismatch`] for a plan compiled against a core
+    /// of another shape.
     pub fn execute_plan(&self, plan: &QueryPlan) -> Result<Vec<f64>> {
         plan.execute(&self.coeffs)
     }
@@ -367,12 +430,125 @@ mod tests {
         let core = ReleaseCore::from_output(&out).unwrap();
         let total = core.supports_uncached(&RangeQuery::all(2)).unwrap();
         let read: Vec<usize> = total[0]
-            .terms
+            .terms()
             .iter()
-            .flat_map(|&(i, _)| total[1].terms.iter().map(move |&(j, _)| i + j))
+            .flat_map(|&(i, _)| total[1].terms().iter().map(move |&(j, _)| i + j))
             .collect();
         let index = (0..64).find(|k| !read.contains(k)).unwrap();
         (out, index)
+    }
+
+    /// A bare one-axis core over `attr` (identity when `sa`, else its
+    /// Haar or nominal transform), built from `coeffs` as published.
+    fn one_axis_core(
+        attr: privelet_data::schema::Attribute,
+        sa: bool,
+        coeffs: Vec<f64>,
+    ) -> Result<ReleaseCore> {
+        let schema = Schema::new(vec![attr]).unwrap();
+        let sa = if sa { vec![0] } else { vec![] };
+        let hn = HnTransform::for_schema(&schema, &sa.into_iter().collect()).unwrap();
+        let m = NdMatrix::from_vec(&hn.output_dims(), coeffs).unwrap();
+        ReleaseCore::new(schema, hn, &m)
+    }
+
+    #[test]
+    fn identity_supports_read_two_prefix_entries() {
+        use privelet::transform::{IdentityTransform, Transform1d};
+        use privelet_data::schema::Attribute;
+
+        // Cells 1..=6 on one SA axis: stored as prefix sums 1, 3, 6, …
+        let cells: Vec<f64> = (1..=6).map(f64::from).collect();
+        let core = one_axis_core(Attribute::ordinal("a", 6), true, cells.clone()).unwrap();
+        assert_eq!(
+            core.coefficients().as_slice(),
+            &[1.0, 3.0, 6.0, 10.0, 15.0, 21.0]
+        );
+        assert_eq!(core.total(), 21.0);
+        let identity = IdentityTransform::new(6);
+        for lo in 0..6 {
+            for hi in lo..6 {
+                let s = core.derive_support(0, lo, hi).unwrap();
+                assert_eq!(s.len(), 1 + usize::from(lo > 0));
+                assert!(s.terms().windows(2).all(|p| p[0].0 < p[1].0));
+                // The factor describes the noise on the covered cells.
+                assert_eq!(
+                    s.variance_factor().to_bits(),
+                    identity.query_variance_factor(lo, hi).to_bits()
+                );
+                let q = RangeQuery::new(vec![crate::Predicate::Range { lo, hi }]);
+                let want: f64 = cells[lo..=hi].iter().sum();
+                assert_eq!(core.answer_uncached(&q).unwrap(), want);
+            }
+        }
+        // Bounds are still validated before anything is built.
+        assert_eq!(
+            core.derive_support(0, 2, 6).unwrap_err(),
+            QueryError::BadInterval {
+                attr: 0,
+                lo: 2,
+                hi: 6,
+                size: 6
+            }
+        );
+    }
+
+    #[test]
+    fn refuses_prefix_sums_and_refinements_that_overflow() {
+        use privelet_data::schema::Attribute;
+
+        // Finite input, stored [MAX, +∞]: serving it would answer +∞ for
+        // the cell [1, 1] instead of MAX.
+        let max = f64::MAX;
+        assert_eq!(
+            one_axis_core(Attribute::ordinal("a", 2), true, vec![max, max]).unwrap_err(),
+            QueryError::NonFiniteCoefficient { index: 1 }
+        );
+        // The same values on a Haar axis are stored as given.
+        assert!(one_axis_core(Attribute::ordinal("a", 2), false, vec![max, max]).is_ok());
+        // A finite nominal sibling group whose mean subtraction overflows.
+        let h = privelet_hierarchy::builder::three_level(4, 2).unwrap();
+        let nodes = h.node_count();
+        let mut coeffs = vec![0.0; nodes];
+        coeffs[1] = max;
+        coeffs[2] = max;
+        let err = one_axis_core(Attribute::nominal("n", h), false, coeffs).unwrap_err();
+        assert!(
+            matches!(err, QueryError::NonFiniteCoefficient { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn dot_refuses_supports_of_another_shape() {
+        use privelet_data::schema::Attribute;
+
+        let core = medical_core();
+        let supports = core.supports_uncached(&RangeQuery::all(2)).unwrap();
+        assert_eq!(
+            core.dot(&supports).unwrap().to_bits(),
+            core.total().to_bits()
+        );
+        // Too few and too many supports.
+        for n in [0, 1, 3] {
+            let picked: Vec<SharedSupport> = supports.iter().cycle().take(n).cloned().collect();
+            assert_eq!(
+                core.dot(&picked).unwrap_err(),
+                QueryError::WrongArity {
+                    expected: 2,
+                    got: n
+                }
+            );
+        }
+        // A support derived from a larger release reaches past this
+        // core's coefficients: refused, not a slice-index panic.
+        let wide = one_axis_core(Attribute::ordinal("x", 64), false, vec![0.0; 64]).unwrap();
+        let far = wide.derive_support(0, 61, 61).unwrap();
+        assert!(far.terms().last().unwrap().0 >= core.coefficients().len());
+        assert_eq!(
+            core.dot(&[far, supports[1].clone()]).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Property tests for coefficient-domain query answering: on random
 //! 1–3-dimensional mixed schemas and random workloads, the
-//! `ConcurrentEngine`'s sparse tensor-product dot agrees with the
-//! inverse-transform + prefix-sum `Answerer` — exactly (to 1e-9) on exact
-//! coefficients, and to floating-point rounding on noisy releases.
+//! `ConcurrentEngine`'s sparse tensor-product dot agrees with
+//! inverse-transform + prefix sums (`PrefixSums` +
+//! `RangeQuery::evaluate_prefix`) — exactly (to 1e-9) on exact
+//! coefficients, and to floating-point rounding on noisy releases. An
+//! all-identity release (Basic) reads the 2^d corners of a summed-area
+//! table per query.
 
 use privelet_repro::core::mechanism::{publish_coefficients, publish_privelet, PriveletConfig};
 use privelet_repro::core::transform::HnTransform;
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::data::FrequencyMatrix;
 use privelet_repro::hierarchy::builder::random as random_hierarchy;
-use privelet_repro::matrix::NdMatrix;
-use privelet_repro::query::{
-    generate_workload, Answerer, ConcurrentEngine, ReleaseCore, WorkloadConfig,
-};
+use privelet_repro::matrix::{NdMatrix, PrefixSums};
+use privelet_repro::query::{generate_workload, ConcurrentEngine, ReleaseCore, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -104,13 +105,13 @@ proptest! {
         let coeff = ConcurrentEngine::new(Arc::new(
             ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap(),
         ));
-        let dense = Answerer::new(fm.schema().clone(), fm.matrix()).unwrap();
+        let prefix = PrefixSums::build(fm.matrix());
         for q in workload(&schema, wl_seed) {
             let a = coeff.answer(&q).unwrap();
-            let b = dense.answer(&q).unwrap();
+            let b = q.evaluate_prefix(&schema, &prefix).unwrap();
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b} on {q:?}");
         }
-        prop_assert!((coeff.total() - dense.total()).abs() < 1e-9);
+        prop_assert!((coeff.total() - prefix.total()).abs() < 1e-9);
     }
 
     /// Noisy releases: serving from the published coefficients agrees with
@@ -129,7 +130,7 @@ proptest! {
         let release = publish_coefficients(&fm, &cfg).unwrap();
         let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let rec = release.to_matrix().unwrap();
-        let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
+        let prefix = PrefixSums::build(rec.matrix());
         let scale: f64 = release
             .coefficients
             .as_slice()
@@ -139,11 +140,48 @@ proptest! {
             .max(1.0);
         for q in workload(&schema, wl_seed) {
             let a = coeff.answer(&q).unwrap();
-            let b = dense.answer(&q).unwrap();
+            let b = q.evaluate_prefix(rec.schema(), &prefix).unwrap();
             prop_assert!(
                 (a - b).abs() < 1e-9 * scale,
                 "{a} vs {b} (scale {scale}) on {q:?}"
             );
+        }
+    }
+
+    /// An all-identity release (Privelet⁺ with SA = every attribute,
+    /// which is Basic) reads at most 2^d stored entries per query — the
+    /// corners of a summed-area table — and answers like prefix sums
+    /// over the reconstructed matrix.
+    #[test]
+    fn all_identity_release_reads_the_summed_area_corners(
+        (schema, _) in schema_strategy(),
+        data_seed in any::<u64>(),
+        noise_seed in any::<u64>(),
+        wl_seed in any::<u64>(),
+    ) {
+        let fm = data_matrix(&schema, data_seed);
+        let sa: BTreeSet<usize> = (0..schema.arity()).collect();
+        let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
+        let release = publish_coefficients(&fm, &cfg).unwrap();
+        let core = ReleaseCore::from_output(&release).unwrap();
+        let queries = workload(&schema, wl_seed);
+        let plan = core.plan(&queries).unwrap();
+        let corners = 1usize << schema.arity();
+        prop_assert!(plan.total_reads() <= plan.len() * corners);
+        prop_assert!(plan.mean_support() <= corners as f64);
+
+        let rec = release.to_matrix().unwrap();
+        let prefix = PrefixSums::build(rec.matrix());
+        let scale: f64 = release
+            .coefficients
+            .as_slice()
+            .iter()
+            .map(|c| c.abs())
+            .sum::<f64>()
+            .max(1.0);
+        for (q, a) in queries.iter().zip(core.execute_plan(&plan).unwrap()) {
+            let b = q.evaluate_prefix(&schema, &prefix).unwrap();
+            prop_assert!((a - b).abs() < 1e-9 * scale, "{a} vs {b} on {q:?}");
         }
     }
 

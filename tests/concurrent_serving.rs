@@ -12,7 +12,7 @@
 //!    one derivation per distinct `(dim, lo, hi)` key resident in its
 //!    shard.
 //! 3. **Compile-time shareability** — `Send + Sync` static assertions
-//!    for the plan, the release core, both engines and the cache.
+//!    for the plan, the release core, the engine and the cache.
 //!
 //! Thread-stress iteration counts are bounded by default (the dev
 //! container is single-CPU) and scaled up in CI via the
@@ -25,9 +25,9 @@ use common::{
 };
 use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_repro::data::schema::{Attribute, Schema};
-use privelet_repro::query::cache::SupportKey;
+use privelet_repro::query::cache::{SharedSupport, SupportKey};
 use privelet_repro::query::{
-    Answerer, ConcurrentEngine, DimSupport, QueryPlan, RangeQuery, ReleaseCore, ShardedSupportCache,
+    ConcurrentEngine, QueryPlan, RangeQuery, ReleaseCore, ShardedSupportCache,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +50,19 @@ fn send_sync_assertion_suite() {
     assert_send_sync::<ConcurrentEngine>();
     assert_send_sync::<ShardedSupportCache>();
     assert_send_sync::<Arc<ShardedSupportCache>>();
-    assert_send_sync::<Answerer>();
+}
+
+/// `n` real supports, one per cache key, derived up front from a small
+/// 1-D release: the stress tests hand out `Arc` clones of these, so a
+/// lookup that returns another key's support fails `Arc::ptr_eq`.
+fn real_supports(n: usize) -> Vec<SharedSupport> {
+    let schema = Schema::new(vec![Attribute::ordinal("v", 8)]).unwrap();
+    let fm = data_matrix(&schema, 3);
+    let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 5)).unwrap();
+    let core = ReleaseCore::from_output(&release).unwrap();
+    (0..n)
+        .map(|k| core.derive_support(0, k % 8, 7).unwrap())
+        .collect()
 }
 
 /// The acceptance scenario, deterministic: one release, one plan
@@ -137,12 +149,14 @@ fn contended_sharded_cache_conserves_counters_and_derives_once() {
     let cache = ShardedSupportCache::new(4 * KEYS, 8);
     let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
     let derivations: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let supports = real_supports(KEYS);
 
     thread::scope(|s| {
         for t in 0..WRITERS {
             let cache = &cache;
             let keys = &keys;
             let derivations = &derivations;
+            let supports = &supports;
             s.spawn(move || {
                 for round in 0..iters {
                     // Offset the walk per thread so lock acquisition
@@ -152,13 +166,13 @@ fn contended_sharded_cache_conserves_counters_and_derives_once() {
                         let support = cache
                             .get_or_derive(keys[k], || {
                                 derivations[k].fetch_add(1, Ordering::SeqCst);
-                                Ok::<_, ()>(Arc::new(DimSupport {
-                                    terms: vec![(k, 1.0)],
-                                    variance_factor: 1.0,
-                                }))
+                                Ok::<_, ()>(Arc::clone(&supports[k]))
                             })
                             .unwrap();
-                        assert_eq!(support.terms[0].0, k, "supports must never cross keys");
+                        assert!(
+                            Arc::ptr_eq(&support, &supports[k]),
+                            "supports must never cross keys"
+                        );
                     }
                 }
             });
@@ -200,12 +214,14 @@ fn contended_sharded_cache_conserves_counters_under_eviction_pressure() {
     let cache = ShardedSupportCache::new(8, 4); // 2 entries per shard
     let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
     let derivations: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let supports = real_supports(KEYS);
 
     thread::scope(|s| {
         for t in 0..WRITERS {
             let cache = &cache;
             let keys = &keys;
             let derivations = &derivations;
+            let supports = &supports;
             s.spawn(move || {
                 for round in 0..iters {
                     for i in 0..KEYS {
@@ -213,13 +229,10 @@ fn contended_sharded_cache_conserves_counters_under_eviction_pressure() {
                         let support = cache
                             .get_or_derive(keys[k], || {
                                 derivations[k].fetch_add(1, Ordering::SeqCst);
-                                Ok::<_, ()>(Arc::new(DimSupport {
-                                    terms: vec![(k, 1.0)],
-                                    variance_factor: 1.0,
-                                }))
+                                Ok::<_, ()>(Arc::clone(&supports[k]))
                             })
                             .unwrap();
-                        assert_eq!(support.terms[0].0, k);
+                        assert!(Arc::ptr_eq(&support, &supports[k]));
                     }
                 }
             });

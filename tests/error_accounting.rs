@@ -29,7 +29,7 @@ use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::eval::calibration_check;
 use privelet_repro::eval::ExactEvaluate;
 use privelet_repro::noise::RunningStats;
-use privelet_repro::query::{Answerer, ConcurrentEngine, Predicate, RangeQuery, ReleaseCore};
+use privelet_repro::query::{ConcurrentEngine, Predicate, RangeQuery, ReleaseCore};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -68,10 +68,10 @@ proptest! {
         }
     }
 
-    /// Every engine's annotated answer carries the exact variance the
+    /// The engine's annotated answer carries the exact variance the
     /// variance module computes, and a value bit-identical to its plain
-    /// answer; the coefficient engine's annotation is bit-identical to
-    /// the core's cache-free reference.
+    /// answer; the annotation is bit-identical to the core's cache-free
+    /// reference.
     #[test]
     fn annotated_answers_reproduce_the_variance_module(
         (schema, sa) in schema_strategy(),
@@ -83,11 +83,6 @@ proptest! {
         let cfg = PriveletConfig::plus(1.0, sa, noise_seed);
         let release = publish_coefficients(&fm, &cfg).unwrap();
         let engine = ConcurrentEngine::from_output(&release).unwrap();
-        let rec = release.to_matrix().unwrap();
-        let prefix = Answerer::new(rec.schema().clone(), rec.matrix())
-            .unwrap()
-            .with_error_model(release.transform.clone(), release.meta)
-            .unwrap();
 
         // A workload slice keeps the proptest cheap; the full workload
         // is exercised by the counter test below.
@@ -95,17 +90,12 @@ proptest! {
             let (lo, hi) = q.bounds(&schema).unwrap();
             let want =
                 exact_query_variance(&release.transform, release.meta.lambda, &lo, &hi).unwrap();
-            let annotated = [
-                (engine.answer_with_error(&q).unwrap(), engine.answer(&q).unwrap()),
-                (prefix.answer_with_error(&q).unwrap(), prefix.answer(&q).unwrap()),
-            ];
-            for (a, plain) in annotated {
-                prop_assert_eq!(a.value, plain);
-                prop_assert!(
-                    (a.variance() - want).abs() <= 1e-9 * want.max(1e-12),
-                    "variance {} vs {want}", a.variance()
-                );
-            }
+            let a = engine.answer_with_error(&q).unwrap();
+            prop_assert_eq!(a.value, engine.answer(&q).unwrap());
+            prop_assert!(
+                (a.variance() - want).abs() <= 1e-9 * want.max(1e-12),
+                "variance {} vs {want}", a.variance()
+            );
             let cached = engine.answer_with_error(&q).unwrap();
             let reference = engine.core().answer_with_error_uncached(&q).unwrap();
             prop_assert_eq!(cached.value.to_bits(), reference.value.to_bits());
@@ -292,7 +282,8 @@ fn single_coefficient_query_has_laplace_shaped_z_scores() {
 }
 
 /// Exact-coefficient releases (no publisher, no λ) answer but refuse to
-/// annotate — across all engines and both per-query and plan paths.
+/// annotate — on the engine, on the core, and on both per-query and plan
+/// paths.
 #[test]
 fn unmetered_releases_refuse_annotation_everywhere() {
     use privelet_repro::query::QueryError;

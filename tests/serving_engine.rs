@@ -10,9 +10,8 @@ use common::{data_matrix, distinct_triples, schema_strategy, workload};
 use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_repro::core::transform::HnTransform;
 use privelet_repro::data::schema::{Attribute, Schema};
-use privelet_repro::query::{
-    generate_workload, Answerer, ConcurrentEngine, QueryPlan, ReleaseCore, WorkloadConfig,
-};
+use privelet_repro::matrix::PrefixSums;
+use privelet_repro::query::{generate_workload, ConcurrentEngine, ReleaseCore, WorkloadConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -20,9 +19,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Exact coefficients: the compiled plan's batch answers equal both
-    /// the per-query coefficient loop and the prefix-sum engine to 1e-9,
-    /// and the planner performs exactly one support derivation per
-    /// distinct `(dim, lo, hi)` triple.
+    /// the per-query coefficient loop and prefix sums over the exact
+    /// matrix to 1e-9, and the planner performs exactly one support
+    /// derivation per distinct `(dim, lo, hi)` triple.
     #[test]
     fn batch_plan_matches_per_query_on_exact_coefficients(
         (schema, sa) in schema_strategy(),
@@ -34,7 +33,8 @@ proptest! {
         let coeffs = hn.forward(fm.matrix()).unwrap();
         let queries = workload(&schema, wl_seed);
 
-        let plan = QueryPlan::compile(&schema, &hn, &queries).unwrap();
+        let core = Arc::new(ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap());
+        let plan = core.plan(&queries).unwrap();
         prop_assert_eq!(plan.len(), queries.len());
         prop_assert_eq!(plan.support_requests(), queries.len() * schema.arity());
         // At most (here: exactly) one derivation per distinct triple.
@@ -43,21 +43,20 @@ proptest! {
         prop_assert!(plan.distinct_supports() < plan.support_requests());
         prop_assert!(plan.dedup_ratio() > 0.0);
 
-        let batch = plan.execute(&coeffs).unwrap();
-        let coeff = ConcurrentEngine::new(Arc::new(
-            ReleaseCore::new(schema.clone(), hn, &coeffs).unwrap(),
-        ));
-        let dense = Answerer::new(fm.schema().clone(), fm.matrix()).unwrap();
+        let batch = core.execute_plan(&plan).unwrap();
+        let coeff = ConcurrentEngine::new(core);
+        let prefix = PrefixSums::build(fm.matrix());
         for (q, &got) in queries.iter().zip(&batch) {
             let one = coeff.answer(q).unwrap();
-            let want = dense.answer(q).unwrap();
+            let want = q.evaluate_prefix(&schema, &prefix).unwrap();
             prop_assert!((got - one).abs() < 1e-9, "batch {got} vs per-query {one}");
             prop_assert!((got - want).abs() < 1e-9, "batch {got} vs prefix {want}");
         }
     }
 
     /// Noisy releases: `answer_all` (the plan path) equals the per-query
-    /// online loop bit for bit, and the prefix-sum engine to rounding.
+    /// online loop bit for bit, and prefix sums over the reconstructed
+    /// matrix to rounding.
     /// Noisy cell values reach O(λ·m) in magnitude, so the prefix-sum
     /// tolerance scales with the summed coefficient mass.
     #[test]
@@ -82,7 +81,7 @@ proptest! {
         }
 
         let rec = release.to_matrix().unwrap();
-        let dense = Answerer::new(rec.schema().clone(), rec.matrix()).unwrap();
+        let prefix = PrefixSums::build(rec.matrix());
         let scale: f64 = release
             .coefficients
             .as_slice()
@@ -90,8 +89,11 @@ proptest! {
             .map(|c| c.abs())
             .sum::<f64>()
             .max(1.0);
-        let prefix = dense.answer_all(&queries).unwrap();
-        for (&a, &b) in batch.iter().zip(&prefix) {
+        let dense: Vec<f64> = queries
+            .iter()
+            .map(|q| q.evaluate_prefix(rec.schema(), &prefix).unwrap())
+            .collect();
+        for (&a, &b) in batch.iter().zip(&dense) {
             prop_assert!((a - b).abs() < 1e-9 * scale, "{a} vs {b} (scale {scale})");
         }
     }
