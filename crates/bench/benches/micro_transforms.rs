@@ -4,11 +4,8 @@
 //! complexity claims of §IV–§VI with per-component numbers.
 //!
 //! The `hn_scaling` group measures the full HN forward+inverse pipeline at
-//! n = 2^16 … 2^20 cells on a serial executor and — when built with
-//! `--features parallel` — on an all-cores executor, so the engine speedup
-//! is directly visible in BENCH_*.json snapshots. The parallel path's
-//! output is bit-identical to the serial path's (asserted here, not only
-//! in the test suite).
+//! n = 2^16 … 2^20 cells, so the engine's near-linear scaling is directly
+//! visible.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use privelet::mechanism::{publish_basic, publish_privelet, PriveletConfig};
@@ -64,7 +61,7 @@ fn bench_hn(c: &mut Criterion) {
         (0..64 * 64 * 64).map(|i| (i % 17) as f64).collect(),
     )
     .unwrap();
-    let mut exec = LaneExecutor::serial();
+    let mut exec = LaneExecutor::new();
     c.bench_function("hn_forward_262k", |b| {
         b.iter(|| hn.forward_with(&mut exec, black_box(&m)).unwrap())
     });
@@ -77,8 +74,8 @@ fn bench_hn(c: &mut Criterion) {
     });
 }
 
-/// The engine scaling sweep: serial vs parallel full pipelines at
-/// n = 2^16 … 2^20 cells over a 4-d mixed schema.
+/// The engine scaling sweep: full pipelines at n = 2^16 … 2^20 cells
+/// over a 4-d mixed schema.
 fn bench_hn_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("hn_scaling");
     group.sample_size(10);
@@ -100,32 +97,13 @@ fn bench_hn_scaling(c: &mut Criterion) {
         )
         .unwrap();
 
-        let mut serial = LaneExecutor::serial();
+        let mut serial = LaneExecutor::new();
         group.bench_function(&format!("serial_2^{exp}"), |b| {
             b.iter(|| {
                 let coeffs = hn.forward_with(&mut serial, black_box(&m)).unwrap();
                 hn.inverse_refined_with(&mut serial, &coeffs).unwrap()
             })
         });
-
-        let threads = privelet_matrix::executor::default_threads();
-        if threads > 1 {
-            let mut wide = LaneExecutor::with_threads(threads);
-            // The engine contract: parallel output is bit-identical.
-            let a1 = hn.forward_with(&mut serial, &m).unwrap();
-            let a2 = hn.forward_with(&mut wide, &m).unwrap();
-            assert_eq!(
-                a1.as_slice(),
-                a2.as_slice(),
-                "parallel must be bit-identical"
-            );
-            group.bench_function(&format!("parallel{threads}_2^{exp}"), |b| {
-                b.iter(|| {
-                    let coeffs = hn.forward_with(&mut wide, black_box(&m)).unwrap();
-                    hn.inverse_refined_with(&mut wide, &coeffs).unwrap()
-                })
-            });
-        }
     }
     group.finish();
 }

@@ -334,6 +334,7 @@ pub fn interval_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privelet_matrix::executor::DEFAULT_TILE_LANES;
 
     fn args(list: &[&str]) -> Result<Args, String> {
         Args::parse(list.iter().map(|s| s.to_string()))
@@ -410,18 +411,16 @@ mod tests {
         let path =
             Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_publish_throughput.json");
         let record = Record::read(&path).unwrap();
-        let threads_in = |sweep: &str| -> Vec<usize> {
+        let tiles_in = |sweep: &str| -> Vec<usize> {
             record
                 .points
                 .iter()
                 .filter(|p| p.params.get("sweep").and_then(Json::as_str) == Some(sweep))
-                .filter_map(|p| p.params.get("threads")?.as_usize())
+                .filter_map(|p| p.params.get("tile_lanes")?.as_usize())
                 .collect()
         };
-        let shape = threads_in("shape");
-        assert!(!shape.is_empty() && shape.iter().all(|&t| t == 1));
-        assert!(!threads_in("tile").is_empty());
-        let threads = threads_in("threads");
-        assert!(threads.contains(&1) && threads.contains(&2), "{threads:?}");
+        let shape = tiles_in("shape");
+        assert!(!shape.is_empty() && shape.iter().all(|&t| t == DEFAULT_TILE_LANES));
+        assert!(!tiles_in("tile").is_empty());
     }
 }

@@ -36,7 +36,7 @@ use privelet_data::schema::{Attribute, Domain};
 /// method delegates through it.
 ///
 /// [`as_transform`]: DimTransform::as_transform
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DimTransform {
     /// Haar wavelet transform (ordinal dimension).
     Haar(HaarTransform),

@@ -21,8 +21,9 @@
 /// A 1-D wavelet (or pass-through) transform along one dimension.
 ///
 /// Implementations must be pure: two calls with the same inputs write the
-/// same outputs, bit for bit. The engine relies on this for the
-/// serial/parallel equivalence guarantee.
+/// same outputs, bit for bit. The engine relies on this for its bitwise
+/// guarantees (every tile width equals the per-lane walk, and a reused
+/// executor equals a fresh one).
 pub trait Transform1d: Sync {
     /// Domain size |A| (the frequency-vector length).
     fn input_len(&self) -> usize;

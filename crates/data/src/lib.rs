@@ -23,8 +23,8 @@
 //! - [`medical`] — the 8-tuple medical-records example of Tables I and II.
 
 // No unsafe anywhere in this crate — enforced at compile time (and
-// pinned by privelet-analysis lint US002). The only workspace crate
-// with unsafe code is privelet-matrix (worker pool / lane executor).
+// pinned by privelet-analysis lint US002). privelet-matrix is the only
+// crate US002 allows unsafe in, and it holds none.
 #![forbid(unsafe_code)]
 
 pub mod census;

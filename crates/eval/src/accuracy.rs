@@ -141,10 +141,8 @@ pub fn run_accuracy(cfg: &AccuracyConfig) -> Result<Vec<AccuracyRun>> {
     let run_one = |(eps_idx, &epsilon): (usize, &f64)| -> Result<AccuracyRun> {
         let mut series = Vec::with_capacity(2);
         // One engine per ε worker: its ping-pong buffers are reused across
-        // every trial's forward + inverse pipeline. Serial on purpose —
-        // the sweep already fans out one thread per ε, so per-executor
-        // parallelism would oversubscribe the cores.
-        let mut exec = LaneExecutor::serial();
+        // every trial's forward + inverse pipeline.
+        let mut exec = LaneExecutor::new();
         for (mech_idx, name) in ["Basic", "Privelet+"].iter().enumerate() {
             let mut sq = vec![0.0f64; nq];
             let mut rel = vec![0.0f64; nq];

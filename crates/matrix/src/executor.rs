@@ -1,5 +1,5 @@
 //! The lane-execution engine: multi-stage axis transforms over reusable
-//! ping-pong buffers, optionally fanned out across threads.
+//! ping-pong buffers.
 //!
 //! [`map_lanes`](crate::lanes::map_lanes) allocates a fresh matrix per
 //! axis, which makes a d-dimensional wavelet transform cost d matrix-sized
@@ -8,8 +8,8 @@
 //! pipeline of [`AxisStage`]s front→back, swapping after each stage, so a
 //! full multi-axis transform performs **no matrix-sized** allocation
 //! beyond the final result matrix (and the two executor buffers, which
-//! amortize across calls) — only O(d · workers) lane-length scratch
-//! buffers per call, a few KB against multi-MB matrices.
+//! amortize across calls) — only O(d) lane-length scratch buffers per
+//! call, a few KB against multi-MB matrices.
 //!
 //! Lanes are walked in the row-major `[outer, axis, inner]` decomposition:
 //! for the last axis (`inner == 1`) lanes are contiguous in memory and are
@@ -36,22 +36,10 @@
 //! through the same tile rows as the output, and writes the last stage
 //! into a caller-owned slice.
 //!
-//! With the `parallel` cargo feature the lane range is split into
-//! contiguous chunks executed on a persistent [`WorkerPool`] (spawned
-//! lazily on the first stage that crosses the cut-over and reused across
-//! all later stages and runs), one gather/scatter/scratch buffer set per
-//! worker. Every lane writes a disjoint set of output (and state)
-//! indices and the per-lane arithmetic is identical to the serial path,
-//! so the parallel output is **bit-identical** to the serial output — a
-//! property the equivalence test suite asserts.
-//!
-//! [`WorkerPool`]: crate::pool::WorkerPool
+//! Every stage runs on the calling thread.
 
-use crate::knob::env_usize_knob;
 use crate::ndmatrix::NdMatrix;
-use crate::pool::WorkerPool;
 use crate::{MatrixError, Result};
-use std::ops::Range;
 
 /// A 1-D kernel applied to every lane of one axis.
 ///
@@ -59,16 +47,15 @@ use std::ops::Range;
 /// entry are unspecified (the engine reuses buffers across stages and
 /// calls, so it may hold stale data, which the engine deliberately does
 /// not spend a clearing pass on). `scratch` (at least [`scratch_len`]
-/// elements, contents likewise unspecified) may be used freely. `Sync` is
-/// required so kernels can be shared across worker threads.
+/// elements, contents likewise unspecified) may be used freely.
 ///
 /// [`scratch_len`]: LaneKernel::scratch_len
-pub trait LaneKernel: Sync {
+pub trait LaneKernel {
     /// Lane length consumed along the axis.
     fn input_len(&self) -> usize;
     /// Lane length produced along the axis.
     fn output_len(&self) -> usize;
-    /// Scratch slots the kernel needs per worker.
+    /// Scratch slots the kernel needs per lane.
     fn scratch_len(&self) -> usize {
         self.output_len()
     }
@@ -90,7 +77,7 @@ pub struct AxisStage<'a> {
     pub kernel: &'a dyn LaneKernel,
 }
 
-/// Reusable engine state: ping-pong buffers plus the worker count.
+/// Reusable engine state: ping-pong buffers plus the tile width.
 ///
 /// Construct once, call [`run`](Self::run) many times; the buffers grow to
 /// the largest pipeline seen and are then reused allocation-free.
@@ -98,32 +85,16 @@ pub struct AxisStage<'a> {
 pub struct LaneExecutor {
     front: Vec<f64>,
     back: Vec<f64>,
-    threads: usize,
-    parallel_min_cells: usize,
     tile_lanes: usize,
-    /// Persistent workers, spawned lazily on the first stage that
-    /// actually fans out (`threads − 1` of them; the calling thread runs
-    /// chunk 0) and reused for every later stage and run. `None` until
-    /// then — a serial executor never spawns a thread. Dropping the
-    /// executor joins them.
-    pool: Option<WorkerPool>,
 }
 
 impl Default for LaneExecutor {
-    /// Same as [`LaneExecutor::new`] (a derived default would set a
-    /// worker count of 0, bypassing the `with_threads` clamp).
+    /// Same as [`LaneExecutor::new`] (a derived default would set a tile
+    /// width of 0, bypassing the `with_tile_lanes` clamp).
     fn default() -> Self {
         Self::new()
     }
 }
-
-/// Default parallel cut-over: stages below this many cells are not worth
-/// fanning out. Overridable per executor with
-/// [`LaneExecutor::with_parallel_threshold`] or process-wide with the
-/// `PRIVELET_PARALLEL_MIN_CELLS` environment variable (read at executor
-/// construction), so the cut-over can be tuned on real multi-core
-/// hardware without a rebuild.
-pub const MIN_PARALLEL_CELLS: usize = 1 << 14;
 
 /// Default tile width for the strided-lane path: how many adjacent
 /// inner-index lanes are gathered, transformed and scattered per tile.
@@ -143,32 +114,13 @@ pub const DEFAULT_TILE_LANES: usize = 8;
 /// gracefully toward the per-lane walk for extremely long lanes).
 pub const TILE_CELL_BUDGET: usize = 1 << 16;
 
-/// The construction-time parallel threshold: the
-/// `PRIVELET_PARALLEL_MIN_CELLS` env override when set and parseable,
-/// [`MIN_PARALLEL_CELLS`] otherwise. `0` means "always fan out". A set
-/// but unparseable value is reported once per process on stderr instead
-/// of being silently ignored (via the shared [`knob`](crate::knob)
-/// helper).
-fn default_parallel_threshold() -> usize {
-    env_usize_knob(
-        "PRIVELET_PARALLEL_MIN_CELLS",
-        "a cell count",
-        MIN_PARALLEL_CELLS,
-    )
-}
-
 /// The tile width actually used by one stage: the requested width,
 /// clamped so (a) contiguous stages (`inner == 1`) never gather at all,
 /// (b) a tile never exceeds the `inner` extent (tiles cannot cross an
 /// outer-block boundary), and (c) neither tile buffer exceeds
 /// [`TILE_CELL_BUDGET`] cells — extremely long lanes degrade gracefully
-/// toward the per-lane walk instead of blowing up per-worker scratch.
-pub(crate) fn effective_tile(
-    requested: usize,
-    in_len: usize,
-    out_len: usize,
-    inner: usize,
-) -> usize {
+/// toward the per-lane walk instead of blowing up the tile scratch.
+fn effective_tile(requested: usize, in_len: usize, out_len: usize, inner: usize) -> usize {
     if inner == 1 {
         return 1;
     }
@@ -238,39 +190,14 @@ fn reserve_cells(buf: &mut Vec<f64>, cells: usize, exact: bool) {
 }
 
 impl LaneExecutor {
-    /// An executor with the default worker count: available parallelism
-    /// when the `parallel` feature is enabled, 1 otherwise.
+    /// An executor with empty buffers and the default tile width
+    /// ([`DEFAULT_TILE_LANES`]).
     pub fn new() -> Self {
-        Self::with_threads(default_threads())
-    }
-
-    /// An executor pinned to `threads` workers (`0` is treated as 1). With
-    /// `threads == 1` — or without the `parallel` feature — every stage
-    /// runs on the calling thread.
-    pub fn with_threads(threads: usize) -> Self {
         LaneExecutor {
             front: Vec::new(),
             back: Vec::new(),
-            threads: threads.max(1),
-            parallel_min_cells: default_parallel_threshold(),
             tile_lanes: DEFAULT_TILE_LANES,
-            pool: None,
         }
-    }
-
-    /// A single-threaded executor (the reference path).
-    pub fn serial() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// Sets the parallel cut-over: stages with fewer than `min_cells`
-    /// total cells run on the calling thread regardless of the worker
-    /// count (`0` = always fan out). Builder-style so executors can be
-    /// tuned inline; overrides the `PRIVELET_PARALLEL_MIN_CELLS` env
-    /// default captured at construction.
-    pub fn with_parallel_threshold(mut self, min_cells: usize) -> Self {
-        self.parallel_min_cells = min_cells;
-        self
     }
 
     /// Sets the tile width for strided stages: up to `lanes` adjacent
@@ -282,16 +209,6 @@ impl LaneExecutor {
     pub fn with_tile_lanes(mut self, lanes: usize) -> Self {
         self.tile_lanes = lanes.max(1);
         self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured parallel cut-over in cells per stage.
-    pub fn parallel_threshold(&self) -> usize {
-        self.parallel_min_cells
     }
 
     /// The configured tile width (adjacent lanes per cache-blocked tile)
@@ -318,7 +235,7 @@ impl LaneExecutor {
     /// (`kernel.input_len() == dims[axis]` at that point in the pipeline).
     /// The only matrix-sized allocation on a warmed-up executor is the
     /// returned matrix; each stage additionally allocates lane-length
-    /// gather/scratch buffers per worker (a few KB).
+    /// gather/scratch buffers (a few KB).
     pub fn run(&mut self, src: &NdMatrix, stages: &[AxisStage<'_>]) -> Result<NdMatrix> {
         let (dims, _, _) = plan(src.dims(), stages)?;
         // The run's one matrix-sized allocation.
@@ -370,7 +287,6 @@ impl LaneExecutor {
             let inner: usize = dims[stage.axis + 1..].iter().product();
             let outer: usize = dims[..stage.axis].iter().product();
             let src_cells = outer * in_len * inner;
-            let dst_cells = outer * out_len * inner;
             let state: &mut [f64] = match states.get_mut(idx) {
                 Some(state) => state,
                 None => &mut [],
@@ -384,16 +300,6 @@ impl LaneExecutor {
                 // A state-keeping tile holds one kernel state per lane.
                 tile: effective_tile(self.tile_lanes, in_len, out_len.max(state_len), inner),
             };
-            let workers = self.effective_threads(src_cells.max(dst_cells));
-            // First stage that genuinely fans out: spawn the persistent
-            // pool (threads − 1 workers; the calling thread runs chunk
-            // 0). Later stages and runs reuse it — spawn-once is the
-            // whole point of the pool. Without the `parallel` feature
-            // every stage runs serially, so no pool is ever spawned.
-            #[cfg(feature = "parallel")]
-            if workers > 1 && self.pool.is_none() {
-                self.pool = Some(WorkerPool::new(self.threads - 1));
-            }
             let input: &[f64] = if idx == 0 {
                 src.as_slice()
             } else {
@@ -404,17 +310,9 @@ impl LaneExecutor {
             let dst: &mut [f64] = if last {
                 out
             } else {
-                &mut self.back[..dst_cells]
+                &mut self.back[..outer * out_len * inner]
             };
-            run_stage(
-                input,
-                dst,
-                state,
-                stage.kernel,
-                geometry,
-                workers,
-                self.pool.as_ref(),
-            )?;
+            run_stage(input, dst, state, stage.kernel, geometry);
             if last {
                 // Undo an odd number of swaps, so each buffer keeps the
                 // parity of intermediates it was sized for on the next run.
@@ -427,29 +325,6 @@ impl LaneExecutor {
         }
         unreachable!("non-empty pipelines return from the final stage")
     }
-
-    /// Workers to use for a stage of `cells` total work.
-    fn effective_threads(&self, cells: usize) -> usize {
-        if cells < self.parallel_min_cells {
-            1
-        } else {
-            self.threads
-        }
-    }
-}
-
-/// Default worker count for [`LaneExecutor::new`].
-pub fn default_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
 }
 
 /// One stage's lane geometry: lanes read `[outer, in_len, inner]`, write
@@ -457,20 +332,19 @@ pub fn default_threads() -> usize {
 /// `state_len` scratch slots at `[outer, state_len, inner]`; strided
 /// lanes move in tiles of up to `tile`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Geometry {
-    pub(crate) in_len: usize,
-    pub(crate) out_len: usize,
-    pub(crate) state_len: usize,
-    pub(crate) inner: usize,
-    pub(crate) tile: usize,
+struct Geometry {
+    in_len: usize,
+    out_len: usize,
+    state_len: usize,
+    inner: usize,
+    tile: usize,
 }
 
-/// Per-worker tile gather / output / scratch buffers. `tile_in` holds up
+/// One stage's tile gather / output / scratch buffers. `tile_in` holds up
 /// to `tile` gathered lanes of `in_len` each (lane `t` at
 /// `[t*in_len, (t+1)*in_len)`), `tile_out` the corresponding outputs.
-/// With `tile == 1` these collapse to the single-lane gather buffers the
-/// pre-tiling engine used.
-pub(crate) struct WorkerBufs {
+/// With `tile == 1` these collapse to single-lane gather buffers.
+struct StageBufs {
     tile_in: Vec<f64>,
     tile_out: Vec<f64>,
     /// Kernel scratch: one block of `lane_scratch` slots shared by every
@@ -483,12 +357,12 @@ pub(crate) struct WorkerBufs {
     tile: usize,
 }
 
-impl WorkerBufs {
-    pub(crate) fn new(kernel: &dyn LaneKernel, g: Geometry) -> Self {
+impl StageBufs {
+    fn new(kernel: &dyn LaneKernel, g: Geometry) -> Self {
         let tile = g.tile.max(1);
         let lane_scratch = kernel.scratch_len().max(g.state_len);
         let scratch_step = if g.state_len > 0 { lane_scratch } else { 0 };
-        WorkerBufs {
+        StageBufs {
             tile_in: vec![0.0; g.in_len * tile],
             tile_out: vec![0.0; g.out_len * tile],
             scratch: vec![0.0; lane_scratch + scratch_step * (tile - 1)],
@@ -499,29 +373,32 @@ impl WorkerBufs {
     }
 }
 
-/// Processes the flat lane range `lanes` serially. A lane index `L`
-/// decomposes as `(o, i) = (L / inner, L % inner)`; its source elements
-/// live at `o*in_len*inner + j*inner + i`, its destination elements at
-/// `o*out_len*inner + j*inner + i`, and its kept state (if any) at
-/// `o*state_len*inner + j*inner + i`.
-///
-/// `dst` and `state` writes go through raw pointers so the parallel path
-/// can hand every worker the same buffers; the ranges written by distinct
-/// lanes are disjoint by construction.
-///
-/// # Safety
-/// Callers must guarantee `dst` points to at least `outer*out_len*inner`
-/// elements, `state` (dereferenced only when `g.state_len > 0`) to at
-/// least `outer*state_len*inner`, and that no two concurrent calls
-/// receive overlapping lane ranges.
-pub(crate) unsafe fn process_lanes(
+/// Runs one stage over every lane of `src` on the calling thread.
+fn run_stage(
     src: &[f64],
-    dst: *mut f64,
-    state: *mut f64,
+    dst: &mut [f64],
+    state: &mut [f64],
     kernel: &dyn LaneKernel,
     g: Geometry,
-    lanes: Range<usize>,
-    bufs: &mut WorkerBufs,
+) {
+    debug_assert_eq!(dst.len(), src.len() / g.in_len * g.out_len);
+    debug_assert_eq!(state.len(), src.len() / g.in_len * g.state_len);
+    let mut bufs = StageBufs::new(kernel, g);
+    process_lanes(src, dst, state, kernel, g, &mut bufs);
+}
+
+/// Processes every lane of `src`. A lane index `L` decomposes as
+/// `(o, i) = (L / inner, L % inner)`; its source elements live at
+/// `o*in_len*inner + j*inner + i`, its destination elements at
+/// `o*out_len*inner + j*inner + i`, and its kept state (if any) at
+/// `o*state_len*inner + j*inner + i`.
+fn process_lanes(
+    src: &[f64],
+    dst: &mut [f64],
+    state: &mut [f64],
+    kernel: &dyn LaneKernel,
+    g: Geometry,
+    bufs: &mut StageBufs,
 ) {
     let Geometry {
         in_len,
@@ -532,22 +409,14 @@ pub(crate) unsafe fn process_lanes(
     } = g;
     if inner == 1 {
         // Contiguous lanes: no gather needed (lane L == outer index o),
-        // and each lane's destination range is itself contiguous and
-        // disjoint, so the kernel writes it directly — no staging copy.
-        for o in lanes {
-            let lane_src = &src[o * in_len..(o + 1) * in_len];
-            // SAFETY: `[o*out_len, (o+1)*out_len)` is in bounds per the
-            // caller contract and disjoint from every other lane's range.
-            let lane_dst = unsafe { std::slice::from_raw_parts_mut(dst.add(o * out_len), out_len) };
-            let scratch = &mut bufs.scratch[..bufs.lane_scratch];
+        // and each lane's destination range is itself contiguous, so the
+        // kernel writes it directly — no staging copy.
+        let scratch = &mut bufs.scratch[..bufs.lane_scratch];
+        let lanes = src.chunks_exact(in_len).zip(dst.chunks_exact_mut(out_len));
+        for (o, (lane_src, lane_dst)) in lanes.enumerate() {
             kernel.apply(lane_src, lane_dst, scratch);
             if state_len > 0 {
-                // SAFETY: `[o*state_len, (o+1)*state_len)` is in bounds
-                // per the caller contract and disjoint from every other
-                // lane's state range.
-                let lane_state =
-                    unsafe { std::slice::from_raw_parts_mut(state.add(o * state_len), state_len) };
-                lane_state.copy_from_slice(&scratch[..state_len]);
+                state[o * state_len..(o + 1) * state_len].copy_from_slice(&scratch[..state_len]);
             }
         }
         return;
@@ -558,15 +427,14 @@ pub(crate) unsafe fn process_lanes(
     // transpose in), the kernel runs lane-by-lane inside the tile with
     // exactly the per-lane operand order of the untiled walk, and the
     // outputs — and kept states — scatter back through contiguous
-    // `width`-wide writes (blocked transpose out). A tile never crosses
-    // an outer-block boundary (`width ≤ inner − i`) nor the caller's lane
-    // range (`width ≤ lanes.end − lane`), so chunk splits of any
-    // alignment stay bitwise-correct.
-    let tile = bufs.tile.max(1);
-    let mut lane = lanes.start;
-    while lane < lanes.end {
+    // `width`-wide row slices (blocked transpose out), so bounds are
+    // checked once per row. A tile never crosses an outer-block boundary
+    // (`width ≤ inner − i`).
+    let n_lanes = src.len() / in_len;
+    let mut lane = 0;
+    while lane < n_lanes {
         let (o, i) = (lane / inner, lane % inner);
-        let width = tile.min(inner - i).min(lanes.end - lane);
+        let width = bufs.tile.min(inner - i);
         let src_base = o * in_len * inner + i;
         for j in 0..in_len {
             let row = &src[src_base + j * inner..src_base + j * inner + width];
@@ -590,73 +458,23 @@ pub(crate) unsafe fn process_lanes(
         let dst_base = o * out_len * inner + i;
         for j in 0..out_len {
             let row_base = dst_base + j * inner;
-            for t in 0..width {
-                // SAFETY: `row_base + t < outer*out_len*inner` for every
-                // lane of the tile (the tile stays inside one outer
-                // block), in bounds per the caller contract, and strided
-                // lanes never alias across workers.
-                unsafe { *dst.add(row_base + t) = bufs.tile_out[t * out_len + j] };
+            let row = &mut dst[row_base..row_base + width];
+            for (t, slot) in row.iter_mut().enumerate() {
+                *slot = bufs.tile_out[t * out_len + j];
             }
         }
         if state_len > 0 {
             let state_base = o * state_len * inner + i;
             for j in 0..state_len {
                 let row_base = state_base + j * inner;
-                for t in 0..width {
-                    // SAFETY: as for the output rows, with `state_len` in
-                    // place of `out_len`: in bounds per the caller
-                    // contract and disjoint across lanes.
-                    unsafe { *state.add(row_base + t) = bufs.scratch[t * bufs.scratch_step + j] };
+                let row = &mut state[row_base..row_base + width];
+                for (t, slot) in row.iter_mut().enumerate() {
+                    *slot = bufs.scratch[t * bufs.scratch_step + j];
                 }
             }
         }
         lane += width;
     }
-}
-
-/// Runs one stage: through the persistent pool when the run decided to
-/// fan out (`parallel` feature, `threads > 1`, a pool exists), serially
-/// on the calling thread otherwise. Fallible because a pooled kernel
-/// panic surfaces as [`MatrixError::WorkerPanicked`] instead of
-/// unwinding across worker threads.
-fn run_stage(
-    src: &[f64],
-    dst: &mut [f64],
-    state: &mut [f64],
-    kernel: &dyn LaneKernel,
-    g: Geometry,
-    threads: usize,
-    pool: Option<&WorkerPool>,
-) -> Result<()> {
-    let n_lanes = src.len() / g.in_len;
-    debug_assert_eq!(dst.len(), n_lanes * g.out_len);
-    debug_assert_eq!(state.len(), n_lanes * g.state_len);
-
-    #[cfg(feature = "parallel")]
-    if threads > 1 && n_lanes > 1 {
-        if let Some(pool) = pool {
-            return pool.dispatch_stage(src, dst, state, kernel, g, threads);
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = (threads, pool);
-
-    let mut bufs = WorkerBufs::new(kernel, g);
-    // SAFETY: single caller covering every lane exactly once; `dst` and
-    // `state` are live mutable borrows sized `n_lanes * out_len` and
-    // `n_lanes * state_len` (the run validated the state buffer).
-    unsafe {
-        process_lanes(
-            src,
-            dst.as_mut_ptr(),
-            state.as_mut_ptr(),
-            kernel,
-            g,
-            0..n_lanes,
-            &mut bufs,
-        )
-    };
-    Ok(())
 }
 
 #[cfg(test)]
@@ -728,7 +546,7 @@ mod tests {
     #[test]
     fn single_stage_matches_map_lanes() {
         let m = sample(&[4, 3, 5]);
-        let mut exec = LaneExecutor::serial();
+        let mut exec = LaneExecutor::new();
         for axis in 0..3 {
             let k = Reverse(m.dims()[axis]);
             let got = exec.map_axis(&m, axis, &k).unwrap();
@@ -748,7 +566,7 @@ mod tests {
         let k0 = Duplicate(3);
         let k1 = SumTo1(4);
         let k2 = Reverse(2);
-        let mut exec = LaneExecutor::serial();
+        let mut exec = LaneExecutor::new();
         let got = exec
             .run(
                 &m,
@@ -786,15 +604,15 @@ mod tests {
     #[test]
     fn default_matches_new() {
         assert_eq!(
-            LaneExecutor::default().threads(),
-            LaneExecutor::new().threads()
+            LaneExecutor::default().tile_lanes(),
+            LaneExecutor::new().tile_lanes()
         );
-        assert!(LaneExecutor::default().threads() >= 1);
+        assert_eq!(LaneExecutor::default().tile_lanes(), DEFAULT_TILE_LANES);
     }
 
     #[test]
     fn executor_is_reusable_across_shapes() {
-        let mut exec = LaneExecutor::serial();
+        let mut exec = LaneExecutor::new();
         for dims in [vec![8usize], vec![2, 9], vec![3, 3, 3], vec![2, 2]] {
             let m = sample(&dims);
             let k = Reverse(dims[0]);
@@ -807,7 +625,7 @@ mod tests {
     #[test]
     fn stage_validation_errors() {
         let m = sample(&[2, 3]);
-        let mut exec = LaneExecutor::serial();
+        let mut exec = LaneExecutor::new();
         let bad_axis = Reverse(2);
         assert!(matches!(
             exec.map_axis(&m, 2, &bad_axis).unwrap_err(),
@@ -893,7 +711,7 @@ mod tests {
                 kernel: &k1,
             },
         ];
-        let mut exec = LaneExecutor::serial();
+        let mut exec = LaneExecutor::new();
         let mut out = vec![0.0; 6];
         assert_eq!(
             exec.run_into(&m, &stages, &mut [], &mut out[..5]),
@@ -923,50 +741,17 @@ mod tests {
         }
         let m = sample(&[2, 2]);
         assert!(matches!(
-            LaneExecutor::serial().map_axis(&m, 0, &Empty).unwrap_err(),
+            LaneExecutor::new().map_axis(&m, 0, &Empty).unwrap_err(),
             MatrixError::ZeroDim { .. }
         ));
     }
 
     #[test]
-    fn parallel_threshold_is_configurable() {
-        // Builder override wins over the built-in default.
-        let exec = LaneExecutor::with_threads(4).with_parallel_threshold(64);
-        assert_eq!(exec.parallel_threshold(), 64);
-        assert_eq!(exec.effective_threads(63), 1);
-        assert_eq!(exec.effective_threads(64), 4);
-        // 0 = always fan out.
-        let eager = LaneExecutor::with_threads(4).with_parallel_threshold(0);
-        assert_eq!(eager.effective_threads(1), 4);
-        // Default matches the compiled constant unless the env overrides
-        // it (don't mutate the environment here: std::env::set_var is a
-        // process-global race against parallel tests).
-        let default = default_parallel_threshold();
-        assert_eq!(LaneExecutor::new().parallel_threshold(), default);
-        if std::env::var("PRIVELET_PARALLEL_MIN_CELLS").is_err() {
-            assert_eq!(default, MIN_PARALLEL_CELLS);
-        }
-    }
-
-    #[test]
-    fn knob_defaults_reach_the_executor() {
-        // The fallback semantics themselves live in `crate::knob` (and are
-        // unit-tested there); here we only pin that the executor wires the
-        // shared helper through. Don't set variables — std::env::set_var
-        // is a process-global race against parallel tests, which is
-        // exactly why the knob parse is a pure function.
-        assert_eq!(
-            LaneExecutor::new().parallel_threshold(),
-            default_parallel_threshold()
-        );
-    }
-
-    #[test]
     fn tile_width_is_configurable_and_clamped() {
-        let exec = LaneExecutor::serial().with_tile_lanes(64);
+        let exec = LaneExecutor::new().with_tile_lanes(64);
         assert_eq!(exec.tile_lanes(), 64);
         // 0 collapses to the per-lane walk, never a zero-width tile.
-        assert_eq!(LaneExecutor::serial().with_tile_lanes(0).tile_lanes(), 1);
+        assert_eq!(LaneExecutor::new().with_tile_lanes(0).tile_lanes(), 1);
     }
 
     #[test]
@@ -991,44 +776,15 @@ mod tests {
         // than the lane count and widths that leave ragged boundary
         // tiles) produces bitwise-identical output to the per-lane walk.
         let m = sample(&[7, 9, 5]);
-        let mut reference = LaneExecutor::serial().with_tile_lanes(1);
+        let mut reference = LaneExecutor::new().with_tile_lanes(1);
         for axis in 0..3 {
             let k = Reverse(m.dims()[axis]);
             let want = reference.map_axis(&m, axis, &k).unwrap();
             for tile in [2, 3, 8, 64, 1 << 20] {
-                let mut tiled = LaneExecutor::serial().with_tile_lanes(tile);
+                let mut tiled = LaneExecutor::new().with_tile_lanes(tile);
                 let got = tiled.map_axis(&m, axis, &k).unwrap();
                 assert_eq!(got.as_slice(), want.as_slice(), "axis {axis} tile {tile}");
             }
-        }
-    }
-
-    #[test]
-    fn threshold_does_not_change_results() {
-        // Crossing the cut-over only changes scheduling, never output.
-        let m = sample(&[64, 32]);
-        let k = Reverse(64);
-        let mut eager = LaneExecutor::with_threads(8).with_parallel_threshold(0);
-        let mut lazy = LaneExecutor::with_threads(8).with_parallel_threshold(usize::MAX);
-        let a = eager.map_axis(&m, 0, &k).unwrap();
-        let b = lazy.map_axis(&m, 0, &k).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn multi_threaded_output_is_bit_identical() {
-        // Compiled in both feature configurations: without `parallel` the
-        // worker count collapses to the serial path, which must still give
-        // identical results. The matrix exceeds MIN_PARALLEL_CELLS so the
-        // feature build genuinely runs the threaded branch.
-        let m = sample(&[32, 32, 8, 4]);
-        let mut serial = LaneExecutor::serial();
-        let mut wide = LaneExecutor::with_threads(8);
-        for axis in 0..4 {
-            let k = Reverse(m.dims()[axis]);
-            let a = serial.map_axis(&m, axis, &k).unwrap();
-            let b = wide.map_axis(&m, axis, &k).unwrap();
-            assert_eq!(a.as_slice(), b.as_slice(), "axis {axis}");
         }
     }
 }

@@ -64,43 +64,6 @@ pub fn map_lanes(
     NdMatrix::from_shape_vec(out_shape, out)
 }
 
-/// Visits every lane of `src` along `axis` read-only.
-///
-/// Used by tests and diagnostics; the closure receives the gathered lane.
-pub fn for_each_lane(src: &NdMatrix, axis: usize, mut f: impl FnMut(&[f64])) -> Result<()> {
-    let ndim = src.ndim();
-    if axis >= ndim {
-        return Err(MatrixError::BadAxis { axis, ndim });
-    }
-    let dims = src.dims();
-    let in_len = dims[axis];
-    let inner: usize = dims[axis + 1..].iter().product();
-    let outer: usize = dims[..axis].iter().product();
-    let src_data = src.as_slice();
-    let mut lane = vec![0.0f64; in_len];
-    for o in 0..outer {
-        let base = o * in_len * inner;
-        for i in 0..inner {
-            for (j, slot) in lane.iter_mut().enumerate() {
-                *slot = src_data[base + j * inner + i];
-            }
-            f(&lane);
-        }
-    }
-    Ok(())
-}
-
-/// Number of lanes along `axis` (= product of the other dimension sizes).
-pub fn lane_count(m: &NdMatrix, axis: usize) -> Result<usize> {
-    if axis >= m.ndim() {
-        return Err(MatrixError::BadAxis {
-            axis,
-            ndim: m.ndim(),
-        });
-    }
-    Ok(m.len() / m.dims()[axis])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +100,11 @@ mod tests {
     fn lane_map_along_axis1_sees_rows() {
         let m = sample_2x3();
         let mut seen = Vec::new();
-        for_each_lane(&m, 1, |lane| seen.push(lane.to_vec())).unwrap();
+        let _ = map_lanes(&m, 1, 3, |src, dst| {
+            seen.push(src.to_vec());
+            dst.copy_from_slice(src);
+        })
+        .unwrap();
         assert_eq!(seen, vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
     }
 
@@ -190,21 +157,11 @@ mod tests {
     fn bad_axis_is_rejected() {
         let m = sample_2x3();
         assert!(map_lanes(&m, 2, 3, |_, _| {}).is_err());
-        assert!(for_each_lane(&m, 5, |_| {}).is_err());
-        assert!(lane_count(&m, 2).is_err());
     }
 
     #[test]
     fn zero_out_len_is_rejected() {
         let m = sample_2x3();
         assert!(map_lanes(&m, 0, 0, |_, _| {}).is_err());
-    }
-
-    #[test]
-    fn lane_count_is_product_of_other_dims() {
-        let m = NdMatrix::zeros(&[3, 4, 5]).unwrap();
-        assert_eq!(lane_count(&m, 0).unwrap(), 20);
-        assert_eq!(lane_count(&m, 1).unwrap(), 15);
-        assert_eq!(lane_count(&m, 2).unwrap(), 12);
     }
 }

@@ -10,13 +10,10 @@
 //!   matrix, possibly changing the length of that axis ([`lanes`]) — this is
 //!   exactly the operation the paper's multi-dimensional Haar–nominal
 //!   wavelet transform (standard decomposition, §VI-A) is built from.
-//! - [`LaneExecutor`]: the allocation-free, optionally multi-threaded
-//!   engine running pipelines of per-axis lane kernels over reusable
-//!   ping-pong buffers ([`executor`]) — the hot path under every
+//! - [`LaneExecutor`]: the allocation-free engine running pipelines of
+//!   per-axis lane kernels over reusable ping-pong buffers in
+//!   cache-blocked tiles ([`executor`]) — the hot path under every
 //!   multi-dimensional transform in the workspace.
-//! - [`WorkerPool`]: the persistent worker threads behind the executor's
-//!   `parallel` feature — spawned once, fed stage chunks over channels,
-//!   bit-identical to serial execution ([`pool`]).
 //! - [`PrefixSums`]: d-dimensional inclusive prefix sums answering
 //!   hyper-rectangle sums in O(2^d) ([`prefix`]) — the range-count query
 //!   engine substrate.
@@ -27,11 +24,13 @@
 //! `f64` up to 2^53 which comfortably covers the paper's datasets
 //! (n ≤ 10^7, m ≤ 2^26).
 
+// No unsafe anywhere in this crate — enforced at compile time (and
+// pinned by privelet-analysis lint US002).
+#![forbid(unsafe_code)]
+
 pub mod executor;
-mod knob;
 pub mod lanes;
 pub mod ndmatrix;
-pub mod pool;
 pub mod prefix;
 pub mod shape;
 pub mod slice;
@@ -40,7 +39,6 @@ pub mod view;
 pub use executor::{AxisStage, LaneExecutor, LaneKernel};
 pub use lanes::map_lanes;
 pub use ndmatrix::NdMatrix;
-pub use pool::WorkerPool;
 pub use prefix::{prefix_sum_axis, PrefixSums};
 pub use shape::{CoordIter, Shape};
 pub use slice::fix_axes;
@@ -76,10 +74,6 @@ pub enum MatrixError {
     BadAxis { axis: usize, ndim: usize },
     /// A rectangle has `lo > hi` on some axis.
     EmptyRect { axis: usize },
-    /// A lane kernel panicked on a worker-pool thread. The panic was
-    /// contained (the pool stays usable), but the stage's output buffer
-    /// is unspecified.
-    WorkerPanicked,
 }
 
 impl std::fmt::Display for MatrixError {
@@ -118,9 +112,6 @@ impl std::fmt::Display for MatrixError {
             }
             MatrixError::EmptyRect { axis } => {
                 write!(f, "rectangle is empty on axis {axis} (lo > hi)")
-            }
-            MatrixError::WorkerPanicked => {
-                write!(f, "a lane kernel panicked on a worker-pool thread")
             }
         }
     }

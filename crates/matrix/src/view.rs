@@ -89,11 +89,6 @@ pub fn rect_sum_naive(m: &NdMatrix, lo: &[usize], hi: &[usize]) -> Result<f64> {
     Ok(iter.map(|i| data[i]).sum())
 }
 
-/// Number of cells in the inclusive rectangle `[lo, hi]`.
-pub fn rect_cell_count(lo: &[usize], hi: &[usize]) -> usize {
-    lo.iter().zip(hi.iter()).map(|(&l, &h)| h - l + 1).product()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,16 +116,6 @@ mod tests {
     fn single_cell_rectangle() {
         let m = NdMatrix::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(rect_sum_naive(&m, &[1, 0], &[1, 0]).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn rect_cell_count_matches_iteration() {
-        let m = NdMatrix::zeros(&[3, 4, 2]).unwrap();
-        let lo = [0, 1, 0];
-        let hi = [2, 3, 1];
-        let n = RectIter::new(&m, &lo, &hi).unwrap().count();
-        assert_eq!(n, rect_cell_count(&lo, &hi));
-        assert_eq!(n, 3 * 3 * 2);
     }
 
     #[test]

@@ -1,17 +1,11 @@
 //! Equivalence suite for the lane-execution engine.
 //!
 //! The engine guarantees that (a) a `LaneExecutor` pipeline computes
-//! exactly what chained [`map_lanes`] calls compute, (b) the parallel
-//! path is **bit-identical** to the serial path, (c) the
+//! exactly what chained [`map_lanes`] calls compute, (b) the
 //! cache-blocked tiled walk is **bit-identical** to the per-lane walk at
-//! every tile width, and (d) a state-keeping run (`run_into`) writes the
+//! every tile width, and (c) a state-keeping run (`run_into`) writes the
 //! same output as `run` and keeps every lane's kernel state exactly as a
-//! per-lane walk would, on every tile width and on the pooled path.
-//! Matrices here are larger than the engine's parallel
-//! cut-over threshold so that, when built with `--features parallel`,
-//! the multi-threaded code path really runs (without the feature the
-//! same assertions hold trivially and keep the suite compiling in both
-//! configurations).
+//! per-lane walk would, on every tile width.
 
 use privelet_matrix::{map_lanes, AxisStage, LaneExecutor, LaneKernel, NdMatrix};
 use proptest::prelude::*;
@@ -72,7 +66,7 @@ fn big_matrix(dims: &[usize]) -> NdMatrix {
     .unwrap()
 }
 
-/// Shapes whose per-stage work exceeds the engine's parallel threshold.
+/// Large shapes covering the contiguous and strided walks.
 fn shapes() -> Vec<Vec<usize>> {
     vec![
         vec![1 << 16],       // 1-D, contiguous-lane fast path only
@@ -86,7 +80,7 @@ fn shapes() -> Vec<Vec<usize>> {
 
 #[test]
 fn serial_executor_matches_map_lanes_on_every_axis() {
-    let mut exec = LaneExecutor::serial();
+    let mut exec = LaneExecutor::new();
     for dims in shapes() {
         let m = big_matrix(&dims);
         for axis in 0..dims.len() {
@@ -101,117 +95,36 @@ fn serial_executor_matches_map_lanes_on_every_axis() {
     }
 }
 
-#[test]
-fn parallel_executor_is_bit_identical_to_serial() {
-    let mut serial = LaneExecutor::serial();
-    for threads in [2usize, 3, 8, 64] {
-        let mut wide = LaneExecutor::with_threads(threads);
-        for dims in shapes() {
-            let m = big_matrix(&dims);
-            for axis in 0..dims.len() {
-                let kernel = Mix {
-                    in_len: dims[axis],
-                    out_len: dims[axis] + 3,
-                };
-                let a = serial.map_axis(&m, axis, &kernel).unwrap();
-                let b = wide.map_axis(&m, axis, &kernel).unwrap();
-                // Bit-identical, not approximately equal.
-                assert_eq!(
-                    a.as_slice(),
-                    b.as_slice(),
-                    "dims {dims:?} axis {axis} threads {threads}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_pipeline_is_bit_identical_to_serial_pipeline() {
-    let dims = vec![24usize, 32, 40];
-    let m = big_matrix(&dims);
-    let k0 = Mix {
-        in_len: 24,
-        out_len: 31,
-    };
-    let k1 = Mix {
-        in_len: 32,
-        out_len: 17,
-    };
-    let k2 = Mix {
-        in_len: 40,
-        out_len: 64,
-    };
-    fn stages<'a>(s0: &'a Mix, s1: &'a Mix, s2: &'a Mix) -> Vec<AxisStage<'a>> {
-        vec![
-            AxisStage {
-                axis: 0,
-                kernel: s0 as &dyn LaneKernel,
-            },
-            AxisStage {
-                axis: 1,
-                kernel: s1,
-            },
-            AxisStage {
-                axis: 2,
-                kernel: s2,
-            },
-        ]
-    }
-    let a = LaneExecutor::serial()
-        .run(&m, &stages(&k0, &k1, &k2))
-        .unwrap();
-    let b = LaneExecutor::with_threads(16)
-        .run(&m, &stages(&k0, &k1, &k2))
-        .unwrap();
-    assert_eq!(a.dims(), &[31, 17, 64]);
-    assert_eq!(a.as_slice(), b.as_slice());
-}
-
 /// The fixed tile-width grid every randomized shape is checked against:
 /// the per-lane walk (1), an odd width that never divides power-of-two
 /// extents (3), one cache line of f64s (8, the default), a wide tile
 /// (64), and a width guaranteed to exceed any shape's lane count here
-/// (every tile then clips to `inner` / the chunk end — the boundary
-/// path runs on every single tile).
+/// (every tile then clips to `inner` — the boundary path runs on every
+/// single tile).
 const TILE_GRID: [usize; 5] = [1, 3, 8, 64, 1 << 24];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tiled == per-lane == pooled, bitwise, over random 1–4-dim shapes
-    /// with non-power-of-two extents, on every axis, across the tile
-    /// grid. The per-lane serial walk (`tile = 1`) is the reference; a
-    /// multi-threaded executor at the same width covers the pooled path
-    /// under `--features parallel` (and collapses to serial without it,
-    /// keeping the suite green in both configurations).
+    /// Tiled == per-lane, bitwise, over random 1–4-dim shapes with
+    /// non-power-of-two extents, on every axis, across the tile grid. The
+    /// per-lane walk (`tile = 1`) is the reference.
     #[test]
     fn tiled_walk_is_bit_identical_across_shapes_and_widths(
         dims in prop::collection::vec(1usize..=13, 1..=4),
         out_delta in 0usize..=5,
-        threads in 1usize..=8,
     ) {
         let m = big_matrix(&dims);
         for axis in 0..dims.len() {
             let kernel = Mix { in_len: dims[axis], out_len: dims[axis] + out_delta };
-            let mut reference = LaneExecutor::serial().with_tile_lanes(1);
-            // Fan out unconditionally so small random shapes still cross
-            // the pooled path when the feature is on.
+            let mut reference = LaneExecutor::new().with_tile_lanes(1);
             let want = reference.map_axis(&m, axis, &kernel).unwrap();
             for tile in TILE_GRID {
-                let mut serial = LaneExecutor::serial().with_tile_lanes(tile);
-                let mut pooled = LaneExecutor::with_threads(threads)
-                    .with_parallel_threshold(0)
-                    .with_tile_lanes(tile);
-                let a = serial.map_axis(&m, axis, &kernel).unwrap();
-                let b = pooled.map_axis(&m, axis, &kernel).unwrap();
+                let mut tiled = LaneExecutor::new().with_tile_lanes(tile);
+                let got = tiled.map_axis(&m, axis, &kernel).unwrap();
                 prop_assert_eq!(
-                    a.as_slice(), want.as_slice(),
-                    "serial dims {:?} axis {} tile {}", dims, axis, tile
-                );
-                prop_assert_eq!(
-                    b.as_slice(), want.as_slice(),
-                    "pooled dims {:?} axis {} tile {} threads {}", dims, axis, tile, threads
+                    got.as_slice(), want.as_slice(),
+                    "dims {:?} axis {} tile {}", dims, axis, tile
                 );
             }
         }
@@ -224,7 +137,7 @@ fn tile_boundary_edges_are_bit_identical() {
     // leave a ragged final tile for every grid width (inner = 65 against
     // widths 3/8/64), a stride exactly one tile wide, and a stride one
     // element narrower/wider than the default tile.
-    let mut reference = LaneExecutor::serial().with_tile_lanes(1);
+    let mut reference = LaneExecutor::new().with_tile_lanes(1);
     for dims in [
         vec![33usize, 65],
         vec![17, 8],
@@ -241,7 +154,7 @@ fn tile_boundary_edges_are_bit_identical() {
             };
             let want = reference.map_axis(&m, axis, &kernel).unwrap();
             for tile in TILE_GRID {
-                let mut tiled = LaneExecutor::serial().with_tile_lanes(tile);
+                let mut tiled = LaneExecutor::new().with_tile_lanes(tile);
                 let got = tiled.map_axis(&m, axis, &kernel).unwrap();
                 assert_eq!(
                     got.as_slice(),
@@ -257,7 +170,7 @@ fn tile_boundary_edges_are_bit_identical() {
 fn warm_executor_never_leaks_previous_results() {
     // Run a big pipeline, then a small one whose output region is a strict
     // subset of the dirty buffer; every cell must still be freshly written.
-    let mut exec = LaneExecutor::with_threads(4);
+    let mut exec = LaneExecutor::new();
     let big = big_matrix(&[64, 64, 32]);
     let kernel_big = Mix {
         in_len: 64,
@@ -428,58 +341,50 @@ proptest! {
 
     /// State capture over random ragged 1–4-dim shapes mixing padding
     /// (Haar-like), identity and state-keeping `Mix` axes: `run_into`'s
-    /// output equals `run`'s bitwise, every stage's kept state equals the
-    /// per-lane reference, and both are bitwise equal across tile widths
-    /// {1, 3, 8, 64} and between the serial walk and the pooled path at
-    /// `with_parallel_threshold(0)`.
+    /// output equals `run`'s bitwise, and every stage's kept state equals
+    /// the per-lane reference, at tile widths {1, 3, 8, 64}.
     #[test]
     fn kept_state_is_bit_identical_across_widths_and_pool(
         dims in prop::collection::vec(1usize..=13, 1..=4),
         kinds in prop::collection::vec(0usize..3, 4),
-        threads in 2usize..=8,
     ) {
         let m = big_matrix(&dims);
         let kernels = stateful_kernels(&dims, &kinds);
         let stages = axis_stages(&kernels);
-        let plain = LaneExecutor::serial().run(&m, &stages).unwrap();
+        let plain = LaneExecutor::new().run(&m, &stages).unwrap();
 
         // Reference states from each stage's own input matrix.
         let mut want_states = Vec::new();
         for (axis, kernel) in kernels.iter().enumerate() {
-            let input = LaneExecutor::serial().run(&m, &stages[..axis]).unwrap();
+            let input = LaneExecutor::new().run(&m, &stages[..axis]).unwrap();
             want_states.push(reference_state(&input, axis, kernel.as_ref()));
         }
         let cells: Vec<usize> = want_states.iter().map(Vec::len).collect();
 
         for tile in [1usize, 3, 8, 64] {
-            let mut serial = LaneExecutor::serial().with_tile_lanes(tile);
-            let mut pooled = LaneExecutor::with_threads(threads)
-                .with_parallel_threshold(0)
-                .with_tile_lanes(tile);
-            for (label, exec) in [("serial", &mut serial), ("pooled", &mut pooled)] {
-                let (out, states) = run_keeping_state(exec, &m, &stages, &cells, plain.len());
+            let mut exec = LaneExecutor::new().with_tile_lanes(tile);
+            let (out, states) = run_keeping_state(&mut exec, &m, &stages, &cells, plain.len());
+            prop_assert!(
+                out.iter().zip(plain.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "output, dims {:?} kinds {:?} tile {}", dims, kinds, tile
+            );
+            for (axis, (got, want)) in states.iter().zip(&want_states).enumerate() {
                 prop_assert!(
-                    out.iter().zip(plain.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{} output, dims {:?} kinds {:?} tile {}", label, dims, kinds, tile
+                    got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "state {}, dims {:?} kinds {:?} tile {}", axis, dims, kinds, tile
                 );
-                for (axis, (got, want)) in states.iter().zip(&want_states).enumerate() {
-                    prop_assert!(
-                        got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{} state {}, dims {:?} kinds {:?} tile {}", label, axis, dims, kinds, tile
-                    );
-                }
             }
         }
     }
 }
 
-/// Deterministic state-capture shapes above the parallel cut-over, with
-/// padded (13 → 16, 100 → 128) and identity axes in strided and
-/// contiguous positions: serial and pooled runs agree bitwise at every
-/// width, and a warm executor reused across them leaks nothing.
+/// Deterministic large state-capture shapes, with padded (13 → 16,
+/// 100 → 128) and identity axes in strided and contiguous positions:
+/// every tile width agrees bitwise with the per-lane walk, and the warm
+/// reference executor reused across the shapes leaks nothing.
 #[test]
 fn kept_state_on_large_ragged_shapes_matches_across_paths() {
-    let mut reference = LaneExecutor::serial().with_tile_lanes(1);
+    let mut reference = LaneExecutor::new().with_tile_lanes(1);
     for (dims, kinds) in [
         (vec![100usize, 13, 17], vec![0usize, 1, 2]),
         (vec![13, 100, 40], vec![1, 0, 0]),
@@ -499,16 +404,12 @@ fn kept_state_on_large_ragged_shapes_matches_across_paths() {
         let out_cells: usize = shape.iter().product();
         let want = run_keeping_state(&mut reference, &m, &stages, &cells, out_cells);
         for tile in [3usize, 8, 64] {
-            for threads in [1usize, 2, 5] {
-                let mut exec = LaneExecutor::with_threads(threads)
-                    .with_parallel_threshold(0)
-                    .with_tile_lanes(tile);
-                let got = run_keeping_state(&mut exec, &m, &stages, &cells, out_cells);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got.0), bits(&want.0), "dims {dims:?} tile {tile}");
-                for (axis, (g, w)) in got.1.iter().zip(&want.1).enumerate() {
-                    assert_eq!(bits(g), bits(w), "dims {dims:?} state {axis} tile {tile}");
-                }
+            let mut exec = LaneExecutor::new().with_tile_lanes(tile);
+            let got = run_keeping_state(&mut exec, &m, &stages, &cells, out_cells);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.0), bits(&want.0), "dims {dims:?} tile {tile}");
+            for (axis, (g, w)) in got.1.iter().zip(&want.1).enumerate() {
+                assert_eq!(bits(g), bits(w), "dims {dims:?} state {axis} tile {tile}");
             }
         }
     }

@@ -68,14 +68,18 @@ impl Laplace {
         }
     }
 
-    /// Quantile (inverse CDF) at probability `p ∈ (0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "quantile requires p in (0,1), got {p}");
-        if p < 0.5 {
+    /// Quantile (inverse CDF) at probability `p ∈ (0, 1)`. Errors with
+    /// [`NoiseError::BadProbability`] for any other `p` (0, 1, NaN, ±∞),
+    /// where the quantile is infinite or undefined.
+    pub fn quantile(&self, p: f64) -> Result<f64> {
+        if !(p > 0.0 && p < 1.0) {
+            return Err(NoiseError::BadProbability(p));
+        }
+        Ok(if p < 0.5 {
             self.scale * (2.0 * p).ln()
         } else {
             -self.scale * (2.0 * (1.0 - p)).ln()
-        }
+        })
     }
 }
 
@@ -126,9 +130,22 @@ mod tests {
     fn quantile_inverts_cdf() {
         let d = Laplace::new(1.5).unwrap();
         for &p in &[0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-            let x = d.quantile(p);
+            let x = d.quantile(p).unwrap();
             assert!((d.cdf(x) - p).abs() < 1e-12, "p={p}");
         }
+    }
+
+    #[test]
+    fn quantile_refuses_probabilities_outside_the_open_unit_interval() {
+        let d = Laplace::new(1.5).unwrap();
+        for p in [0.0, 1.0, -0.25, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(d.quantile(p), Err(NoiseError::BadProbability(p)), "p={p}");
+        }
+        // NaN never equals itself, so match the variant instead.
+        assert!(matches!(
+            d.quantile(f64::NAN),
+            Err(NoiseError::BadProbability(p)) if p.is_nan()
+        ));
     }
 
     #[test]

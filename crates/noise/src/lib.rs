@@ -11,8 +11,8 @@
 //! the experiment harness.
 
 // No unsafe anywhere in this crate — enforced at compile time (and
-// pinned by privelet-analysis lint US002). The only workspace crate
-// with unsafe code is privelet-matrix (worker pool / lane executor).
+// pinned by privelet-analysis lint US002). privelet-matrix is the only
+// crate US002 allows unsafe in, and it holds none.
 #![forbid(unsafe_code)]
 
 pub mod distribution;
@@ -27,11 +27,13 @@ pub use laplace::Laplace;
 pub use rng::{derive_rng, seeded_rng};
 pub use stats::RunningStats;
 
-/// Errors produced by distribution construction.
+/// Errors produced by distribution construction and quantile lookups.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NoiseError {
     /// The Laplace scale must be finite and strictly positive.
     BadScale(f64),
+    /// A probability must lie strictly between 0 and 1.
+    BadProbability(f64),
 }
 
 impl std::fmt::Display for NoiseError {
@@ -39,6 +41,9 @@ impl std::fmt::Display for NoiseError {
         match self {
             NoiseError::BadScale(s) => {
                 write!(f, "Laplace scale must be finite and > 0, got {s}")
+            }
+            NoiseError::BadProbability(p) => {
+                write!(f, "probability must be in (0, 1), got {p}")
             }
         }
     }

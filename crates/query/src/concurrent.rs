@@ -462,6 +462,51 @@ mod tests {
     }
 
     #[test]
+    fn an_epoch_that_changes_an_axis_transform_is_refused() {
+        // Axis 0 has size 4, where identity (SA) and Haar both store 4
+        // coefficients: only the transforms tell the two epochs apart.
+        let schema =
+            Schema::new(vec![Attribute::ordinal("a", 4), Attribute::ordinal("b", 8)]).unwrap();
+        let cells = (0..32).map(|i| ((i * 7) % 5) as f64).collect();
+        let fm = FrequencyMatrix::from_parts(schema, NdMatrix::from_vec(&[4, 8], cells).unwrap())
+            .unwrap();
+        let sa = BTreeSet::from([0usize]);
+        let out = publish_coefficients(&fm, &PriveletConfig::plus(1.0, sa.clone(), 5)).unwrap();
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
+        let qs = [
+            RangeQuery::new(vec![Predicate::Range { lo: 1, hi: 2 }, Predicate::All]),
+            RangeQuery::new(vec![
+                Predicate::Range { lo: 0, hi: 3 },
+                Predicate::Range { lo: 2, hi: 6 },
+            ]),
+        ];
+        let bits = |e: &ConcurrentEngine| -> Vec<u64> {
+            qs.iter().map(|q| e.answer(q).unwrap().to_bits()).collect()
+        };
+        let before = bits(&engine);
+
+        let haar = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 6)).unwrap();
+        assert_eq!(haar.coefficients.dims(), out.coefficients.dims());
+        assert_eq!(
+            engine.advance_epoch(&haar).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+        assert_eq!(bits(&engine), before);
+
+        // A same-transform roll still shares the warm cache, and its
+        // cached answers equal its own cache-free ones.
+        let next = publish_coefficients(&fm, &PriveletConfig::plus(1.0, sa, 6)).unwrap();
+        let rolled = engine.advance_epoch(&next).unwrap();
+        let hits = engine.cache_stats().hits;
+        for q in &qs {
+            let cached = rolled.answer(q).unwrap();
+            let uncached = rolled.core().answer_uncached(q).unwrap();
+            assert_eq!(cached.to_bits(), uncached.to_bits());
+        }
+        assert_eq!(engine.cache_stats().hits, hits + 4);
+    }
+
+    #[test]
     fn cache_stats_aggregate_the_shards() {
         let (fm, out) = medical_release(37);
         let engine =

@@ -166,10 +166,12 @@ impl ReleaseCore {
     /// prefix sums, total) into a new immutable core.
     ///
     /// Lineage validation errors with [`QueryError::ShapeMismatch`] when
-    /// the epoch's transform does not describe this core's schema —
-    /// including a nominal hierarchy that differs structurally — or its
-    /// coefficient matrix has different dims; a non-finite stored
-    /// coefficient errors with [`QueryError::NonFiniteCoefficient`].
+    /// the epoch's per-axis transforms differ from this core's — a
+    /// different kind on an axis (identity vs Haar store the same number
+    /// of coefficients on an axis of size 2^k), a different length, or a
+    /// nominal hierarchy that differs structurally — or its coefficient
+    /// matrix has different dims; a non-finite stored coefficient errors
+    /// with [`QueryError::NonFiniteCoefficient`].
     /// Serving tiers advance by swapping the returned core in; the old
     /// core stays valid for threads still holding it (epoch advance is
     /// never destructive to in-flight reads).
@@ -180,7 +182,9 @@ impl ReleaseCore {
     /// advance untouched. Only coefficient state (this core's stored
     /// matrix and noisy total) rolls.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
-        if out.coefficients.dims() != self.coeffs.dims() {
+        if out.transform.transforms() != self.transform.transforms()
+            || out.coefficients.dims() != self.coeffs.dims()
+        {
             return Err(QueryError::ShapeMismatch);
         }
         Self::with_meta(

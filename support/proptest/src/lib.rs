@@ -17,8 +17,8 @@
 //! (so generated values must implement `Debug`, as in real proptest).
 
 // No unsafe anywhere in this crate — enforced at compile time (and
-// pinned by privelet-analysis lint US002). The only workspace crate
-// with unsafe code is privelet-matrix (worker pool / lane executor).
+// pinned by privelet-analysis lint US002). privelet-matrix is the only
+// crate US002 allows unsafe in, and it holds none.
 #![forbid(unsafe_code)]
 
 use rand::{Rng, RngCore, SeedableRng};

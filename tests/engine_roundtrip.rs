@@ -1,7 +1,7 @@
 //! Property tests for the executor-backed HN transform engine:
 //! `forward ∘ inverse` round-trips mixed Haar/nominal/identity schemas in
-//! 1–4 dimensions to within 1e-9, on serial and multi-threaded executors
-//! alike, and the two executors agree bit for bit.
+//! 1–4 dimensions to within 1e-9, and the tiled and per-lane walks agree
+//! bit for bit.
 
 use privelet_repro::core::transform::HnTransform;
 use privelet_repro::data::schema::{Attribute, Schema};
@@ -68,7 +68,7 @@ proptest! {
     fn roundtrip_on_serial_executor((schema, sa) in schema_strategy(), seed in any::<u64>()) {
         let hn = HnTransform::for_schema(&schema, &sa).unwrap();
         let m = data_matrix(&schema, seed);
-        let mut exec = LaneExecutor::serial();
+        let mut exec = LaneExecutor::new();
         let c = hn.forward_with(&mut exec, &m).unwrap();
         let plain = hn.inverse_with(&mut exec, &c).unwrap();
         let refined = hn.inverse_refined_with(&mut exec, &c).unwrap();
@@ -81,61 +81,35 @@ proptest! {
         }
     }
 
-    /// The multi-threaded executor's coefficients and reconstructions are
-    /// bit-identical to the serial executor's.
-    #[test]
-    fn parallel_executor_matches_serial_bitwise(
-        (schema, sa) in schema_strategy(),
-        seed in any::<u64>(),
-    ) {
-        let hn = HnTransform::for_schema(&schema, &sa).unwrap();
-        let m = data_matrix(&schema, seed);
-        let mut serial = LaneExecutor::serial();
-        let mut wide = LaneExecutor::with_threads(8);
-        let c1 = hn.forward_with(&mut serial, &m).unwrap();
-        let c2 = hn.forward_with(&mut wide, &m).unwrap();
-        prop_assert_eq!(c1.as_slice(), c2.as_slice());
-        let b1 = hn.inverse_refined_with(&mut serial, &c1).unwrap();
-        let b2 = hn.inverse_refined_with(&mut wide, &c1).unwrap();
-        prop_assert_eq!(b1.as_slice(), b2.as_slice());
-    }
-
     /// The cache-blocked tile width never changes what the engine
     /// computes: forward and refined-inverse transforms are bit-identical
     /// to the per-lane walk (`tile = 1`) at every width in the grid —
     /// boundary-heavy widths (3), the default (8), wide tiles (64), and a
-    /// width exceeding every lane count here — on serial *and* pooled
-    /// executors, across random 1–4-dim mixed Haar/nominal/SA schemas
-    /// with non-power-of-two extents.
+    /// width exceeding every lane count here — across random 1–4-dim
+    /// mixed Haar/nominal/SA schemas with non-power-of-two extents.
     #[test]
     fn tile_width_never_changes_transform_output(
         (schema, sa) in schema_strategy(),
         seed in any::<u64>(),
-        threads in 2usize..=8,
     ) {
         let hn = HnTransform::for_schema(&schema, &sa).unwrap();
         let m = data_matrix(&schema, seed);
-        let mut reference = LaneExecutor::serial().with_tile_lanes(1);
+        let mut reference = LaneExecutor::new().with_tile_lanes(1);
         let c_ref = hn.forward_with(&mut reference, &m).unwrap();
         let b_ref = hn.inverse_refined_with(&mut reference, &c_ref).unwrap();
         for tile in [3usize, 8, 64, 1 << 20] {
-            let mut serial = LaneExecutor::serial().with_tile_lanes(tile);
-            let mut pooled = LaneExecutor::with_threads(threads)
-                .with_parallel_threshold(0)
-                .with_tile_lanes(tile);
-            for exec in [&mut serial, &mut pooled] {
-                let c = hn.forward_with(exec, &m).unwrap();
-                prop_assert_eq!(c.as_slice(), c_ref.as_slice(), "forward tile {}", tile);
-                let b = hn.inverse_refined_with(exec, &c).unwrap();
-                prop_assert_eq!(b.as_slice(), b_ref.as_slice(), "inverse tile {}", tile);
-            }
+            let mut exec = LaneExecutor::new().with_tile_lanes(tile);
+            let c = hn.forward_with(&mut exec, &m).unwrap();
+            prop_assert_eq!(c.as_slice(), c_ref.as_slice(), "forward tile {}", tile);
+            let b = hn.inverse_refined_with(&mut exec, &c).unwrap();
+            prop_assert_eq!(b.as_slice(), b_ref.as_slice(), "inverse tile {}", tile);
         }
     }
 }
 
-/// A fixed large mixed case that crosses the engine's parallel threshold,
-/// so `--features parallel` builds genuinely exercise the threaded path
-/// end to end (the proptest shapes above are mostly small).
+/// A fixed large mixed case (the proptest shapes above are mostly small):
+/// it round-trips, and the default tiled executor agrees bitwise with the
+/// per-lane walk end to end.
 #[test]
 fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     let schema = Schema::new(vec![
@@ -151,16 +125,16 @@ fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     let hn = HnTransform::for_schema(&schema, &sa).unwrap();
     let m = data_matrix(&schema, 0xFEED);
 
-    let mut serial = LaneExecutor::serial();
-    let mut wide = LaneExecutor::with_threads(8);
-    let c_serial = hn.forward_with(&mut serial, &m).unwrap();
-    let c_wide = hn.forward_with(&mut wide, &m).unwrap();
-    assert_eq!(c_serial.as_slice(), c_wide.as_slice());
+    let mut tiled = LaneExecutor::new();
+    let mut per_lane = LaneExecutor::new().with_tile_lanes(1);
+    let c_tiled = hn.forward_with(&mut tiled, &m).unwrap();
+    let c_per_lane = hn.forward_with(&mut per_lane, &m).unwrap();
+    assert_eq!(c_tiled.as_slice(), c_per_lane.as_slice());
 
-    let back_serial = hn.inverse_refined_with(&mut serial, &c_serial).unwrap();
-    let back_wide = hn.inverse_refined_with(&mut wide, &c_serial).unwrap();
-    assert_eq!(back_serial.as_slice(), back_wide.as_slice());
-    for (a, b) in m.as_slice().iter().zip(back_serial.as_slice()) {
+    let back_tiled = hn.inverse_refined_with(&mut tiled, &c_tiled).unwrap();
+    let back_per_lane = hn.inverse_refined_with(&mut per_lane, &c_tiled).unwrap();
+    assert_eq!(back_tiled.as_slice(), back_per_lane.as_slice());
+    for (a, b) in m.as_slice().iter().zip(back_tiled.as_slice()) {
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 }
