@@ -20,7 +20,7 @@
 //!   bitwise, on pure and Privelet⁺ schemas, on a batch below the lane
 //!   count and one above it, so both lane groupings run; bulk writes no
 //!   more coefficients than the loop or the touch bound), then one
-//!   timed batch size. CI runs this on both feature sets.
+//!   timed batch size. CI runs this.
 //! - `... -- --record <path>` — also writes the run in the one BENCH
 //!   schema (`BENCH_ingest_batch.json` is such a run); the counters
 //!   travel in each point's params.
@@ -153,7 +153,7 @@ fn measure(
     Ok(seq_secs / bulk_secs)
 }
 
-/// Smoke gate (CI, both feature sets): the bulk path must be bit-identical
+/// Smoke gate (CI): the bulk path must be bit-identical
 /// to the sequential loop, and both to a dense forward on the updated
 /// table — while writing no more coefficients than the loop did. The
 /// smoke fixture's axes have 24 and 32 lanes: a batch of 8 groups axis 0's

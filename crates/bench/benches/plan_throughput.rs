@@ -9,8 +9,7 @@
 //! - `cargo bench --bench plan_throughput` — full run: compile and
 //!   execute time per (m, workload) point.
 //! - `... -- --test` — smoke mode: one tiny point (m = 2^10, 64
-//!   queries) and the plan-vs-online agreement check. CI runs this on
-//!   both feature sets.
+//!   queries) and the plan-vs-online agreement check. CI runs this.
 //! - `... -- --record <path>` — also writes the run in the one BENCH
 //!   schema (`BENCH_plan_throughput.json` is such a run).
 //!

@@ -1,162 +1,175 @@
-//! The `query_answering` bench group: coefficient-domain serving versus
+//! `query_answering`: queries/sec of coefficient-domain serving versus
 //! reconstruct-then-prefix-sum, across domain sizes m = 2^10 … 2^20 and
-//! workload sizes.
+//! workloads of 64 and 1024 queries.
 //!
-//! What the numbers should show (the tentpole claim of the
-//! coefficient-domain subsystem):
+//! What the numbers should show (the claim of the coefficient-domain
+//! engine):
 //!
-//! - `coeff_build_*` is the O(m') refinement copy; `prefix_build_*` is the
-//!   O(m) inverse transform (`to_matrix`) + `PrefixSums::build` — both
-//!   linear in m, with the prefix path paying the full reconstruction.
-//! - `coeff_answer*` grows ~log(m) per query (a range query reads at most
-//!   `2·log₂ m + 1` Haar coefficients), while `prefix_answer*`
-//!   (`RangeQuery::evaluate_prefix`) is O(2^d) per query *after* its O(m)
-//!   build — so serve-one-query-from-scratch (`serve1_*`) flips from
-//!   prefix-favored to coefficient-favored as m grows.
+//! - `coeff_answer` grows ~log(m) per query (a range query reads at most
+//!   `2·log₂ m + 1` Haar coefficients), while `prefix_answer`
+//!   (`RangeQuery::evaluate_prefix`) is O(2^d) per query *after* an O(m)
+//!   build (`to_matrix` + `PrefixSums::build`).
+//! - Serving one query from scratch, build included (`serve1_coeff` /
+//!   `serve1_prefix`), the coefficient path pays one O(m') refinement
+//!   copy where the prefix path pays an inverse transform plus the
+//!   prefix-sum passes.
+//! - On a dashboard workload (a 64-query catalog cycled to the workload
+//!   size), `plan_compile` (support interning + term flattening),
+//!   `plan_execute` (sparse dots over the compiled arena), `batched`
+//!   (compile + execute, what `answer_all` does) and `perquery` (the
+//!   one-at-a-time loop through the warm support cache) isolate the
+//!   batch machinery. Once the catalog repeats, the batch path beats the
+//!   per-query loop: it derives each distinct support once per call and
+//!   skips per-query locking.
 //!
-//! The `query_answering_batched` group isolates the serving engine's
-//! batch machinery at m = 2^10 … 2^20, workloads 64 and 1024:
-//! `plan_compile_*` (support interning + term flattening),
-//! `plan_execute_*` (sparse dots over the compiled arena),
-//! `batched_*` (compile + execute, what `answer_all` does) and
-//! `perquery_*` (the one-at-a-time loop through the support cache).
-//! The batch path must beat the per-query loop — it derives each
-//! distinct support once and skips per-query locking/allocation.
+//! Before timing, each point checks that the engine agrees with
+//! `to_matrix` + `PrefixSums` within 1e-9 relative, and that the
+//! compiled plan equals the online answers bit for bit.
 //!
-//! Run with: `cargo bench --bench query_answering`
+//! - `cargo bench --bench query_answering` — full run.
+//! - `... -- --test` — smoke mode: m = 2^10 with both workload shapes,
+//!   so both checks run in seconds. CI runs it.
+//! - `... -- --record <path>` — also writes the run in the one BENCH
+//!   schema.
+//!
+//! Timing, flags and the record live in `privelet_bench::harness`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use privelet_bench::harness::{interval_workload, ordinal_release};
+use privelet::mechanism::CoefficientOutput;
+use privelet_bench::harness::{best_of, interval_workload, ordinal_release, Args, Record};
+use privelet_bench::json::Json;
 use privelet_matrix::PrefixSums;
 use privelet_query::{ConcurrentEngine, RangeQuery};
+use std::error::Error;
 use std::hint::black_box;
 
-/// Domain exponents swept: m = 2^10 … 2^20.
-const EXPONENTS: [u32; 6] = [10, 12, 14, 16, 18, 20];
-
-/// Workload sizes for the answering benchmarks.
+/// Workload sizes for the answering points.
 const WORKLOADS: [usize; 2] = [64, 1024];
 
-fn bench_query_answering(c: &mut Criterion) {
-    let mut group = c.benchmark_group("query_answering");
-    group.sample_size(10);
-    for exp in EXPONENTS {
-        let out = ordinal_release(exp).unwrap();
+fn params(exp: u32, n_queries: usize) -> Vec<(&'static str, Json)> {
+    vec![
+        ("m_exp", Json::Num(exp.into())),
+        ("queries", Json::Num(n_queries as f64)),
+    ]
+}
 
-        // Build costs: refinement copy vs inverse transform + prefix sums.
-        group.bench_function(&format!("coeff_build_2^{exp}"), |b| {
-            b.iter(|| ConcurrentEngine::from_output(black_box(&out)).unwrap())
-        });
-        group.bench_function(&format!("prefix_build_2^{exp}"), |b| {
-            b.iter(|| {
-                let rec = black_box(&out).to_matrix().unwrap();
-                PrefixSums::build(rec.matrix())
-            })
-        });
+/// Independently drawn queries: the engine against prefix sums over the
+/// reconstructed matrix, per query and serving one query from scratch.
+fn serving(
+    record: &mut Record,
+    exp: u32,
+    out: &CoefficientOutput,
+    budget: f64,
+) -> Result<(), Box<dyn Error>> {
+    let coeff = ConcurrentEngine::from_output(out)?;
+    let rec = out.to_matrix()?;
+    let prefix = PrefixSums::build(rec.matrix());
+    let prefix_all = |queries: &[RangeQuery]| {
+        queries
+            .iter()
+            .map(|q| q.evaluate_prefix(&out.schema, &prefix))
+            .collect::<Result<Vec<f64>, _>>()
+    };
+    for n_queries in WORKLOADS {
+        let queries = interval_workload(&out.schema, n_queries)?;
+        // Sanity: the two paths agree before they are timed.
+        let a = coeff.answer_all(&queries)?;
+        let b = prefix_all(&queries)?;
+        for (x, y) in a.iter().zip(&b) {
+            // Relative tolerance: the two paths sum the same noisy mass
+            // in different orders, so rounding scales with the answer
+            // magnitude (~1e7 at 2^20).
+            assert!(
+                (x - y).abs() <= 1e-9 * x.abs().max(1.0),
+                "paths disagree at 2^{exp}: {x} vs {y}"
+            );
+        }
+        let work = n_queries as f64;
+        let secs = best_of(budget, || coeff.answer_all(black_box(&queries)));
+        record.push("coeff_answer", params(exp, n_queries), secs, work);
+        let secs = best_of(budget, || prefix_all(black_box(&queries)));
+        record.push("prefix_answer", params(exp, n_queries), secs, work);
+    }
 
-        // Per-query costs on a prebuilt engine and prebuilt prefix sums,
-        // at each workload size.
-        let coeff = ConcurrentEngine::from_output(&out).unwrap();
-        let rec = out.to_matrix().unwrap();
+    // Serve one query from scratch: the cost model the coefficient path
+    // exists for (no inverse transform before the first answer).
+    let one_query = interval_workload(&out.schema, 1)?;
+    let one = &one_query[0];
+    let secs = best_of(budget, || {
+        ConcurrentEngine::from_output(black_box(out)).and_then(|e| e.answer(one))
+    });
+    record.push("serve1_coeff", params(exp, 1), secs, 1.0);
+    let secs = best_of(budget, || -> Result<f64, Box<dyn Error>> {
+        let rec = black_box(out).to_matrix()?;
         let prefix = PrefixSums::build(rec.matrix());
-        let prefix_all = |queries: &[RangeQuery]| -> Vec<f64> {
-            queries
+        Ok(one.evaluate_prefix(rec.schema(), &prefix)?)
+    });
+    record.push("serve1_prefix", params(exp, 1), secs, 1.0);
+    Ok(())
+}
+
+/// The batch machinery on a dashboard: 64 distinct queries refreshed
+/// until the workload size is reached (consumers that re-ask the same
+/// predicates every tick). The planner collapses the repeats onto 64 span
+/// lists and at most 64 distinct supports.
+fn batched(
+    record: &mut Record,
+    exp: u32,
+    out: &CoefficientOutput,
+    budget: f64,
+) -> Result<(), Box<dyn Error>> {
+    let coeff = ConcurrentEngine::from_output(out)?;
+    for n_queries in WORKLOADS {
+        let catalog = interval_workload(&out.schema, 64.min(n_queries))?;
+        let queries: Vec<RangeQuery> = catalog.iter().cycle().take(n_queries).cloned().collect();
+
+        // Sanity: the compiled plan and the per-query loop agree bit for
+        // bit (one derivation, one kernel).
+        let plan = coeff.plan(&queries)?;
+        let batch = coeff.answer_plan(&plan)?;
+        for (q, want) in queries.iter().zip(&batch) {
+            let got = coeff.answer(q)?;
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "2^{exp}: online {got} vs plan {want}"
+            );
+        }
+
+        let work = n_queries as f64;
+        let secs = best_of(budget, || coeff.plan(black_box(&queries)));
+        record.push("plan_compile", params(exp, n_queries), secs, work);
+        let secs = best_of(budget, || coeff.answer_plan(black_box(&plan)));
+        record.push("plan_execute", params(exp, n_queries), secs, work);
+        let secs = best_of(budget, || coeff.answer_all(black_box(&queries)));
+        record.push("batched", params(exp, n_queries), secs, work);
+        let secs = best_of(budget, || {
+            black_box(&queries)
                 .iter()
-                .map(|q| q.evaluate_prefix(&out.schema, &prefix).unwrap())
-                .collect()
-        };
-        for n_queries in WORKLOADS {
-            let queries = interval_workload(&out.schema, n_queries).unwrap();
-            // Sanity: the two paths agree before we time them.
-            let a = coeff.answer_all(&queries).unwrap();
-            let b = prefix_all(&queries);
-            for (x, y) in a.iter().zip(&b) {
-                // Relative tolerance: the two paths sum the same noisy
-                // mass in different orders, so rounding scales with the
-                // answer magnitude (~1e7 at 2^20).
-                assert!(
-                    (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                    "paths disagree at 2^{exp}: {x} vs {y}"
-                );
-            }
-            group.bench_function(&format!("coeff_answer{n_queries}_2^{exp}"), |b| {
-                b.iter(|| coeff.answer_all(black_box(&queries)).unwrap())
-            });
-            group.bench_function(&format!("prefix_answer{n_queries}_2^{exp}"), |b| {
-                b.iter(|| prefix_all(black_box(&queries)))
-            });
-        }
-
-        // Serve-one-query-from-scratch: the cost model the coefficient
-        // path exists for (no O(m) build before the first answer).
-        let one = interval_workload(&out.schema, 1).unwrap();
-        group.bench_function(&format!("serve1_coeff_2^{exp}"), |b| {
-            b.iter(|| {
-                let ans = ConcurrentEngine::from_output(black_box(&out)).unwrap();
-                ans.answer(&one[0]).unwrap()
-            })
+                .map(|q| coeff.answer(q))
+                .collect::<Result<Vec<f64>, _>>()
         });
-        group.bench_function(&format!("serve1_prefix_2^{exp}"), |b| {
-            b.iter(|| {
-                let rec = black_box(&out).to_matrix().unwrap();
-                let prefix = PrefixSums::build(rec.matrix());
-                one[0].evaluate_prefix(rec.schema(), &prefix).unwrap()
-            })
-        });
+        record.push("perquery", params(exp, n_queries), secs, work);
     }
-    group.finish();
+    Ok(())
 }
 
-fn bench_batched(c: &mut Criterion) {
-    let mut group = c.benchmark_group("query_answering_batched");
-    group.sample_size(10);
-    for exp in EXPONENTS {
-        let out = ordinal_release(exp).unwrap();
-        let coeff = ConcurrentEngine::from_output(&out).unwrap();
-        for n_queries in WORKLOADS {
-            // The motivating batch workload: a dashboard of 64 distinct
-            // queries refreshed n/64 times per batch (WaveCluster-style
-            // consumers re-ask the same predicates every tick). The
-            // planner collapses the repeats onto 64 span lists and at
-            // most 64 distinct supports.
-            let catalog = interval_workload(&out.schema, 64.min(n_queries)).unwrap();
-            let queries: Vec<RangeQuery> =
-                catalog.iter().cycle().take(n_queries).cloned().collect();
-
-            // Sanity: the compiled plan and the per-query loop agree
-            // bit for bit (one derivation, one kernel).
-            let plan = coeff.plan(&queries).unwrap();
-            let batch = coeff.answer_plan(&plan).unwrap();
-            for (q, want) in queries.iter().zip(&batch) {
-                let got = coeff.answer(q).unwrap();
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "2^{exp}: online {got} vs plan {want}"
-                );
-            }
-
-            group.bench_function(&format!("plan_compile{n_queries}_2^{exp}"), |b| {
-                b.iter(|| coeff.plan(black_box(&queries)).unwrap())
-            });
-            group.bench_function(&format!("plan_execute{n_queries}_2^{exp}"), |b| {
-                b.iter(|| coeff.answer_plan(black_box(&plan)).unwrap())
-            });
-            group.bench_function(&format!("batched{n_queries}_2^{exp}"), |b| {
-                b.iter(|| coeff.answer_all(black_box(&queries)).unwrap())
-            });
-            group.bench_function(&format!("perquery{n_queries}_2^{exp}"), |b| {
-                b.iter(|| {
-                    black_box(&queries)
-                        .iter()
-                        .map(|q| coeff.answer(q).unwrap())
-                        .collect::<Vec<f64>>()
-                })
-            });
-        }
+fn main() -> Result<(), Box<dyn Error>> {
+    let args = Args::from_env()?;
+    let budget = args.budget_secs();
+    let exps: &[u32] = if args.smoke {
+        &[10]
+    } else {
+        &[10, 12, 14, 16, 18, 20]
+    };
+    let mut record = Record::new("query_answering", "queries/s");
+    for &exp in exps {
+        let out = ordinal_release(exp)?;
+        serving(&mut record, exp, &out, budget)?;
+        batched(&mut record, exp, &out, budget)?;
     }
-    group.finish();
+    record.finish(&args)?;
+    if args.smoke {
+        println!("query_answering smoke OK");
+    }
+    Ok(())
 }
-
-criterion_group!(benches, bench_query_answering, bench_batched);
-criterion_main!(benches);

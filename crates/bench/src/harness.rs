@@ -1,12 +1,13 @@
-//! The one harness behind the hand-written throughput benches
-//! (`plan_throughput`, `publish_throughput`, `ingest_throughput`).
+//! The one harness behind the timed benches (`micro_transforms`,
+//! `query_answering`, `plan_throughput`, `publish_throughput`,
+//! `ingest_throughput`).
 //!
-//! Criterion's offline stub ignores CLI arguments, so these benches
-//! run their own `main` and share everything here:
+//! Each bench runs its own `main` (`harness = false`) and shares
+//! everything here:
 //!
 //! - [`Args`] — the two flags. `--test` is smoke mode: tiny points and
-//!   the correctness assertions, seconds not minutes; CI runs it on
-//!   both feature sets. `--record <path>` writes the run as a
+//!   the correctness assertions, seconds not minutes; CI runs it for
+//!   every bench above. `--record <path>` writes the run as a
 //!   [`Record`].
 //! - [`best_of`] — best-of timing. A point's call repeats until its
 //!   wall-time budget ([`Args::budget_secs`]) has accumulated, and at

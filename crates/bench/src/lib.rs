@@ -1,9 +1,10 @@
 //! Shared plumbing for the bench targets.
 //!
-//! - [`harness`] — the one harness of the hand-written throughput
-//!   benches (`plan_throughput`, `publish_throughput`,
-//!   `ingest_throughput`): best-of timing, the `--test` / `--record`
-//!   flags, the one BENCH record schema and the shared fixtures.
+//! - [`harness`] — the one harness of the timed benches
+//!   (`micro_transforms`, `query_answering`, `plan_throughput`,
+//!   `publish_throughput`, `ingest_throughput`): best-of timing, the
+//!   `--test` / `--record` flags, the one BENCH record schema and the
+//!   shared fixtures.
 //! - [`json`] — the hand-rolled JSON value both the record and the
 //!   panel cache below are written through.
 //!
@@ -136,13 +137,13 @@ impl Panel {
 }
 
 /// Serializes a panel list for the cache file.
-pub fn panels_to_json(panels: &[Panel]) -> String {
+fn panels_to_json(panels: &[Panel]) -> String {
     Json::Arr(panels.iter().map(Panel::to_json).collect()).to_string()
 }
 
 /// Parses a cached panel list; `None` on any structural mismatch (the
 /// cache is then regenerated).
-pub fn panels_from_json(text: &str) -> Option<Vec<Panel>> {
+fn panels_from_json(text: &str) -> Option<Vec<Panel>> {
     Json::parse(text)
         .ok()?
         .as_arr()?

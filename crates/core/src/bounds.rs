@@ -23,18 +23,18 @@
 //! `2(2|A|/ε)²` is a typo — its printed value `128/ε²` for `|A| = 16`
 //! equals `8|A|/ε²`, consistent with §II-B.)
 
-use crate::transform::{DimTransform, HnTransform, Transform1d};
+use crate::transform::HnTransform;
 use crate::{CoreError, Result};
 use privelet_data::schema::{Attribute, Domain, Schema};
 use std::collections::BTreeSet;
 
 /// `⌈log₂ size⌉` — the padded level count of an ordinal domain.
-pub fn padded_levels(size: usize) -> u32 {
+fn padded_levels(size: usize) -> u32 {
     size.next_power_of_two().trailing_zeros()
 }
 
 /// `P(A)` for an attribute (ordinal uses the padded domain size).
-pub fn p_attr(attr: &Attribute) -> f64 {
+fn p_attr(attr: &Attribute) -> f64 {
     match attr.domain() {
         Domain::Ordinal { size } => 1.0 + f64::from(padded_levels(*size)),
         Domain::Nominal { hierarchy } => hierarchy.height() as f64,
@@ -42,7 +42,7 @@ pub fn p_attr(attr: &Attribute) -> f64 {
 }
 
 /// `H(A)` for an attribute (ordinal uses the padded domain size).
-pub fn h_attr(attr: &Attribute) -> f64 {
+fn h_attr(attr: &Attribute) -> f64 {
     match attr.domain() {
         Domain::Ordinal { size } => (2.0 + f64::from(padded_levels(*size))) / 2.0,
         Domain::Nominal { .. } => 4.0,
@@ -50,7 +50,7 @@ pub fn h_attr(attr: &Attribute) -> f64 {
 }
 
 /// Per-cell noise variance of the Basic mechanism at privacy ε: `8/ε²`.
-pub fn basic_cell_variance(epsilon: f64) -> f64 {
+fn basic_cell_variance(epsilon: f64) -> f64 {
     8.0 / (epsilon * epsilon)
 }
 
@@ -123,19 +123,6 @@ pub fn recommend_sa(schema: &Schema) -> BTreeSet<usize> {
         .collect()
 }
 
-/// Convenience: the variance bound for the transform that
-/// [`crate::mechanism::publish_privelet`] would use on this schema/SA.
-pub fn bound_for_schema(schema: &Schema, sa: &BTreeSet<usize>, epsilon: f64) -> Result<f64> {
-    let hn = HnTransform::for_schema(schema, sa)?;
-    Ok(hn_variance_bound(&hn, epsilon))
-}
-
-/// `P` factor of a whole transform (= ρ of Theorem 2); exposed for
-/// diagnostics next to [`Transform1d::p_value`].
-pub fn rho_of(transforms: &[DimTransform]) -> f64 {
-    transforms.iter().map(Transform1d::p_value).product()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,7 +190,8 @@ mod tests {
             BTreeSet::from([0, 1, 2, 3]),
         ] {
             let direct = privelet_plus_bound(&schema, &sa, 1.25).unwrap();
-            let via_hn = bound_for_schema(&schema, &sa, 1.25).unwrap();
+            let hn = HnTransform::for_schema(&schema, &sa).unwrap();
+            let via_hn = hn_variance_bound(&hn, 1.25);
             assert!(
                 (direct - via_hn).abs() < 1e-9 * direct.max(1.0),
                 "sa={sa:?}: {direct} vs {via_hn}"

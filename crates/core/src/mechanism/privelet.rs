@@ -233,14 +233,7 @@ impl CoefficientOutput {
     /// transform) on a throwaway executor. Bit-identical to the matrix
     /// [`publish_privelet`] produces for the same input, config and seed.
     pub fn to_matrix(&self) -> Result<FrequencyMatrix> {
-        self.to_matrix_with(&mut LaneExecutor::new())
-    }
-
-    /// [`to_matrix`](Self::to_matrix) on a caller-provided executor.
-    pub fn to_matrix_with(&self, exec: &mut LaneExecutor) -> Result<FrequencyMatrix> {
-        let noisy = self
-            .transform
-            .inverse_refined_with(exec, &self.coefficients)?;
+        let noisy = self.transform.inverse_refined(&self.coefficients)?;
         Ok(FrequencyMatrix::from_parts(self.schema.clone(), noisy)?)
     }
 }

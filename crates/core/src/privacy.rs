@@ -61,7 +61,7 @@ impl PrivacyMeta {
 }
 
 /// Validates that ε is finite and strictly positive.
-pub fn check_epsilon(epsilon: f64) -> Result<f64> {
+fn check_epsilon(epsilon: f64) -> Result<f64> {
     if !epsilon.is_finite() || epsilon <= 0.0 {
         return Err(CoreError::BadEpsilon(epsilon));
     }

@@ -84,11 +84,6 @@ impl SlidingWindowRelease {
         self.sealed.len()
     }
 
-    /// Increments logged in the epoch currently filling.
-    pub fn pending_increments(&self) -> usize {
-        self.current.len()
-    }
-
     /// The lifetime budget ledger.
     pub fn ledger(&self) -> &BudgetLedger {
         self.inner.ledger()
@@ -301,7 +296,7 @@ mod tests {
         let err = rel.advance_epoch(0.5, 2).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExhausted { .. }));
         assert_eq!(rel.retained_epochs(), 1);
-        assert_eq!(rel.pending_increments(), 1);
+        assert_eq!(rel.current.len(), 1);
         assert_eq!(rel.ledger().epochs(), 1);
         let exact_after: Vec<u64> = rel
             .release()
@@ -315,7 +310,7 @@ mod tests {
         // A coverable epoch still goes through and rolls the window.
         rel.advance_epoch(0.25, 3).unwrap();
         assert_eq!(rel.retained_epochs(), 1);
-        assert_eq!(rel.pending_increments(), 0);
+        assert_eq!(rel.current.len(), 0);
     }
 
     #[test]

@@ -303,14 +303,7 @@ impl HnTransform {
 
     /// Applies every dimension's refinement (the §V-B mean subtraction on
     /// nominal axes) to a coefficient matrix without inverting it, on a
-    /// throwaway executor. See
-    /// [`refine_coefficients_with`](Self::refine_coefficients_with).
-    pub fn refine_coefficients(&self, c: &NdMatrix) -> Result<NdMatrix> {
-        self.refine_coefficients_with(&mut LaneExecutor::new(), c)
-    }
-
-    /// [`refine_coefficients`](Self::refine_coefficients) on a
-    /// caller-provided executor.
+    /// throwaway executor.
     ///
     /// Because the per-axis transforms are linear maps on disjoint axes,
     /// refining every nominal lane up front and then running the plain
@@ -321,11 +314,7 @@ impl HnTransform {
     /// served directly via [`query_supports`](Self::query_supports)
     /// without ever reconstructing the m-cell matrix. The refinement is
     /// idempotent, and a no-op (one copy) when no axis has one.
-    pub fn refine_coefficients_with(
-        &self,
-        exec: &mut LaneExecutor,
-        c: &NdMatrix,
-    ) -> Result<NdMatrix> {
+    pub fn refine_coefficients(&self, c: &NdMatrix) -> Result<NdMatrix> {
         if c.dims() != self.output_dims() {
             return Err(CoreError::ShapeMismatch {
                 expected: self.output_dims(),
@@ -349,7 +338,9 @@ impl HnTransform {
                 kernel,
             })
             .collect();
-        exec.run(c, &stages).map_err(CoreError::Matrix)
+        LaneExecutor::new()
+            .run(c, &stages)
+            .map_err(CoreError::Matrix)
     }
 
     /// Per-dimension sparse supports of the hyper-rectangle-sum functional
@@ -424,33 +415,6 @@ impl HnTransform {
             });
         }
         Ok(())
-    }
-
-    /// Sparse coefficient support of **one** dimension's single-cell
-    /// increment: dimension `axis`'s
-    /// [`update_weights`](Transform1d::update_weights) at domain cell
-    /// `cell`, validated (`Err`, never a panic, on a bad axis or cell).
-    ///
-    /// The streaming dual of
-    /// [`query_weights_for_dim`](Self::query_weights_for_dim): an ingest
-    /// path absorbing row arrivals derives per-dimension update columns
-    /// through here, so a single-cell increment touches at most
-    /// `∏ᵢ max_update_support(i)` coefficients of the d-dimensional
-    /// tensor product instead of the whole output matrix.
-    pub fn update_weights_for_dim(&self, axis: usize, cell: usize) -> Result<Vec<(usize, f64)>> {
-        let t = self.transforms.get(axis).ok_or(CoreError::BadAxis {
-            axis,
-            ndim: self.ndim(),
-        })?;
-        if cell >= t.input_len() {
-            return Err(CoreError::BadQueryBounds {
-                axis,
-                lo: cell,
-                hi: cell,
-                len: t.input_len(),
-            });
-        }
-        Ok(t.update_weights(cell))
     }
 
     /// Visits every coefficient cell of the output matrix in row-major
@@ -770,34 +734,6 @@ mod tests {
                 hn.query_weights_for_dim(axis, l, h).err()
             );
         }
-    }
-
-    #[test]
-    fn update_weights_for_dim_is_the_validated_forward_column() {
-        let (_, hn) = mixed_transform();
-        // Each dimension's column at a cell matches the 1-D transform's.
-        for (axis, t) in hn.transforms().iter().enumerate() {
-            let cell = t.input_len() - 1;
-            assert_eq!(
-                hn.update_weights_for_dim(axis, cell).unwrap(),
-                t.update_weights(cell),
-                "axis {axis}"
-            );
-        }
-        assert!(matches!(
-            hn.update_weights_for_dim(4, 0).unwrap_err(),
-            CoreError::BadAxis { axis: 4, ndim: 4 }
-        ));
-        // Cell at the (unpadded) domain size: Err, not a panic.
-        assert!(matches!(
-            hn.update_weights_for_dim(0, 5).unwrap_err(),
-            CoreError::BadQueryBounds {
-                axis: 0,
-                lo: 5,
-                hi: 5,
-                len: 5,
-            }
-        ));
     }
 
     #[test]

@@ -32,10 +32,8 @@ use privelet_data::schema::{Attribute, Domain};
 /// This enum exists purely as object-safe *storage*: a schema mixes Haar,
 /// nominal and identity dimensions, so `HnTransform` needs one sized slot
 /// per dimension. All behavior lives in the [`Transform1d`] trait; the
-/// enum's own impl is a single match ([`as_transform`]) and every trait
+/// enum's own impl is a single match (`as_transform`) and every trait
 /// method delegates through it.
-///
-/// [`as_transform`]: DimTransform::as_transform
 #[derive(Debug, Clone, PartialEq)]
 pub enum DimTransform {
     /// Haar wavelet transform (ordinal dimension).
@@ -64,7 +62,7 @@ impl DimTransform {
 
     /// The variant as a trait object — the one place the enum is matched.
     #[inline]
-    pub fn as_transform(&self) -> &dyn Transform1d {
+    fn as_transform(&self) -> &dyn Transform1d {
         match self {
             DimTransform::Haar(t) => t,
             DimTransform::Nominal(t) => t,

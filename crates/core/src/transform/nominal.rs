@@ -52,7 +52,7 @@ impl NominalTransform {
     /// (children of one internal node), subtract the group mean so the
     /// group sums to zero. Operates on a coefficient lane in level-order
     /// layout. A no-op on exact coefficients.
-    pub fn mean_subtract(&self, coeffs: &mut [f64]) {
+    fn mean_subtract(&self, coeffs: &mut [f64]) {
         let h = &self.hierarchy;
         debug_assert_eq!(coeffs.len(), h.node_count());
         for group in h.sibling_groups() {
@@ -186,8 +186,7 @@ impl Transform1d for NominalTransform {
             acc.insert(h.level_order_pos(h.leaf_node(pos)), 1.0f64);
         }
         let mut out = Vec::new();
-        while let Some((&pos, _)) = acc.iter().next_back() {
-            let w = acc.remove(&pos).expect("key just observed");
+        while let Some((pos, w)) = acc.pop_last() {
             out.push((pos, w));
             let id = h.level_order()[pos];
             if let Some(p) = h.parent(id) {

@@ -24,7 +24,7 @@
 /// same outputs, bit for bit. The engine relies on this for its bitwise
 /// guarantees (every tile width equals the per-lane walk, and a reused
 /// executor equals a fresh one).
-pub trait Transform1d: Sync {
+pub trait Transform1d {
     /// Domain size |A| (the frequency-vector length).
     fn input_len(&self) -> usize;
 

@@ -52,13 +52,6 @@ impl Discrete {
             .partition_point(|&c| c <= u)
             .min(self.cum.len() - 1)
     }
-
-    /// Probability of outcome `i`.
-    pub fn prob(&self, i: usize) -> f64 {
-        let total = *self.cum.last().expect("non-empty");
-        let lo = if i == 0 { 0.0 } else { self.cum[i - 1] };
-        (self.cum[i] - lo) / total
-    }
 }
 
 /// Zipf weights over `0..n`: `w_i = 1/(i+1)^s`.
@@ -103,16 +96,6 @@ mod tests {
         assert!(Discrete::new(&[1.0, -0.5]).is_err());
         assert!(Discrete::new(&[1.0, f64::NAN]).is_err());
         assert!(Discrete::new(&[1.0, 0.0, 2.0]).is_ok());
-    }
-
-    #[test]
-    fn probabilities_normalize() {
-        let d = Discrete::new(&[1.0, 3.0, 6.0]).unwrap();
-        assert!((d.prob(0) - 0.1).abs() < 1e-12);
-        assert!((d.prob(1) - 0.3).abs() < 1e-12);
-        assert!((d.prob(2) - 0.6).abs() < 1e-12);
-        let total: f64 = (0..3).map(|i| d.prob(i)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

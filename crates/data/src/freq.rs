@@ -71,11 +71,6 @@ impl FrequencyMatrix {
         self.matrix.round_nonnegative();
     }
 
-    /// Consumes self, returning schema and matrix.
-    pub fn into_parts(self) -> (Schema, NdMatrix) {
-        (self.schema, self.matrix)
-    }
-
     /// Total count (equals `n` for an exact matrix).
     pub fn total(&self) -> f64 {
         self.matrix.total()

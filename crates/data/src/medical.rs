@@ -12,7 +12,7 @@ pub const DIABETES: [&str; 2] = ["Yes", "No"];
 
 /// The schema of Table I: ordinal `Age` (5 groups) × nominal
 /// `Has Diabetes?` (flat 2-leaf hierarchy).
-pub fn medical_schema() -> Schema {
+fn medical_schema() -> Schema {
     Schema::new(vec![
         Attribute::ordinal("Age", AGE_GROUPS.len()),
         Attribute::nominal(

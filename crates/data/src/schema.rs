@@ -69,14 +69,6 @@ impl Attribute {
         }
     }
 
-    /// A nominal attribute sharing an existing hierarchy.
-    pub fn nominal_shared(name: impl Into<String>, hierarchy: Arc<Hierarchy>) -> Self {
-        Attribute {
-            name: name.into(),
-            domain: Domain::Nominal { hierarchy },
-        }
-    }
-
     /// The attribute name.
     pub fn name(&self) -> &str {
         &self.name
@@ -142,11 +134,6 @@ impl Schema {
         &self.attrs[i]
     }
 
-    /// Index of an attribute by name.
-    pub fn attr_index(&self, name: &str) -> Option<usize> {
-        self.attrs.iter().position(|a| a.name() == name)
-    }
-
     /// Dimension sizes `(|A₁|, …, |A_d|)` for the frequency matrix.
     pub fn dims(&self) -> Vec<usize> {
         self.attrs.iter().map(|a| a.size()).collect()
@@ -177,8 +164,6 @@ mod tests {
         assert_eq!(s.arity(), 2);
         assert_eq!(s.dims(), vec![5, 2]);
         assert_eq!(s.cell_count(), 10);
-        assert_eq!(s.attr_index("diabetes"), Some(1));
-        assert_eq!(s.attr_index("nope"), None);
         assert!(s.attr(0).is_ordinal());
         assert!(!s.attr(1).is_ordinal());
         assert_eq!(s.attr(1).domain().hierarchy().unwrap().leaf_count(), 2);

@@ -66,11 +66,6 @@ impl AccuracyRun {
             .collect();
         quantile_rows(&self.selectivities, &series, self.n_buckets).map_err(EvalError::Query)
     }
-
-    /// Mechanism labels in series order.
-    pub fn mechanism_names(&self) -> Vec<&str> {
-        self.mechanisms.iter().map(|m| m.name.as_str()).collect()
-    }
 }
 
 /// Exact workload context shared across ε values.
@@ -224,7 +219,8 @@ mod tests {
         assert_eq!(runs.len(), 2);
         for run in &runs {
             assert_eq!(run.mechanisms.len(), 2);
-            assert_eq!(run.mechanism_names(), vec!["Basic", "Privelet+"]);
+            let names: Vec<&str> = run.mechanisms.iter().map(|m| m.name.as_str()).collect();
+            assert_eq!(names, ["Basic", "Privelet+"]);
             assert_eq!(run.coverages.len(), 800);
             // Age and Gender are always in SA per the paper's rule;
             // Occupation (P²·H = 36 < |A|) is always transformed. The tiny

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 /// Renders one figure panel (e.g. "Figure 6(a), ε = 0.5") as a fixed-width
 /// table: one row per quantile bucket, the bucket's mean key (coverage or
 /// selectivity) followed by each mechanism's mean error.
-pub fn figure_table(title: &str, x_label: &str, mech_names: &[&str], rows: &[BucketRow]) -> String {
+fn figure_table(title: &str, x_label: &str, mech_names: &[&str], rows: &[BucketRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
     let _ = write!(out, "{x_label:>14}");
@@ -31,7 +31,7 @@ pub fn print_figure(title: &str, x_label: &str, mech_names: &[&str], rows: &[Buc
 }
 
 /// Renders a timing sweep (Figure 10/11) as a fixed-width table.
-pub fn timing_table(title: &str, x_label: &str, points: &[TimingPoint]) -> String {
+fn timing_table(title: &str, x_label: &str, points: &[TimingPoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(

@@ -36,7 +36,7 @@ pub fn time_once(n: usize, m_target: usize, seed: u64) -> Result<TimingPoint> {
 /// [`time_once`] on a caller-provided transform engine, so repeated
 /// measurements amortize the engine buffers (the first rep pays them, the
 /// best-of minimum reflects the warm path).
-pub fn time_once_with(
+fn time_once_with(
     exec: &mut LaneExecutor,
     n: usize,
     m_target: usize,
@@ -68,22 +68,15 @@ pub fn time_once_with(
 /// Times both mechanisms `reps` times and keeps the minimum of each —
 /// the standard way to suppress scheduler noise when the signal (e.g. the
 /// O(n) term under a large O(m) term) is small.
-pub fn time_best_of(n: usize, m_target: usize, seed: u64, reps: usize) -> Result<TimingPoint> {
-    let mut best: Option<TimingPoint> = None;
+fn time_best_of(n: usize, m_target: usize, seed: u64, reps: usize) -> Result<TimingPoint> {
     let mut exec = LaneExecutor::new();
-    for r in 0..reps.max(1) as u64 {
+    let mut best = time_once_with(&mut exec, n, m_target, seed)?;
+    for r in 1..reps as u64 {
         let p = time_once_with(&mut exec, n, m_target, seed ^ r)?;
-        best = Some(match best {
-            None => p,
-            Some(b) => TimingPoint {
-                n: p.n,
-                m: p.m,
-                basic_secs: b.basic_secs.min(p.basic_secs),
-                privelet_secs: b.privelet_secs.min(p.privelet_secs),
-            },
-        });
+        best.basic_secs = best.basic_secs.min(p.basic_secs);
+        best.privelet_secs = best.privelet_secs.min(p.privelet_secs);
     }
-    Ok(best.expect("reps >= 1"))
+    Ok(best)
 }
 
 /// Repetitions per sweep point (minimum taken).

@@ -187,12 +187,12 @@ impl Hierarchy {
     }
 
     /// Iterates over all node ids, root included.
-    pub fn node_ids(&self) -> impl Iterator<Item = usize> + '_ {
+    fn node_ids(&self) -> impl Iterator<Item = usize> + '_ {
         0..self.node_count()
     }
 
     /// Iterates over all internal node ids.
-    pub fn internal_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+    fn internal_nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.node_ids().filter(move |&id| !self.is_leaf(id))
     }
 

@@ -3,8 +3,8 @@
 //! This crate is the storage substrate underneath every other crate in the
 //! workspace. It provides:
 //!
-//! - [`Shape`]: row-major shapes with stride arithmetic and coordinate
-//!   iteration ([`shape`]).
+//! - [`Shape`]: row-major shapes with stride and coordinate arithmetic
+//!   ([`shape`]).
 //! - [`NdMatrix`]: a dense d-dimensional `f64` array ([`ndmatrix`]).
 //! - Lane maps: applying a 1-D function to every axis-aligned lane of a
 //!   matrix, possibly changing the length of that axis ([`lanes`]) — this is
@@ -40,7 +40,7 @@ pub use executor::{AxisStage, LaneExecutor, LaneKernel};
 pub use lanes::map_lanes;
 pub use ndmatrix::NdMatrix;
 pub use prefix::{prefix_sum_axis, PrefixSums};
-pub use shape::{CoordIter, Shape};
+pub use shape::Shape;
 pub use slice::fix_axes;
 pub use view::{rect_sum_naive, RectIter};
 

@@ -86,11 +86,6 @@ impl NdMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Checked cell read by coordinates.
     pub fn get(&self, coords: &[usize]) -> Result<f64> {
         Ok(self.data[self.shape.linear(coords)?])
@@ -130,29 +125,6 @@ impl NdMatrix {
             .zip(other.data.iter())
             .map(|(a, b)| (a - b).abs())
             .sum())
-    }
-
-    /// Largest absolute cell difference to another matrix of the same shape.
-    pub fn linf_distance(&self, other: &NdMatrix) -> Result<f64> {
-        if self.shape != other.shape {
-            return Err(MatrixError::DataLenMismatch {
-                expected: self.len(),
-                got: other.len(),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max))
-    }
-
-    /// Applies a function to every cell in place.
-    pub fn map_in_place(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Rounds every cell to the nearest integer and clamps below at zero.
@@ -217,7 +189,6 @@ mod tests {
         b.set(&[0], 2.0).unwrap();
         b.set(&[2], 1.0).unwrap();
         assert_eq!(a.l1_distance(&b).unwrap(), 2.0);
-        assert_eq!(a.linf_distance(&b).unwrap(), 1.0);
     }
 
     #[test]
@@ -225,7 +196,6 @@ mod tests {
         let a = NdMatrix::zeros(&[4]).unwrap();
         let b = NdMatrix::zeros(&[2, 2]).unwrap();
         assert!(a.l1_distance(&b).is_err());
-        assert!(a.linf_distance(&b).is_err());
     }
 
     #[test]
@@ -233,12 +203,5 @@ mod tests {
         let mut m = NdMatrix::from_vec(&[4], vec![-0.7, 0.4, 1.6, 2.0]).unwrap();
         m.round_nonnegative();
         assert_eq!(m.as_slice(), &[0.0, 0.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn map_in_place_applies_everywhere() {
-        let mut m = NdMatrix::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        m.map_in_place(|v| v * 2.0);
-        assert_eq!(m.as_slice(), &[2.0, 4.0, 6.0, 8.0]);
     }
 }

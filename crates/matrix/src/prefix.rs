@@ -40,25 +40,8 @@ impl PrefixSums {
     /// Sum of the cells in the inclusive hyper-rectangle `[lo, hi]`
     /// (component-wise), via inclusion–exclusion over the 2^d corners.
     pub fn rect_sum(&self, lo: &[usize], hi: &[usize]) -> Result<f64> {
+        self.shape.check_rect(lo, hi)?;
         let d = self.shape.ndim();
-        if lo.len() != d || hi.len() != d {
-            return Err(MatrixError::WrongArity {
-                expected: d,
-                got: lo.len().min(hi.len()),
-            });
-        }
-        for axis in 0..d {
-            if hi[axis] >= self.shape.dim(axis) {
-                return Err(MatrixError::OutOfBounds {
-                    axis,
-                    coord: hi[axis],
-                    dim: self.shape.dim(axis),
-                });
-            }
-            if lo[axis] > hi[axis] {
-                return Err(MatrixError::EmptyRect { axis });
-            }
-        }
         let mut total = 0.0f64;
         let mut corner = vec![0usize; d];
         // Enumerate the 2^d corners; bit k chooses hi[k] (+) or lo[k]-1 (−).
@@ -185,6 +168,16 @@ mod tests {
             MatrixError::OutOfBounds { axis: 1, .. }
         ));
         assert!(p.rect_sum(&[0], &[1, 1]).is_err());
+        // A one-sided arity mismatch names the offending corner's length.
+        for (lo, hi) in [(vec![0, 0, 0], vec![1, 1]), (vec![0, 0], vec![1, 1, 1])] {
+            assert_eq!(
+                p.rect_sum(&lo, &hi).unwrap_err(),
+                MatrixError::WrongArity {
+                    expected: 2,
+                    got: 3
+                }
+            );
+        }
     }
 
     #[test]

@@ -154,44 +154,32 @@ impl Shape {
         Shape::new(&dims)
     }
 
-    /// Iterates over all coordinate vectors in row-major order.
-    pub fn iter_coords(&self) -> CoordIter {
-        CoordIter {
-            dims: self.dims.clone(),
-            next: Some(vec![0; self.dims.len()]),
-        }
-    }
-}
-
-/// Row-major iterator over all coordinates of a [`Shape`].
-#[derive(Debug, Clone)]
-pub struct CoordIter {
-    dims: Vec<usize>,
-    next: Option<Vec<usize>>,
-}
-
-impl Iterator for CoordIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        let current = self.next.clone()?;
-        // Advance like an odometer, last axis fastest.
-        let mut coords = current.clone();
-        let mut axis = self.dims.len();
-        loop {
-            if axis == 0 {
-                self.next = None;
-                break;
+    /// Checks an inclusive hyper-rectangle `[lo, hi]` against the shape:
+    /// one coordinate per axis in each corner (a wrong corner reports its
+    /// own length, `lo`'s first), `hi` inside the shape, and `lo ≤ hi`.
+    pub(crate) fn check_rect(&self, lo: &[usize], hi: &[usize]) -> Result<()> {
+        let d = self.ndim();
+        for corner in [lo, hi] {
+            if corner.len() != d {
+                return Err(MatrixError::WrongArity {
+                    expected: d,
+                    got: corner.len(),
+                });
             }
-            axis -= 1;
-            coords[axis] += 1;
-            if coords[axis] < self.dims[axis] {
-                self.next = Some(coords);
-                break;
-            }
-            coords[axis] = 0;
         }
-        Some(current)
+        for axis in 0..d {
+            if hi[axis] >= self.dims[axis] {
+                return Err(MatrixError::OutOfBounds {
+                    axis,
+                    coord: hi[axis],
+                    dim: self.dims[axis],
+                });
+            }
+            if lo[axis] > hi[axis] {
+                return Err(MatrixError::EmptyRect { axis });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -278,31 +266,5 @@ mod tests {
         let t = s.with_dim(1, 8).unwrap();
         assert_eq!(t.dims(), &[3, 8]);
         assert!(s.with_dim(2, 8).is_err());
-    }
-
-    #[test]
-    fn coord_iter_is_row_major_and_complete() {
-        let s = Shape::new(&[2, 3]).unwrap();
-        let all: Vec<Vec<usize>> = s.iter_coords().collect();
-        assert_eq!(
-            all,
-            vec![
-                vec![0, 0],
-                vec![0, 1],
-                vec![0, 2],
-                vec![1, 0],
-                vec![1, 1],
-                vec![1, 2]
-            ]
-        );
-    }
-
-    #[test]
-    fn coord_iter_matches_linear_order() {
-        let s = Shape::new(&[2, 2, 3]).unwrap();
-        for (lin, coords) in s.iter_coords().enumerate() {
-            assert_eq!(s.linear(&coords).unwrap(), lin);
-        }
-        assert_eq!(s.iter_coords().count(), s.len());
     }
 }

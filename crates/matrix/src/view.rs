@@ -5,7 +5,7 @@
 //! timing experiments to model "answer a query by summing cells".
 
 use crate::ndmatrix::NdMatrix;
-use crate::{MatrixError, Result};
+use crate::Result;
 
 /// Iterator over the linear indices of an inclusive hyper-rectangle
 /// `[lo, hi]` of a shape, in row-major order.
@@ -21,25 +21,7 @@ pub struct RectIter {
 impl RectIter {
     /// Builds a rectangle iterator over `m`'s shape.
     pub fn new(m: &NdMatrix, lo: &[usize], hi: &[usize]) -> Result<Self> {
-        let d = m.ndim();
-        if lo.len() != d || hi.len() != d {
-            return Err(MatrixError::WrongArity {
-                expected: d,
-                got: lo.len().min(hi.len()),
-            });
-        }
-        for axis in 0..d {
-            if hi[axis] >= m.dims()[axis] {
-                return Err(MatrixError::OutOfBounds {
-                    axis,
-                    coord: hi[axis],
-                    dim: m.dims()[axis],
-                });
-            }
-            if lo[axis] > hi[axis] {
-                return Err(MatrixError::EmptyRect { axis });
-            }
-        }
+        m.shape().check_rect(lo, hi)?;
         Ok(RectIter {
             strides: m.shape().strides().to_vec(),
             lo: lo.to_vec(),
@@ -92,6 +74,7 @@ pub fn rect_sum_naive(m: &NdMatrix, lo: &[usize], hi: &[usize]) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MatrixError;
 
     #[test]
     fn iterates_full_matrix_in_order() {
@@ -124,5 +107,15 @@ mod tests {
         assert!(RectIter::new(&m, &[0, 0], &[2, 1]).is_err());
         assert!(RectIter::new(&m, &[1, 1], &[0, 1]).is_err());
         assert!(RectIter::new(&m, &[0], &[1, 1]).is_err());
+        // A one-sided arity mismatch names the offending corner's length.
+        for (lo, hi) in [(vec![0, 0, 0], vec![1, 1]), (vec![0, 0], vec![1, 1, 1])] {
+            assert_eq!(
+                rect_sum_naive(&m, &lo, &hi).unwrap_err(),
+                MatrixError::WrongArity {
+                    expected: 2,
+                    got: 3
+                }
+            );
+        }
     }
 }

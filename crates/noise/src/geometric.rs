@@ -57,11 +57,6 @@ impl TwoSidedGeometric {
         2.0 * self.alpha / (one_minus * one_minus)
     }
 
-    /// Probability mass at integer `k`.
-    pub fn pmf(&self, k: i64) -> f64 {
-        (1.0 - self.alpha) / (1.0 + self.alpha) * self.alpha.powi(k.unsigned_abs() as i32)
-    }
-
     /// Draws one sample as the difference of two one-sided geometrics
     /// (each `⌊ln U / ln α⌋` for uniform `U ∈ (0,1)`), which follows the
     /// two-sided law exactly.
@@ -87,6 +82,12 @@ mod tests {
     use crate::rng::seeded_rng;
     use crate::stats::RunningStats;
 
+    /// Probability mass at integer `k`: the exact law the sampler is
+    /// checked against.
+    fn pmf(d: &TwoSidedGeometric, k: i64) -> f64 {
+        (1.0 - d.alpha) / (1.0 + d.alpha) * d.alpha.powi(k.unsigned_abs() as i32)
+    }
+
     #[test]
     fn rejects_bad_parameters() {
         assert!(TwoSidedGeometric::new(0.0).is_err());
@@ -100,7 +101,7 @@ mod tests {
     #[test]
     fn pmf_sums_to_one() {
         let d = TwoSidedGeometric::new(0.6).unwrap();
-        let total: f64 = (-200i64..=200).map(|k| d.pmf(k)).sum();
+        let total: f64 = (-200i64..=200).map(|k| pmf(&d, k)).sum();
         assert!((total - 1.0).abs() < 1e-12, "sum = {total}");
     }
 
@@ -109,7 +110,7 @@ mod tests {
         // The DP property's core: pmf(k)/pmf(k+1) <= 1/alpha.
         let d = TwoSidedGeometric::with_scale(2.0).unwrap();
         for k in -20i64..20 {
-            let ratio = d.pmf(k) / d.pmf(k + 1);
+            let ratio = pmf(&d, k) / pmf(&d, k + 1);
             assert!(ratio <= 1.0 / d.alpha() + 1e-12);
             assert!(ratio >= d.alpha() - 1e-12);
         }
@@ -145,7 +146,7 @@ mod tests {
         }
         for k in -3i64..=3 {
             let emp = *counts.get(&k).unwrap_or(&0) as f64 / n as f64;
-            let exact = d.pmf(k);
+            let exact = pmf(&d, k);
             assert!(
                 (emp - exact).abs() < 0.01,
                 "k={k}: empirical {emp} vs pmf {exact}"

@@ -271,12 +271,6 @@ impl QueryPlan {
         self.ndim
     }
 
-    /// Number of **distinct** queries after whole-query interning; each
-    /// executes one sparse dot per batch, repeats fan out the result.
-    pub fn distinct_queries(&self) -> usize {
-        self.distinct_reads.len()
-    }
-
     /// `(query, dim)` support requests the batch made (= `len · ndim`).
     pub fn support_requests(&self) -> usize {
         self.query_ids.len() * self.ndim
@@ -317,12 +311,6 @@ impl QueryPlan {
             self.support_sum as f64 / self.query_ids.len() as f64
         }
     }
-
-    /// Total `(offset, weight)` pairs held in the arena — the plan's
-    /// resident footprint, for capacity planning.
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +348,7 @@ mod tests {
         assert_eq!(plan.len(), 4);
         // q1, q2 and the trailing q1 are the same query: one span list,
         // one dot per execution.
-        assert_eq!(plan.distinct_queries(), 2);
+        assert_eq!(plan.distinct_reads.len(), 2);
         assert_eq!(plan.support_requests(), 8);
         // Distinct triples: (0,0,2), (0,1,4), (1,0,1) — two age intervals
         // and the shared unconstrained diabetes interval.
@@ -368,9 +356,9 @@ mod tests {
         assert!((plan.dedup_ratio() - (1.0 - 3.0 / 8.0)).abs() < 1e-12);
         // Execution reads per distinct query; the cost model averages
         // over all of them.
-        assert!(plan.total_reads() >= plan.distinct_queries());
+        assert!(plan.total_reads() >= plan.distinct_reads.len());
         assert!(plan.mean_support() >= 1.0);
-        assert!(plan.arena_len() >= plan.distinct_supports());
+        assert!(plan.arena.len() >= plan.distinct_supports());
     }
 
     #[test]
@@ -515,9 +503,9 @@ mod tests {
         assert_eq!(core.execute_plan(&plan).unwrap(), Vec::<f64>::new());
         assert_eq!(plan.support_requests(), 0);
         assert_eq!(plan.distinct_supports(), 0);
-        assert_eq!(plan.distinct_queries(), 0);
+        assert_eq!(plan.distinct_reads.len(), 0);
         assert_eq!(plan.total_reads(), 0);
-        assert_eq!(plan.arena_len(), 0);
+        assert_eq!(plan.arena.len(), 0);
         // The two ratio diagnostics are the division hazards.
         assert_eq!(plan.dedup_ratio(), 0.0);
         assert!(plan.dedup_ratio().is_finite());

@@ -34,8 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-/// Threads used by the equivalence tests — the acceptance criterion
-/// requires at least 4.
+/// Threads used by the equivalence tests — the acceptance bar requires
+/// at least 4.
 const THREADS: usize = 6;
 
 /// The compile-time audit: every type a concurrent serving tier shares

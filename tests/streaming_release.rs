@@ -83,7 +83,7 @@ fn updated_table(fm: &FrequencyMatrix, increments: &[(Vec<usize>, f64)]) -> Freq
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Acceptance criterion: after N random increments plus an epoch
+    /// Acceptance check: after N random increments plus an epoch
     /// re-noise, the streaming release is bit-identical per seed to a
     /// from-scratch `publish_coefficients` on the updated table, and
     /// every increment's coefficient-touch count is bounded by the
