@@ -2,9 +2,9 @@
 //! transforms, the multi-dimensional HN transform on the lane executor,
 //! the two publishers, and prefix-sum versus naive rectangle sums. These
 //! back the O(n + m) complexity claims of §IV–§VI with per-component
-//! numbers; the `hn_scaling` points time the HN forward plus refined
-//! inverse at 2^16, 2^18 and 2^20 cells, so the engine's near-linear
-//! scaling is directly visible.
+//! numbers; the `hn_scaling` points time the HN forward plus the
+//! refinement and inverse at 2^16, 2^18 and 2^20 cells, so the engine's
+//! near-linear scaling is directly visible.
 //!
 //! Every rate counts cells: a transform or publish its input cells, a
 //! rectangle sum the cells its rectangle covers, so the `prefix_rect_sum`
@@ -94,8 +94,8 @@ fn one_dim(record: &mut Record, name: &str, t: &dyn Transform1d, budget: f64) {
     record.push(&format!("{name}_inverse"), cells(n), secs, n as f64);
 }
 
-/// HN forward and refined inverse on a cubic ordinal × nominal × identity
-/// schema.
+/// HN forward, and refinement plus inverse, on a cubic ordinal × nominal ×
+/// identity schema.
 fn hn(record: &mut Record, side: usize, budget: f64) -> Result<(), Box<dyn Error>> {
     let schema = Schema::new(vec![
         Attribute::ordinal("o", side),
@@ -110,16 +110,19 @@ fn hn(record: &mut Record, side: usize, budget: f64) -> Result<(), Box<dyn Error
     let coeffs = hn.forward_with(&mut exec, &m)?;
     let secs = best_of(budget, || hn.forward_with(&mut exec, black_box(&m)));
     record.push("hn_forward", dims_params(&dims), secs, n as f64);
-    hn.inverse_refined_with(&mut exec, &coeffs)?;
-    let secs = best_of(budget, || {
-        hn.inverse_refined_with(&mut exec, black_box(&coeffs))
-    });
-    record.push("hn_inverse_refined", dims_params(&dims), secs, n as f64);
+    let mut refine_then_inverse = || {
+        let mut c = black_box(&coeffs).clone();
+        hn.refine_in_place(&mut c)?;
+        hn.inverse_with(&mut exec, &c)
+    };
+    refine_then_inverse()?;
+    let secs = best_of(budget, refine_then_inverse);
+    record.push("hn_refine_inverse", dims_params(&dims), secs, n as f64);
     Ok(())
 }
 
-/// The engine scaling sweep: HN forward plus refined inverse at 2^`exp`
-/// cells over a 4-d mixed schema.
+/// The engine scaling sweep: HN forward, refinement and inverse at
+/// 2^`exp` cells over a 4-d mixed schema.
 fn hn_scaling(record: &mut Record, exp: u32, budget: f64) -> Result<(), Box<dyn Error>> {
     // Fourth root per dimension: a^4 = 2^exp.
     let a = ((1usize << exp) as f64).powf(0.25).round() as usize;
@@ -135,8 +138,9 @@ fn hn_scaling(record: &mut Record, exp: u32, budget: f64) -> Result<(), Box<dyn 
     let m = NdMatrix::from_vec(&dims, (0..n).map(|i| ((i * 31) % 101) as f64).collect())?;
     let mut exec = LaneExecutor::new();
     let mut round_trip = || {
-        hn.forward_with(&mut exec, black_box(&m))
-            .and_then(|c| hn.inverse_refined_with(&mut exec, &c))
+        let mut c = hn.forward_with(&mut exec, black_box(&m))?;
+        hn.refine_in_place(&mut c)?;
+        hn.inverse_with(&mut exec, &c)
     };
     round_trip()?;
     let secs = best_of(budget, round_trip);

@@ -23,31 +23,10 @@
 //! `2(2|A|/ε)²` is a typo — its printed value `128/ε²` for `|A| = 16`
 //! equals `8|A|/ε²`, consistent with §II-B.)
 
-use crate::transform::HnTransform;
-use crate::{CoreError, Result};
-use privelet_data::schema::{Attribute, Domain, Schema};
+use crate::transform::{DimTransform, HaarTransform, HnTransform, Transform1d};
+use crate::Result;
+use privelet_data::schema::{Attribute, Schema};
 use std::collections::BTreeSet;
-
-/// `⌈log₂ size⌉` — the padded level count of an ordinal domain.
-fn padded_levels(size: usize) -> u32 {
-    size.next_power_of_two().trailing_zeros()
-}
-
-/// `P(A)` for an attribute (ordinal uses the padded domain size).
-fn p_attr(attr: &Attribute) -> f64 {
-    match attr.domain() {
-        Domain::Ordinal { size } => 1.0 + f64::from(padded_levels(*size)),
-        Domain::Nominal { hierarchy } => hierarchy.height() as f64,
-    }
-}
-
-/// `H(A)` for an attribute (ordinal uses the padded domain size).
-fn h_attr(attr: &Attribute) -> f64 {
-    match attr.domain() {
-        Domain::Ordinal { size } => (2.0 + f64::from(padded_levels(*size))) / 2.0,
-        Domain::Nominal { .. } => 4.0,
-    }
-}
 
 /// Per-cell noise variance of the Basic mechanism at privacy ε: `8/ε²`.
 fn basic_cell_variance(epsilon: f64) -> f64 {
@@ -63,7 +42,8 @@ pub fn basic_query_variance(epsilon: f64, covered_cells: usize) -> f64 {
 /// Equation 4: the 1-D ordinal Privelet bound
 /// `(2 + log₂m)(2 + 2log₂m)²/ε²` for a (padded) domain of `m` values.
 pub fn eq4_ordinal_bound(m: usize, epsilon: f64) -> f64 {
-    let l = f64::from(padded_levels(m));
+    // An empty domain reads as one value (no levels), not a panic.
+    let l = f64::from(HaarTransform::new(m.max(1)).levels());
     (2.0 + l) * (2.0 + 2.0 * l) * (2.0 + 2.0 * l) / (epsilon * epsilon)
 }
 
@@ -82,33 +62,27 @@ pub fn hn_variance_bound(hn: &HnTransform, epsilon: f64) -> f64 {
     8.0 * rho * rho * hn.variance_factor() / (epsilon * epsilon)
 }
 
-/// Equation 7 evaluated directly from a schema and an `SA` set.
+/// Equation 7 evaluated from a schema and an `SA` set: the
+/// [`hn_variance_bound`] of the transform [`HnTransform::for_schema`]
+/// builds, so `P(A)` and `H(A)` have one definition (each 1-D transform's
+/// [`p_value`](Transform1d::p_value) and [`h_value`](Transform1d::h_value)).
+/// Errors with [`CoreError::BadSaIndex`](crate::CoreError::BadSaIndex) on
+/// an `SA` index outside the schema.
 pub fn privelet_plus_bound(schema: &Schema, sa: &BTreeSet<usize>, epsilon: f64) -> Result<f64> {
-    if let Some(&bad) = sa.iter().find(|&&i| i >= schema.arity()) {
-        return Err(CoreError::BadSaIndex {
-            index: bad,
-            arity: schema.arity(),
-        });
-    }
-    let mut rho = 1.0f64;
-    let mut hfac = 1.0f64;
-    for (i, attr) in schema.attrs().iter().enumerate() {
-        if sa.contains(&i) {
-            hfac *= attr.size() as f64;
-        } else {
-            rho *= p_attr(attr);
-            hfac *= h_attr(attr);
-        }
-    }
-    Ok(8.0 * rho * rho * hfac / (epsilon * epsilon))
+    Ok(hn_variance_bound(
+        &HnTransform::for_schema(schema, sa)?,
+        epsilon,
+    ))
 }
 
 /// The §VII-A selection rule: an attribute belongs in `SA` iff
 /// `|A| ≤ P(A)²·H(A)` — i.e. Basic's variance contribution for that
-/// dimension is no worse than Privelet's.
+/// dimension is no worse than Privelet's. `P(A)` and `H(A)` are those of
+/// the attribute's wavelet transform.
 pub fn should_exclude(attr: &Attribute) -> bool {
-    let p = p_attr(attr);
-    (attr.size() as f64) <= p * p * h_attr(attr)
+    let t = DimTransform::for_attribute(attr, false);
+    let p = t.p_value();
+    (attr.size() as f64) <= p * p * t.h_value()
 }
 
 /// Recommends the `SA` set for a schema by applying [`should_exclude`] to
@@ -192,8 +166,10 @@ mod tests {
             let direct = privelet_plus_bound(&schema, &sa, 1.25).unwrap();
             let hn = HnTransform::for_schema(&schema, &sa).unwrap();
             let via_hn = hn_variance_bound(&hn, 1.25);
-            assert!(
-                (direct - via_hn).abs() < 1e-9 * direct.max(1.0),
+            // Both sides multiply the same factors in the same order.
+            assert_eq!(
+                direct.to_bits(),
+                via_hn.to_bits(),
                 "sa={sa:?}: {direct} vs {via_hn}"
             );
         }
@@ -232,15 +208,20 @@ mod tests {
     #[test]
     fn bad_sa_rejected() {
         let schema = Schema::new(vec![Attribute::ordinal("a", 4)]).unwrap();
-        assert!(privelet_plus_bound(&schema, &BTreeSet::from([3]), 1.0).is_err());
+        assert!(matches!(
+            privelet_plus_bound(&schema, &BTreeSet::from([3]), 1.0).unwrap_err(),
+            crate::CoreError::BadSaIndex { index: 3, arity: 1 }
+        ));
     }
 
     #[test]
-    fn padded_levels_examples() {
-        assert_eq!(padded_levels(1), 0);
-        assert_eq!(padded_levels(2), 1);
-        assert_eq!(padded_levels(5), 3);
-        assert_eq!(padded_levels(512), 9);
-        assert_eq!(padded_levels(1001), 10);
+    fn haar_levels_count_the_padded_domain() {
+        // The level count behind P(A) and H(A) of an ordinal attribute
+        // counts the padded domain.
+        for (size, levels) in [(1, 0), (2, 1), (5, 3), (512, 9), (1001, 10)] {
+            assert_eq!(HaarTransform::new(size).levels(), levels, "size {size}");
+        }
+        // Eq. 4 reads an empty domain as a single value.
+        assert_eq!(eq4_ordinal_bound(0, 1.0), eq4_ordinal_bound(1, 1.0));
     }
 }

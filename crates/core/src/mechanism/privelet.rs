@@ -66,8 +66,8 @@ pub struct PriveletOutput {
 /// transform (Privelet; Privelet⁺ when `cfg.sa` is non-empty).
 ///
 /// Steps: forward HN transform → add `Lap(λ/W_HN(c))` to every coefficient
-/// with `λ = 2ρ/ε` → mean-subtraction refinement on nominal dimensions →
-/// inverse transform.
+/// with `λ = 2ρ/ε` → mean-subtraction refinement on nominal dimensions
+/// ([`HnTransform::refine_in_place`]) → inverse transform.
 pub fn publish_privelet(fm: &FrequencyMatrix, cfg: &PriveletConfig) -> Result<PriveletOutput> {
     publish_privelet_with(&mut LaneExecutor::new(), fm, cfg)
 }
@@ -99,8 +99,9 @@ pub fn publish_with_transform(
     publish_with_transform_on(&mut LaneExecutor::new(), fm, hn, epsilon, seed)
 }
 
-/// [`publish_with_transform`] on a caller-provided executor: both the
-/// forward and the refine+inverse pipeline run on its buffers.
+/// [`publish_with_transform`] on a caller-provided executor: the forward
+/// and the inverse run on its buffers, and the refinement runs in place on
+/// the noisy coefficients between them.
 pub fn publish_with_transform_on(
     exec: &mut LaneExecutor,
     fm: &FrequencyMatrix,
@@ -108,10 +109,11 @@ pub fn publish_with_transform_on(
     epsilon: f64,
     seed: u64,
 ) -> Result<PriveletOutput> {
-    let (coeffs, meta) = noisy_coefficient_matrix(exec, fm, hn, epsilon, seed)?;
+    let (mut coeffs, meta) = noisy_coefficient_matrix(exec, fm, hn, epsilon, seed)?;
 
-    // Step 3: refinement + inverse transform.
-    let noisy = hn.inverse_refined_with(exec, &coeffs)?;
+    // Step 3: refinement, then the inverse transform.
+    hn.refine_in_place(&mut coeffs)?;
+    let noisy = hn.inverse_with(exec, &coeffs)?;
 
     Ok(PriveletOutput {
         matrix: FrequencyMatrix::from_parts(fm.schema().clone(), noisy)?,
@@ -197,9 +199,9 @@ pub(crate) fn add_weighted_noise(
 /// bit, so nothing is lost by publishing coefficients.
 ///
 /// The stored coefficients are the raw noisy ones (no refinement);
-/// consumers that serve them directly must apply
-/// [`HnTransform::refine_coefficients`] once — the query crate's
-/// `ReleaseCore` does this at construction.
+/// consumers that serve them directly must refine a copy once with
+/// [`HnTransform::refine_in_place`] — the query crate's `ReleaseCore`
+/// does this at construction.
 #[derive(Debug, Clone)]
 pub struct CoefficientOutput {
     /// The schema of the underlying frequency matrix.
@@ -229,11 +231,14 @@ impl CoefficientOutput {
         (&self.schema, &self.transform, &self.coefficients)
     }
 
-    /// Reconstructs the noisy frequency matrix (refinement + inverse
-    /// transform) on a throwaway executor. Bit-identical to the matrix
-    /// [`publish_privelet`] produces for the same input, config and seed.
+    /// Reconstructs the noisy frequency matrix (refinement of a copy of
+    /// the coefficients, then the inverse transform) on a throwaway
+    /// executor. Bit-identical to the matrix [`publish_privelet`] produces
+    /// for the same input, config and seed.
     pub fn to_matrix(&self) -> Result<FrequencyMatrix> {
-        let noisy = self.transform.inverse_refined(&self.coefficients)?;
+        let mut refined = self.coefficients.clone();
+        self.transform.refine_in_place(&mut refined)?;
+        let noisy = self.transform.inverse(&refined)?;
         Ok(FrequencyMatrix::from_parts(self.schema.clone(), noisy)?)
     }
 }

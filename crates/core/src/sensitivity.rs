@@ -19,18 +19,12 @@ pub fn unit_bump_weighted_l1(hn: &HnTransform, coords: &[usize]) -> Result<f64> 
     unit.set(coords, 1.0)?;
     let c = hn.forward(&unit)?;
     let out_shape = Shape::new(&hn.output_dims())?;
-    let weights = hn.weight_vectors();
     let mut out_coords = vec![0usize; out_shape.ndim()];
     let mut total = 0.0f64;
     for (lin, &v) in c.as_slice().iter().enumerate() {
         if v != 0.0 {
             out_shape.coords(lin, &mut out_coords)?;
-            let w: f64 = out_coords
-                .iter()
-                .zip(weights)
-                .map(|(&x, wv)| wv[x])
-                .product();
-            total += w * v.abs();
+            total += hn.weight_at(&out_coords) * v.abs();
         }
     }
     Ok(total)

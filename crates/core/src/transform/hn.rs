@@ -16,9 +16,17 @@
 //!
 //! Because all three 1-D transforms are linear and act on disjoint axes,
 //! the composition commutes across axis order; we apply axes `0..d`
-//! forward and `d..0` on the inverse (with the nominal mean-subtraction
-//! refinement applied to each lane right before that axis is inverted —
-//! footnote 2 of §VI-B).
+//! forward and `d..0` on the inverse.
+//!
+//! **Refinement.** The nominal mean subtraction (§V-B, placed by footnote
+//! 2 of §VI-B) is post-processing of the noisy coefficients, and it has
+//! one definition: [`HnTransform::refine_in_place`] runs
+//! [`Transform1d::refine`] once on every lane of every refining axis.
+//! Each axis's refinement is a linear map acting on that axis alone, so
+//! refining every axis up front and then running the plain inverse equals
+//! refining each axis right before it is inverted, up to rounding. The
+//! dense release and the coefficient-domain serving core both refine this
+//! way, so they read the same refined coefficients.
 
 use super::{DimTransform, Transform1d};
 use crate::{CoreError, Result};
@@ -47,59 +55,21 @@ impl LaneKernel for ForwardKernel<'_> {
     }
 }
 
-/// Lane kernel running one dimension's inverse transform, optionally with
-/// the mean-subtraction refinement applied to the coefficient lane first
-/// (footnote 2 of §VI-B).
-struct InverseKernel<'a> {
-    transform: &'a DimTransform,
-    refined: bool,
-}
+/// Lane kernel running one dimension's inverse transform.
+struct InverseKernel<'a>(&'a DimTransform);
 
 impl LaneKernel for InverseKernel<'_> {
     fn input_len(&self) -> usize {
-        self.transform.output_len()
+        self.0.output_len()
     }
     fn output_len(&self) -> usize {
-        self.transform.input_len()
+        self.0.input_len()
     }
     fn scratch_len(&self) -> usize {
-        if self.refined {
-            // Front half: the refined coefficient lane; back half: the
-            // transform's own scratch.
-            self.transform.output_len() + self.transform.scratch_len()
-        } else {
-            self.transform.scratch_len()
-        }
+        self.0.scratch_len()
     }
     fn apply(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
-        if self.refined {
-            let (lane, rest) = scratch.split_at_mut(self.transform.output_len());
-            lane.copy_from_slice(src);
-            self.transform.refine(lane);
-            self.transform.inverse(lane, dst, rest);
-        } else {
-            self.transform.inverse(src, dst, scratch);
-        }
-    }
-}
-
-/// Lane kernel applying one dimension's refinement in place (same lane
-/// length in and out); used by the standalone coefficient-refinement pass.
-struct RefineKernel<'a>(&'a DimTransform);
-
-impl LaneKernel for RefineKernel<'_> {
-    fn input_len(&self) -> usize {
-        self.0.output_len()
-    }
-    fn output_len(&self) -> usize {
-        self.0.output_len()
-    }
-    fn scratch_len(&self) -> usize {
-        0
-    }
-    fn apply(&self, src: &[f64], dst: &mut [f64], _scratch: &mut [f64]) {
-        dst.copy_from_slice(src);
-        self.0.refine(dst);
+        self.0.inverse(src, dst, scratch);
     }
 }
 
@@ -241,57 +211,18 @@ impl HnTransform {
             .map_err(CoreError::Matrix)
     }
 
-    /// Inverse transform `C_d → M` without refinement (exact algebraic
-    /// inverse; used by round-trip tests). Throwaway executor; see
-    /// [`inverse_with`](Self::inverse_with).
+    /// Inverse transform `C_d → M` (the exact algebraic inverse; noisy
+    /// coefficients go through [`refine_in_place`](Self::refine_in_place)
+    /// first). Throwaway executor; see [`inverse_with`](Self::inverse_with).
     pub fn inverse(&self, c: &NdMatrix) -> Result<NdMatrix> {
         self.inverse_with(&mut LaneExecutor::new(), c)
     }
 
-    /// Inverse transform with the mean-subtraction refinement applied to
-    /// every nominal lane right before that dimension is inverted
-    /// (footnote 2 of §VI-B). This is the path the Privelet mechanism uses
-    /// on noisy coefficients; it is a no-op on exact coefficients.
-    pub fn inverse_refined(&self, c: &NdMatrix) -> Result<NdMatrix> {
-        self.inverse_refined_with(&mut LaneExecutor::new(), c)
-    }
-
     /// [`inverse`](Self::inverse) on a caller-provided executor.
     pub fn inverse_with(&self, exec: &mut LaneExecutor, c: &NdMatrix) -> Result<NdMatrix> {
-        self.inverse_impl(exec, c, false)
-    }
-
-    /// [`inverse_refined`](Self::inverse_refined) on a caller-provided
-    /// executor.
-    pub fn inverse_refined_with(&self, exec: &mut LaneExecutor, c: &NdMatrix) -> Result<NdMatrix> {
-        self.inverse_impl(exec, c, true)
-    }
-
-    fn inverse_impl(
-        &self,
-        exec: &mut LaneExecutor,
-        c: &NdMatrix,
-        refined: bool,
-    ) -> Result<NdMatrix> {
-        if c.dims() != self.output_dims() {
-            return Err(CoreError::ShapeMismatch {
-                expected: self.output_dims(),
-                got: c.dims().to_vec(),
-            });
-        }
-        // Axes are inverted in reverse order; because the 1-D transforms
-        // act on disjoint axes the composition commutes, but keeping the
-        // reverse order preserves the refine-before-invert pairing.
-        let kernels: Vec<InverseKernel<'_>> = self
-            .transforms
-            .iter()
-            .map(|transform| InverseKernel {
-                transform,
-                // Only axes whose refine() does anything pay the
-                // copy-refine step; for the rest it would be a no-op copy.
-                refined: refined && transform.has_refinement(),
-            })
-            .collect();
+        self.check_output_dims(c)?;
+        let kernels: Vec<InverseKernel<'_>> = self.transforms.iter().map(InverseKernel).collect();
+        // Axes are inverted last to first, mirroring the forward order.
         let stages: Vec<AxisStage<'_>> = kernels
             .iter()
             .enumerate()
@@ -302,105 +233,64 @@ impl HnTransform {
     }
 
     /// Applies every dimension's refinement (the §V-B mean subtraction on
-    /// nominal axes) to a coefficient matrix without inverting it, on a
-    /// throwaway executor.
+    /// nominal axes) to a coefficient matrix in place: axes in order, each
+    /// lane through [`Transform1d::refine`]. Contiguous lanes (the last
+    /// axis) are refined where they lie; strided lanes are gathered into
+    /// one reused lane buffer and scattered back. Axes without a
+    /// refinement are skipped, so a release with no nominal axis is left
+    /// untouched.
     ///
-    /// Because the per-axis transforms are linear maps on disjoint axes,
-    /// refining every nominal lane up front and then running the plain
-    /// [`inverse`](Self::inverse) is equivalent to
-    /// [`inverse_refined`](Self::inverse_refined) (to floating-point
-    /// rounding). This is the publish-side step of coefficient-domain
-    /// query answering: a noisy coefficient matrix refined once can be
-    /// served directly via [`query_supports`](Self::query_supports)
-    /// without ever reconstructing the m-cell matrix. The refinement is
-    /// idempotent, and a no-op (one copy) when no axis has one.
-    pub fn refine_coefficients(&self, c: &NdMatrix) -> Result<NdMatrix> {
+    /// This is the one refinement pass: the dense publish and
+    /// [`CoefficientOutput::to_matrix`](crate::mechanism::CoefficientOutput::to_matrix)
+    /// refine and then run the plain [`inverse`](Self::inverse), and the
+    /// serving core refines once at build and answers from the result.
+    /// The refinement is idempotent and a no-op on exact coefficients.
+    pub fn refine_in_place(&self, c: &mut NdMatrix) -> Result<()> {
+        self.check_output_dims(c)?;
+        let dims = c.dims().to_vec();
+        let data = c.as_mut_slice();
+        let mut lane = Vec::new();
+        for (axis, t) in self.transforms.iter().enumerate() {
+            if !t.has_refinement() {
+                continue;
+            }
+            let len = dims[axis];
+            let inner: usize = dims[axis + 1..].iter().product();
+            if inner == 1 {
+                data.chunks_exact_mut(len).for_each(|l| t.refine(l));
+                continue;
+            }
+            lane.resize(len, 0.0);
+            for block in data.chunks_exact_mut(len * inner) {
+                for i in 0..inner {
+                    for (j, slot) in lane.iter_mut().enumerate() {
+                        *slot = block[j * inner + i];
+                    }
+                    t.refine(&mut lane);
+                    for (j, &v) in lane.iter().enumerate() {
+                        block[j * inner + i] = v;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `Err` unless `c` is shaped like this transform's output.
+    fn check_output_dims(&self, c: &NdMatrix) -> Result<()> {
         if c.dims() != self.output_dims() {
             return Err(CoreError::ShapeMismatch {
                 expected: self.output_dims(),
                 got: c.dims().to_vec(),
             });
         }
-        let kernels: Vec<(usize, RefineKernel<'_>)> = self
-            .transforms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.has_refinement())
-            .map(|(axis, t)| (axis, RefineKernel(t)))
-            .collect();
-        if kernels.is_empty() {
-            return Ok(c.clone());
-        }
-        let stages: Vec<AxisStage<'_>> = kernels
-            .iter()
-            .map(|(axis, kernel)| AxisStage {
-                axis: *axis,
-                kernel,
-            })
-            .collect();
-        LaneExecutor::new()
-            .run(c, &stages)
-            .map_err(CoreError::Matrix)
+        Ok(())
     }
 
-    /// Per-dimension sparse supports of the hyper-rectangle-sum functional
-    /// `[lo, hi]` (inclusive bounds, one pair per dimension): entry `i`
-    /// lists the `(coefficient index, weight)` pairs of dimension `i`'s
-    /// [`query_weights`](Transform1d::query_weights).
-    ///
-    /// Because the HN transform is the tensor product of its per-dimension
-    /// transforms, the rectangle sum over the reconstruction equals the
-    /// sparse tensor-product dot `Σ ∏ᵢ wᵢ[kᵢ] · C[k₁,…,k_d]` over the
-    /// (refined) coefficient matrix — `∏ᵢ supportᵢ` terms, which for
-    /// all-Haar schemas is O(∏ᵢ log mᵢ) instead of the O(m) of
-    /// reconstruct-then-sum. Bounds must satisfy `loᵢ ≤ hiᵢ <
-    /// input_len(i)`; wrong arity or out-of-range intervals are rejected
-    /// with an `Err`, never a panic, so untrusted query bounds can be fed
-    /// here directly.
-    pub fn query_supports(&self, lo: &[usize], hi: &[usize]) -> Result<Vec<Vec<(usize, f64)>>> {
-        if lo.len() != self.ndim() || hi.len() != self.ndim() {
-            // Report the offending slice's length (lo's takes precedence).
-            let got = if lo.len() != self.ndim() {
-                lo.len()
-            } else {
-                hi.len()
-            };
-            return Err(CoreError::BadQueryArity {
-                expected: self.ndim(),
-                got,
-            });
-        }
-        lo.iter()
-            .zip(hi)
-            .enumerate()
-            .map(|(axis, (&l, &h))| self.query_weights_for_dim(axis, l, h))
-            .collect()
-    }
-
-    /// Sparse coefficient support of **one** dimension's interval-sum
-    /// functional: dimension `axis`'s
-    /// [`query_weights`](Transform1d::query_weights) over the inclusive
-    /// interval `[lo, hi]`, validated (`Err`, never a panic, on a bad axis
-    /// or bounds).
-    ///
-    /// This is the planner-facing entry point of
-    /// [`query_supports`](Self::query_supports): a batch compiler that
-    /// interns each distinct `(axis, lo, hi)` support once needs to derive
-    /// supports per *dimension*, not per whole query, so it can skip the
-    /// derivation entirely on an interned triple.
-    pub fn query_weights_for_dim(
-        &self,
-        axis: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.check_query_bounds(axis, lo, hi)?;
-        Ok(self.transforms[axis].query_weights(lo, hi))
-    }
-
-    /// The validation [`query_weights_for_dim`](Self::query_weights_for_dim)
-    /// runs before deriving: [`CoreError::BadAxis`] unless `axis` names a
-    /// dimension, [`CoreError::BadQueryBounds`] unless `lo ≤ hi < len`.
+    /// The validation an interval-sum derivation runs before it calls
+    /// dimension `axis`'s [`query_weights`](Transform1d::query_weights):
+    /// [`CoreError::BadAxis`] unless `axis` names a dimension,
+    /// [`CoreError::BadQueryBounds`] unless `lo ≤ hi < len`.
     pub fn check_query_bounds(&self, axis: usize, lo: usize, hi: usize) -> Result<()> {
         let t = self.transforms.get(axis).ok_or(CoreError::BadAxis {
             axis,
@@ -448,8 +338,10 @@ impl HnTransform {
         }
     }
 
-    /// The weight of the coefficient at explicit coordinates (test/debug
-    /// path; the hot path is [`Self::for_each_weight`]).
+    /// The weight `W_HN = ∏ᵢ wᵢ[xᵢ]` of the coefficient at explicit
+    /// coordinates: the direct definition, which the sensitivity probes
+    /// read per coefficient. The publish visits every weight in order
+    /// through [`Self::for_each_weight`] instead.
     pub fn weight_at(&self, coords: &[usize]) -> f64 {
         coords
             .iter()
@@ -519,6 +411,13 @@ mod tests {
         assert_eq!(hn.variance_factor(), 80.0);
     }
 
+    /// Refine, then the plain inverse: the path every noisy release takes.
+    fn refine_then_inverse(hn: &HnTransform, c: &NdMatrix) -> NdMatrix {
+        let mut refined = c.clone();
+        hn.refine_in_place(&mut refined).unwrap();
+        hn.inverse(&refined).unwrap()
+    }
+
     #[test]
     fn mixed_roundtrip_both_inverses() {
         let (_, hn) = mixed_transform();
@@ -526,7 +425,7 @@ mod tests {
         let data: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 3.0).collect();
         let m = NdMatrix::from_vec(&hn.input_dims(), data).unwrap();
         let c = hn.forward(&m).unwrap();
-        for back in [hn.inverse(&c).unwrap(), hn.inverse_refined(&c).unwrap()] {
+        for back in [hn.inverse(&c).unwrap(), refine_then_inverse(&hn, &c)] {
             assert_eq!(back.dims(), m.dims());
             for (a, b) in m.as_slice().iter().zip(back.as_slice()) {
                 assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -570,9 +469,13 @@ mod tests {
             hn.forward(&wrong).unwrap_err(),
             CoreError::ShapeMismatch { .. }
         ));
-        let wrong_c = NdMatrix::zeros(&[8, 3, 9, 5]).unwrap();
+        let mut wrong_c = NdMatrix::zeros(&[8, 3, 9, 5]).unwrap();
         assert!(matches!(
             hn.inverse(&wrong_c).unwrap_err(),
+            CoreError::ShapeMismatch { .. }
+        ));
+        assert!(matches!(
+            hn.refine_in_place(&mut wrong_c).unwrap_err(),
             CoreError::ShapeMismatch { .. }
         ));
     }
@@ -586,49 +489,43 @@ mod tests {
     }
 
     #[test]
-    fn refine_then_plain_inverse_matches_inverse_refined() {
+    fn refine_in_place_is_idempotent() {
         let (_, hn) = mixed_transform();
         let n: usize = hn.output_dims().iter().product();
         // Arbitrary (noisy-like) coefficients, NOT a forward image.
-        let c = NdMatrix::from_vec(
+        let mut refined = NdMatrix::from_vec(
             &hn.output_dims(),
             (0..n)
                 .map(|i| ((i * 29 + 3) % 17) as f64 * 0.43 - 3.0)
                 .collect(),
         )
         .unwrap();
-        let refined = hn.refine_coefficients(&c).unwrap();
-        let via_refined_coeffs = hn.inverse(&refined).unwrap();
-        let via_inverse_refined = hn.inverse_refined(&c).unwrap();
-        for (a, b) in via_refined_coeffs
-            .as_slice()
-            .iter()
-            .zip(via_inverse_refined.as_slice())
-        {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        // Idempotent: refining again changes nothing (groups already sum
-        // to zero).
-        let twice = hn.refine_coefficients(&refined).unwrap();
+        hn.refine_in_place(&mut refined).unwrap();
+        // Refining again changes nothing (groups already sum to zero).
+        let mut twice = refined.clone();
+        hn.refine_in_place(&mut twice).unwrap();
         for (a, b) in refined.as_slice().iter().zip(twice.as_slice()) {
             assert!((a - b).abs() < 1e-12);
         }
     }
 
     #[test]
-    fn refine_is_copy_when_no_axis_refines() {
+    fn refine_leaves_matrix_when_no_axis_refines() {
         let schema =
             Schema::new(vec![Attribute::ordinal("a", 4), Attribute::ordinal("b", 3)]).unwrap();
         let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
         let c = NdMatrix::from_vec(&hn.output_dims(), (0..16).map(|i| i as f64).collect()).unwrap();
-        let refined = hn.refine_coefficients(&c).unwrap();
+        let mut refined = c.clone();
+        hn.refine_in_place(&mut refined).unwrap();
         assert_eq!(refined.as_slice(), c.as_slice());
     }
 
     #[test]
-    fn query_supports_compute_rect_sums_from_coefficients() {
-        // The sparse tensor-product dot over exact coefficients equals the
-        // direct rectangle sum over the data, for a sweep of rectangles.
+    fn query_weights_compute_rect_sums_from_coefficients() {
+        // The HN transform is the tensor product of its per-dimension
+        // transforms, so the sparse tensor-product dot of every axis's
+        // `query_weights` over exact coefficients equals the direct
+        // rectangle sum over the data, for a sweep of rectangles.
         let (_, hn) = mixed_transform();
         let dims = hn.input_dims();
         let n: usize = dims.iter().product();
@@ -643,13 +540,14 @@ mod tests {
             (vec![4, 1, 5, 3], vec![4, 1, 5, 3]), // single cell
             (vec![0, 1, 0, 0], vec![2, 1, 5, 1]),
         ] {
-            let supports = hn.query_supports(&lo, &hi).unwrap();
             // Fold the tensor product.
             let mut acc = vec![(0usize, 1.0f64)];
-            for (axis, support) in supports.iter().enumerate() {
+            for (axis, t) in hn.transforms().iter().enumerate() {
+                hn.check_query_bounds(axis, lo[axis], hi[axis]).unwrap();
+                let support = t.query_weights(lo[axis], hi[axis]);
                 let mut next = Vec::with_capacity(acc.len() * support.len());
                 for &(base, w) in &acc {
-                    for &(k, wk) in support {
+                    for &(k, wk) in &support {
                         next.push((base + k * strides[axis], w * wk));
                     }
                 }
@@ -665,27 +563,15 @@ mod tests {
     }
 
     #[test]
-    fn query_supports_reject_bad_arity_and_bounds() {
+    fn check_query_bounds_rejects_bad_axis_and_bounds() {
         let (_, hn) = mixed_transform();
         assert!(matches!(
-            hn.query_supports(&[0, 0], &[1, 1]).unwrap_err(),
-            CoreError::BadQueryArity {
-                expected: 4,
-                got: 2
-            }
-        ));
-        // One-sided mismatch reports the offending slice's length, not a
-        // self-contradictory "4 vs 4".
-        assert!(matches!(
-            hn.query_supports(&[0, 0, 0, 0], &[1, 1]).unwrap_err(),
-            CoreError::BadQueryArity {
-                expected: 4,
-                got: 2
-            }
+            hn.check_query_bounds(4, 0, 0).unwrap_err(),
+            CoreError::BadAxis { axis: 4, ndim: 4 }
         ));
         // hi at the (unpadded) domain size: Err, not a panic.
         assert!(matches!(
-            hn.query_supports(&[0, 0, 0, 0], &[5, 1, 5, 3]).unwrap_err(),
+            hn.check_query_bounds(0, 0, 5).unwrap_err(),
             CoreError::BadQueryBounds {
                 axis: 0,
                 hi: 5,
@@ -693,33 +579,8 @@ mod tests {
                 ..
             }
         ));
-        // lo > hi likewise.
         assert!(matches!(
-            hn.query_supports(&[0, 0, 3, 0], &[4, 1, 2, 3]).unwrap_err(),
-            CoreError::BadQueryBounds { axis: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn query_weights_for_dim_matches_query_supports() {
-        let (_, hn) = mixed_transform();
-        let lo = vec![1, 0, 2, 1];
-        let hi = vec![3, 1, 4, 2];
-        let all = hn.query_supports(&lo, &hi).unwrap();
-        for (axis, support) in all.iter().enumerate() {
-            let one = hn.query_weights_for_dim(axis, lo[axis], hi[axis]).unwrap();
-            assert_eq!(&one, support, "axis {axis}");
-        }
-        assert!(matches!(
-            hn.query_weights_for_dim(4, 0, 0).unwrap_err(),
-            CoreError::BadAxis { axis: 4, ndim: 4 }
-        ));
-        assert!(matches!(
-            hn.query_weights_for_dim(0, 3, 2).unwrap_err(),
-            CoreError::BadQueryBounds { axis: 0, .. }
-        ));
-        assert!(matches!(
-            hn.query_weights_for_dim(1, 0, 2).unwrap_err(),
+            hn.check_query_bounds(1, 0, 2).unwrap_err(),
             CoreError::BadQueryBounds {
                 axis: 1,
                 hi: 2,
@@ -727,13 +588,16 @@ mod tests {
                 ..
             }
         ));
-        // The validation alone: same verdicts, nothing derived.
-        for (axis, l, h) in [(4, 0, 0), (0, 3, 2), (1, 0, 2), (2, 2, 4)] {
-            assert_eq!(
-                hn.check_query_bounds(axis, l, h).err(),
-                hn.query_weights_for_dim(axis, l, h).err()
-            );
-        }
+        // lo > hi likewise.
+        assert!(matches!(
+            hn.check_query_bounds(0, 3, 2).unwrap_err(),
+            CoreError::BadQueryBounds { axis: 0, .. }
+        ));
+        assert!(matches!(
+            hn.check_query_bounds(2, 3, 2).unwrap_err(),
+            CoreError::BadQueryBounds { axis: 2, .. }
+        ));
+        assert_eq!(hn.check_query_bounds(2, 2, 4), Ok(()));
     }
 
     #[test]

@@ -64,12 +64,12 @@ pub trait Transform1d {
     /// otherwise. Must be a no-op on exact coefficients.
     fn refine(&self, _coeffs: &mut [f64]) {}
 
-    /// Whether [`refine`](Self::refine) does anything; lets callers skip
-    /// the copy-refine step on axes where it is a no-op.
+    /// Whether [`refine`](Self::refine) does anything; lets the
+    /// refinement pass skip axes where it is a no-op.
     ///
     /// Deliberately **not** defaulted: an implementation overriding
     /// `refine` but inheriting a `false` here would have its refinement
-    /// silently skipped by the engine, so every transform must state it.
+    /// silently skipped, so every transform must state it.
     fn has_refinement(&self) -> bool;
 
     /// The weight vector over the coefficient layout (`output_len()`
@@ -111,16 +111,17 @@ pub trait Transform1d {
     /// For Haar this is the leaf-to-root heap path plus the base — exactly
     /// `⌈log₂ m⌉ + 1` entries; for nominal it is the leaf's root path
     /// (`height + 1` entries, one per hierarchy node containing the leaf);
-    /// for identity it is the single covered cell. Streaming releases rest
-    /// on this method: an increment touches O(log m) coefficients per
-    /// dimension instead of re-running the O(m) forward transform.
+    /// for identity it is the single covered cell. This is the streaming
+    /// touch-count contract: an increment touches O(log m) coefficients
+    /// per dimension instead of re-running the O(m) forward transform.
     ///
-    /// The support describes the *exact* linear algebra. Incremental
-    /// maintenance that must stay bit-identical to a from-scratch forward
-    /// transform additionally recomputes touched values with the forward
-    /// kernel's own float expressions (see
-    /// [`IncrementalRelease`](crate::incremental::IncrementalRelease));
-    /// this method is the index machinery and the touch-count contract.
+    /// The support describes the *exact* linear algebra. The ingest walk
+    /// of [`IncrementalRelease`](crate::incremental::IncrementalRelease)
+    /// does not call this method: to stay bit-identical to a from-scratch
+    /// forward transform it walks each axis's kernel state and recomputes
+    /// touched values with the forward kernel's own float expressions.
+    /// The coefficients it touches are exactly this support, which the
+    /// streaming tests check against this method as their oracle.
     ///
     /// Deliberately **not** defaulted (like
     /// [`has_refinement`](Self::has_refinement)): a default deriving it

@@ -44,8 +44,9 @@ use crate::{CoreError, Result};
 ///
 /// Errors with [`CoreError::BadAxis`] on an out-of-range axis and
 /// [`CoreError::BadQueryBounds`] on an invalid interval (`Err`, never a
-/// panic, so untrusted query bounds can be fed here directly — the same
-/// contract as [`HnTransform::query_weights_for_dim`]).
+/// panic, so untrusted query bounds can be fed here directly — the
+/// verdicts of [`HnTransform::check_query_bounds`], which the serving
+/// derivation runs too).
 pub fn dim_variance_factor(hn: &HnTransform, axis: usize, lo: usize, hi: usize) -> Result<f64> {
     let t = checked_transform(hn, axis, lo, hi)?;
     Ok(t.query_variance_factor(lo, hi))
@@ -324,7 +325,7 @@ mod tests {
                 ..
             }
         ));
-        // Arity mismatch: BadQueryArity, mirroring `query_supports`.
+        // Arity mismatch: BadQueryArity, naming the offending slice's length.
         assert!(matches!(
             exact_query_variance(&hn, 1.0, &[0, 0], &[1, 1]).unwrap_err(),
             CoreError::BadQueryArity {
@@ -333,7 +334,7 @@ mod tests {
             }
         ));
         // Per-dimension entry points validate the axis like
-        // `query_weights_for_dim` does.
+        // `HnTransform::check_query_bounds` does.
         assert!(matches!(
             dim_variance_factor(&hn, 1, 0, 0).unwrap_err(),
             CoreError::BadAxis { axis: 1, ndim: 1 }

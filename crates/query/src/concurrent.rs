@@ -618,8 +618,8 @@ mod tests {
     #[test]
     fn refinement_at_build_matters_for_nominal_dims() {
         // Without the build-time refinement, nominal noisy coefficients
-        // would disagree with the inverse_refined matrix; the engine's
-        // core absorbs it once.
+        // would disagree with the refined reconstruction (`to_matrix`);
+        // the engine's core refines once at build.
         let (fm, out) = medical_release(77);
         use privelet::transform::Transform1d;
         assert!(

@@ -128,8 +128,9 @@ impl ReleaseCore {
         if noisy.dims() != transform.output_dims() {
             return Err(QueryError::ShapeMismatch);
         }
-        let mut coeffs = transform
-            .refine_coefficients(noisy)
+        let mut coeffs = noisy.clone();
+        transform
+            .refine_in_place(&mut coeffs)
             .map_err(QueryError::from)?;
         for (axis, t) in transform.transforms().iter().enumerate() {
             if let DimTransform::Identity(_) = t {

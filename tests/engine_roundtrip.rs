@@ -1,12 +1,14 @@
 //! Property tests for the executor-backed HN transform engine:
 //! `forward ∘ inverse` round-trips mixed Haar/nominal/identity schemas in
-//! 1–4 dimensions to within 1e-9, and the tiled and per-lane walks agree
-//! bit for bit.
+//! 1–4 dimensions to within 1e-9 (with and without the refinement in
+//! between), the tiled and per-lane walks agree bit for bit, and the one
+//! refinement pass equals a per-lane `Transform1d::refine` walk bit for
+//! bit.
 
-use privelet_repro::core::transform::HnTransform;
+use privelet_repro::core::transform::{HnTransform, Transform1d};
 use privelet_repro::data::schema::{Attribute, Schema};
 use privelet_repro::hierarchy::builder::random as random_hierarchy;
-use privelet_repro::matrix::{LaneExecutor, NdMatrix};
+use privelet_repro::matrix::{map_lanes, LaneExecutor, NdMatrix};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -51,27 +53,35 @@ fn schema_strategy() -> impl Strategy<Value = (Schema, BTreeSet<usize>)> {
     prop::collection::vec(dim_spec(), 1..=4).prop_map(|specs| build(&specs))
 }
 
-fn data_matrix(schema: &Schema, seed: u64) -> NdMatrix {
-    let n = schema.cell_count();
+/// The refinement applied to a copy, as every noisy release applies it
+/// before inverting.
+fn refine_copy(hn: &HnTransform, c: &NdMatrix) -> NdMatrix {
+    let mut out = c.clone();
+    hn.refine_in_place(&mut out).unwrap();
+    out
+}
+
+fn seeded_matrix(dims: &[usize], seed: u64) -> NdMatrix {
+    let n: usize = dims.iter().product();
     let data: Vec<f64> = (0..n)
         .map(|i| (((i as u64).wrapping_mul(seed | 1) >> 33) as f64 / 1.0e9) - 4.0)
         .collect();
-    NdMatrix::from_vec(&schema.dims(), data).unwrap()
+    NdMatrix::from_vec(dims, data).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// forward ∘ inverse == id (both inverse flavors) on a reused serial
-    /// executor, to 1e-9.
+    /// forward ∘ inverse == id, with and without the refinement between
+    /// them, on a reused serial executor, to 1e-9.
     #[test]
     fn roundtrip_on_serial_executor((schema, sa) in schema_strategy(), seed in any::<u64>()) {
         let hn = HnTransform::for_schema(&schema, &sa).unwrap();
-        let m = data_matrix(&schema, seed);
+        let m = seeded_matrix(&schema.dims(), seed);
         let mut exec = LaneExecutor::new();
         let c = hn.forward_with(&mut exec, &m).unwrap();
         let plain = hn.inverse_with(&mut exec, &c).unwrap();
-        let refined = hn.inverse_refined_with(&mut exec, &c).unwrap();
+        let refined = hn.inverse_with(&mut exec, &refine_copy(&hn, &c)).unwrap();
         prop_assert_eq!(plain.dims(), m.dims());
         for (a, b) in m.as_slice().iter().zip(plain.as_slice()) {
             prop_assert!((a - b).abs() < 1e-9, "plain: {a} vs {b}");
@@ -82,7 +92,7 @@ proptest! {
     }
 
     /// The cache-blocked tile width never changes what the engine
-    /// computes: forward and refined-inverse transforms are bit-identical
+    /// computes: forward and refine-then-inverse are bit-identical
     /// to the per-lane walk (`tile = 1`) at every width in the grid —
     /// boundary-heavy widths (3), the default (8), wide tiles (64), and a
     /// width exceeding every lane count here — across random 1–4-dim
@@ -93,16 +103,43 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let hn = HnTransform::for_schema(&schema, &sa).unwrap();
-        let m = data_matrix(&schema, seed);
+        let m = seeded_matrix(&schema.dims(), seed);
         let mut reference = LaneExecutor::new().with_tile_lanes(1);
         let c_ref = hn.forward_with(&mut reference, &m).unwrap();
-        let b_ref = hn.inverse_refined_with(&mut reference, &c_ref).unwrap();
+        let b_ref = hn.inverse_with(&mut reference, &refine_copy(&hn, &c_ref)).unwrap();
         for tile in [3usize, 8, 64, 1 << 20] {
             let mut exec = LaneExecutor::new().with_tile_lanes(tile);
             let c = hn.forward_with(&mut exec, &m).unwrap();
             prop_assert_eq!(c.as_slice(), c_ref.as_slice(), "forward tile {}", tile);
-            let b = hn.inverse_refined_with(&mut exec, &c).unwrap();
+            let b = hn.inverse_with(&mut exec, &refine_copy(&hn, &c)).unwrap();
             prop_assert_eq!(b.as_slice(), b_ref.as_slice(), "inverse tile {}", tile);
+        }
+    }
+
+    /// `refine_in_place` is the per-lane refinement, bit for bit: the
+    /// reference walks every axis in order with `map_lanes`, calling
+    /// `Transform1d::refine` on each lane (a no-op on axes without a
+    /// refinement), over arbitrary coefficients rather than a forward
+    /// image, so the nominal sibling groups do not already sum to zero.
+    #[test]
+    fn refine_in_place_matches_per_lane_refine(
+        (schema, sa) in schema_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let hn = HnTransform::for_schema(&schema, &sa).unwrap();
+        let c = seeded_matrix(&hn.output_dims(), seed);
+        let mut expected = c.clone();
+        for (axis, t) in hn.transforms().iter().enumerate() {
+            expected = map_lanes(&expected, axis, t.output_len(), |src, dst| {
+                dst.copy_from_slice(src);
+                t.refine(dst);
+            })
+            .unwrap();
+        }
+        let got = refine_copy(&hn, &c);
+        prop_assert_eq!(got.dims(), expected.dims());
+        for (i, (a, b)) in got.as_slice().iter().zip(expected.as_slice()).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "coeff {}", i);
         }
     }
 }
@@ -123,7 +160,7 @@ fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     .unwrap();
     let sa = BTreeSet::from([2usize]);
     let hn = HnTransform::for_schema(&schema, &sa).unwrap();
-    let m = data_matrix(&schema, 0xFEED);
+    let m = seeded_matrix(&schema.dims(), 0xFEED);
 
     let mut tiled = LaneExecutor::new();
     let mut per_lane = LaneExecutor::new().with_tile_lanes(1);
@@ -131,8 +168,9 @@ fn large_mixed_schema_roundtrips_and_matches_across_executors() {
     let c_per_lane = hn.forward_with(&mut per_lane, &m).unwrap();
     assert_eq!(c_tiled.as_slice(), c_per_lane.as_slice());
 
-    let back_tiled = hn.inverse_refined_with(&mut tiled, &c_tiled).unwrap();
-    let back_per_lane = hn.inverse_refined_with(&mut per_lane, &c_tiled).unwrap();
+    let c_refined = refine_copy(&hn, &c_tiled);
+    let back_tiled = hn.inverse_with(&mut tiled, &c_refined).unwrap();
+    let back_per_lane = hn.inverse_with(&mut per_lane, &c_refined).unwrap();
     assert_eq!(back_tiled.as_slice(), back_per_lane.as_slice());
     for (a, b) in m.as_slice().iter().zip(back_tiled.as_slice()) {
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
