@@ -15,15 +15,21 @@
 //!
 //! `... -- --test` is smoke mode: tiny `shape` points, then the
 //! publish must come out bitwise identical per-lane and tiled (default
-//! and 64-wide). `... -- --record <path>` also writes the run in the one
-//! BENCH schema (`BENCH_publish_throughput.json`).
+//! and 64-wide), on the ordinal tables and on a small census-shaped
+//! Privelet⁺ table whose identity (SA) and nominal axes run the kernels
+//! the ordinal tables never reach. `... -- --record <path>` also writes
+//! the run in the one BENCH schema (`BENCH_publish_throughput.json`).
 //!
 //! Timing, flags and the record live in `privelet_bench::harness`.
 
-use privelet::mechanism::{publish_privelet_with, PriveletConfig};
+use privelet::mechanism::{publish_coefficients_with, publish_privelet_with, PriveletConfig};
 use privelet_bench::harness::{best_of, ordinal_table, Args, Record};
 use privelet_bench::json::Json;
-use privelet_matrix::LaneExecutor;
+use privelet_data::schema::{Attribute, Schema};
+use privelet_data::FrequencyMatrix;
+use privelet_hierarchy::builder::{flat, three_level};
+use privelet_matrix::{LaneExecutor, NdMatrix};
+use std::collections::BTreeSet;
 use std::error::Error;
 
 /// Splits `2^exp` cells across `ndim` ordinal dimensions as evenly as
@@ -60,25 +66,60 @@ fn measure(
     Ok(())
 }
 
+/// A small census-shaped Privelet⁺ fixture: Age 12 × Gender `flat(2)` ×
+/// Occupation `three_level(8, 2)` × Income 8, with Age and Gender in SA
+/// (identity axes) and a nominal Occupation axis.
+fn census_fixture() -> Result<(FrequencyMatrix, BTreeSet<usize>), Box<dyn Error>> {
+    let schema = Schema::new(vec![
+        Attribute::ordinal("age", 12),
+        Attribute::nominal("gender", flat(2)?),
+        Attribute::nominal("occupation", three_level(8, 2)?),
+        Attribute::ordinal("income", 8),
+    ])?;
+    let dims = schema.dims();
+    let data = (0..schema.cell_count())
+        .map(|i| ((i * 37) % 23) as f64)
+        .collect();
+    let fm = FrequencyMatrix::from_parts(schema, NdMatrix::from_vec(&dims, data)?)?;
+    Ok((fm, BTreeSet::from([0, 1])))
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Smoke gate: the publish must be identical no matter how the engine
 /// tiles lanes — per-lane (tile width 1), tiled (default width) and wide
-/// tiles must all produce the same bits for the same seed.
+/// tiles must all produce the same bits for the same seed, both the
+/// published coefficients and the dense matrix.
 fn assert_paths_agree() -> Result<(), Box<dyn Error>> {
+    let mut fixtures = Vec::new();
     for dims in [vec![1 << 10], vec![64, 32], vec![16, 8, 8]] {
-        let fm = ordinal_table(&dims)?;
-        let cfg = PriveletConfig::pure(1.0, 11);
+        fixtures.push((ordinal_table(&dims)?, BTreeSet::new()));
+    }
+    fixtures.push(census_fixture()?);
+    for (fm, sa) in &fixtures {
+        let cfg = PriveletConfig::plus(1.0, sa.clone(), 11);
+        let dims = fm.schema().dims();
         let mut reference = LaneExecutor::new().with_tile_lanes(1);
-        let want = publish_privelet_with(&mut reference, &fm, &cfg)?;
+        let want_coeffs = publish_coefficients_with(&mut reference, fm, &cfg)?;
+        let want = publish_privelet_with(&mut reference, fm, &cfg)?;
         let mut variants: Vec<(&str, LaneExecutor)> = vec![
             ("default-tile", LaneExecutor::new()),
             ("tile-64", LaneExecutor::new().with_tile_lanes(64)),
         ];
         for (name, exec) in &mut variants {
-            let got = publish_privelet_with(exec, &fm, &cfg)?;
+            let coeffs = publish_coefficients_with(exec, fm, &cfg)?;
             assert_eq!(
-                got.matrix.matrix().as_slice(),
-                want.matrix.matrix().as_slice(),
-                "{name} publish diverged from per-lane at dims {dims:?}"
+                bits(coeffs.coefficients.as_slice()),
+                bits(want_coeffs.coefficients.as_slice()),
+                "{name} coefficients diverged from per-lane at dims {dims:?}, sa {sa:?}"
+            );
+            let got = publish_privelet_with(exec, fm, &cfg)?;
+            assert_eq!(
+                bits(got.matrix.matrix().as_slice()),
+                bits(want.matrix.matrix().as_slice()),
+                "{name} publish diverged from per-lane at dims {dims:?}, sa {sa:?}"
             );
         }
     }

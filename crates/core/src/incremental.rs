@@ -19,13 +19,16 @@
 //! addition is not associative, so `(a + δ/f)` generally differs in the
 //! last ulp from recomputing the coefficient from updated sums. Instead,
 //! [`IncrementalRelease`] keeps each axis's forward-kernel *state* (the
-//! Haar averaging pyramid, the nominal leaf-sum array, the identity lane —
-//! see [`Transform1d::state_len`]) and recomputes every touched value with
-//! expressions byte-for-byte identical to the forward kernels' own
-//! (`0.5 * (a + b)` / `0.5 * (a - b)`, the child-order `.sum()`,
-//! `ls − ls_parent / fanout`). The sparse-update *indices* are exactly
-//! `update_weights`' support; only the value arithmetic routes through the
-//! state.
+//! Haar averaging pyramid, the nominal leaf-sums by level-order position,
+//! the identity lane — see [`Transform1d::state_len`]) and recomputes
+//! every touched value with expressions byte-for-byte identical to the
+//! forward kernels' own (`0.5 * (a + b)` / `0.5 * (a - b)`, the
+//! child-order `.sum()` over a sibling range, `ls − ls_parent / fanout`).
+//! The nominal walk reads the same level-order sibling ranges as the
+//! nominal kernels, through `NominalTransform`'s crate-private accessors,
+//! so that layout is defined in one module. The sparse-update *indices*
+//! are exactly `update_weights`' support; only the value arithmetic
+//! routes through the state.
 //!
 //! **One forward kernel.** The states are not computed by a second copy of
 //! the forward: every [`Transform1d::forward`] leaves its lane's state in
@@ -88,7 +91,7 @@ use std::collections::BTreeSet;
 fn leaf_slot(t: &DimTransform, pos: usize) -> usize {
     match t {
         DimTransform::Haar(h) => h.output_len() + pos,
-        DimTransform::Nominal(nt) => nt.hierarchy().leaf_node(pos),
+        DimTransform::Nominal(nt) => nt.leaf_pos(pos),
         DimTransform::Identity(_) => pos,
     }
 }
@@ -137,11 +140,11 @@ struct Entry {
 /// Per-lane scratch for the dirty walk, reused across lanes and batches.
 #[derive(Debug, Clone, Default)]
 struct LaneScratch {
-    /// Dirty-node marks, indexed by state slot (heap node for Haar,
-    /// hierarchy node id for nominal); cleared via `marked` after each
-    /// lane so clearing costs O(dirty), not O(lane).
+    /// Dirty marks: by heap node for Haar, by sibling-range index (see
+    /// `NominalTransform::groups`) for nominal; cleared via `marked`
+    /// after each lane so clearing costs O(dirty), not O(lane).
     marks: Vec<bool>,
-    /// The marked nodes of the lane in hand.
+    /// The marked heap nodes or sibling ranges of the lane in hand.
     marked: Vec<usize>,
 }
 
@@ -285,24 +288,26 @@ fn process_lane(
                 }
             }
             DimTransform::Nominal(nt) => {
-                let h = nt.hierarchy();
-                let mut node = h.leaf_node(pos);
-                while let Some(p) = h.parent(node) {
-                    if marks[p] {
+                // Mark every range on the leaf's root path: each one's
+                // parent leaf-sum and children's coefficients re-derive.
+                let mut k = nt.leaf_pos(pos);
+                while let Some(g) = nt.parent_group(k) {
+                    if marks[g] {
                         break;
                     }
-                    marks[p] = true;
-                    marked.push(p);
-                    node = p;
+                    marks[g] = true;
+                    marked.push(g);
+                    k = nt.groups()[g].parent;
                 }
             }
             DimTransform::Identity(_) => emit(oidx(pos), state[li]),
         }
     }
+    // Descending heap index, or descending range index (ranges are in
+    // the parent's level order): children before parents.
+    marked.sort_unstable_by(|a, b| b.cmp(a));
     match t {
         DimTransform::Haar(_) => {
-            // Descending heap index = children before parents.
-            marked.sort_unstable_by(|a, b| b.cmp(a));
             for &j in marked.iter() {
                 let a = state[sidx(2 * j)];
                 let b = state[sidx(2 * j + 1)];
@@ -314,22 +319,20 @@ fn process_lane(
             emit(ctx.out_base, state[sidx(1)]);
         }
         DimTransform::Nominal(nt) => {
-            let h = nt.hierarchy();
-            // Deeper level-order positions first = children before
-            // parents (level order is breadth-first from the root).
-            marked.sort_unstable_by_key(|&id| std::cmp::Reverse(h.level_order_pos(id)));
-            for &p in marked.iter() {
-                state[sidx(p)] = h.children(p).iter().map(|&c| state[sidx(c)]).sum();
+            let groups = nt.groups();
+            for &i in marked.iter() {
+                let g = groups[i];
+                state[sidx(g.parent)] = g.children().map(|k| state[sidx(k)]).sum();
             }
-            let root = h.root();
-            emit(oidx(h.level_order_pos(root)), state[sidx(root)]);
+            // The base coefficient is the root's leaf-sum (position 0).
+            emit(oidx(0), state[sidx(0)]);
             // A dirty leaf-sum feeds the coefficient of every child of
             // that node, so whole sibling groups re-derive.
-            for &p in marked.iter() {
-                let f = h.fanout(p) as f64;
-                let lsp = state[sidx(p)];
-                for &c in h.children(p) {
-                    emit(oidx(h.level_order_pos(c)), state[sidx(c)] - lsp / f);
+            for &i in marked.iter() {
+                let g = groups[i];
+                let avg = state[sidx(g.parent)] / g.len as f64;
+                for k in g.children() {
+                    emit(oidx(k), state[sidx(k)] - avg);
                 }
             }
         }

@@ -24,7 +24,7 @@ pub fn unit_bump_weighted_l1(hn: &HnTransform, coords: &[usize]) -> Result<f64> 
     for (lin, &v) in c.as_slice().iter().enumerate() {
         if v != 0.0 {
             out_shape.coords(lin, &mut out_coords)?;
-            total += hn.weight_at(&out_coords) * v.abs();
+            total += hn.weight_at(&out_coords)? * v.abs();
         }
     }
     Ok(total)

@@ -18,6 +18,13 @@
 //! the composition commutes across axis order; we apply axes `0..d`
 //! forward and `d..0` on the inverse.
 //!
+//! **Identity axes are not staged.** Privelet⁺ leaves its `SA` attributes
+//! untransformed (§VI-D): an identity stage would be a full strided copy
+//! of the matrix that changes no value. A plain forward or inverse
+//! therefore stages no identity axis, and one whose every axis is
+//! identity is the executor's zero-stage copy. Only the streaming
+//! release's forward, which keeps every axis's kernel state, runs them.
+//!
 //! **Refinement.** The nominal mean subtraction (§V-B, placed by footnote
 //! 2 of §VI-B) is post-processing of the noisy coefficients, and it has
 //! one definition: [`HnTransform::refine_in_place`] runs
@@ -188,6 +195,8 @@ impl HnTransform {
     /// out `(out₀, …, outᵢ₋₁, sᵢ, inᵢ₊₁, …, in_d)` — axes before `i`
     /// already in the coefficient domain, axes after it still in the data
     /// domain.
+    ///
+    /// With no state buffer given, identity axes are not staged.
     pub(crate) fn forward_keeping_state(
         &self,
         exec: &mut LaneExecutor,
@@ -202,11 +211,7 @@ impl HnTransform {
             });
         }
         let kernels: Vec<ForwardKernel<'_>> = self.transforms.iter().map(ForwardKernel).collect();
-        let stages: Vec<AxisStage<'_>> = kernels
-            .iter()
-            .enumerate()
-            .map(|(axis, kernel)| AxisStage { axis, kernel })
-            .collect();
+        let stages = self.stages(&kernels, !states.is_empty());
         exec.run_into(m, &stages, states, out)
             .map_err(CoreError::Matrix)
     }
@@ -223,13 +228,23 @@ impl HnTransform {
         self.check_output_dims(c)?;
         let kernels: Vec<InverseKernel<'_>> = self.transforms.iter().map(InverseKernel).collect();
         // Axes are inverted last to first, mirroring the forward order.
-        let stages: Vec<AxisStage<'_>> = kernels
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(axis, kernel)| AxisStage { axis, kernel })
-            .collect();
+        let mut stages = self.stages(&kernels, false);
+        stages.reverse();
         exec.run(c, &stages).map_err(CoreError::Matrix)
+    }
+
+    /// The executor pipeline over `kernels` (one per axis): a stage per
+    /// axis in axis order, except that an identity axis — a copy that
+    /// changes no value — is staged only when `keep_state` asks for every
+    /// axis's kernel state.
+    fn stages<'k>(&self, kernels: &'k [impl LaneKernel], keep_state: bool) -> Vec<AxisStage<'k>> {
+        kernels
+            .iter()
+            .zip(&self.transforms)
+            .enumerate()
+            .filter(|(_, (_, t))| keep_state || !matches!(t, DimTransform::Identity(_)))
+            .map(|(axis, (kernel, _))| AxisStage { axis, kernel })
+            .collect()
     }
 
     /// Applies every dimension's refinement (the §V-B mean subtraction on
@@ -342,12 +357,30 @@ impl HnTransform {
     /// coordinates: the direct definition, which the sensitivity probes
     /// read per coefficient. The publish visits every weight in order
     /// through [`Self::for_each_weight`] instead.
-    pub fn weight_at(&self, coords: &[usize]) -> f64 {
+    ///
+    /// [`CoreError::BadQueryArity`] unless there is one coordinate per
+    /// dimension, [`CoreError::BadQueryBounds`] for a coordinate at or past
+    /// its axis's [`output_len`](Transform1d::output_len).
+    pub fn weight_at(&self, coords: &[usize]) -> Result<f64> {
+        if coords.len() != self.ndim() {
+            return Err(CoreError::BadQueryArity {
+                expected: self.ndim(),
+                got: coords.len(),
+            });
+        }
         coords
             .iter()
             .zip(&self.weights)
-            .map(|(&x, w)| w[x])
-            .product()
+            .enumerate()
+            .try_fold(1.0, |product, (axis, (&x, w))| {
+                let wx = w.get(x).ok_or(CoreError::BadQueryBounds {
+                    axis,
+                    lo: x,
+                    hi: x,
+                    len: w.len(),
+                })?;
+                Ok(product * wx)
+            })
     }
 }
 
@@ -380,11 +413,46 @@ mod tests {
     fn figure4_weights_factorize() {
         // Each dim is Haar on 2 entries: weights [2, 2]; WHN = 4 everywhere.
         let hn = ordinal_2x2();
-        assert_eq!(hn.weight_at(&[0, 0]), 4.0);
-        assert_eq!(hn.weight_at(&[1, 1]), 4.0);
+        assert_eq!(hn.weight_at(&[0, 0]), Ok(4.0));
+        assert_eq!(hn.weight_at(&[1, 1]), Ok(4.0));
         let mut seen = Vec::new();
         hn.for_each_weight(|lin, w| seen.push((lin, w)));
         assert_eq!(seen, vec![(0, 4.0), (1, 4.0), (2, 4.0), (3, 4.0)]);
+    }
+
+    #[test]
+    fn weight_at_rejects_bad_arity_and_bounds() {
+        let schema =
+            Schema::new(vec![Attribute::ordinal("r", 4), Attribute::ordinal("c", 8)]).unwrap();
+        let hn = HnTransform::for_schema(&schema, &BTreeSet::new()).unwrap();
+        assert_eq!(
+            hn.weight_at(&[1]),
+            Err(CoreError::BadQueryArity {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(
+            hn.weight_at(&[9, 0]),
+            Err(CoreError::BadQueryBounds {
+                axis: 0,
+                lo: 9,
+                hi: 9,
+                len: 4
+            })
+        );
+        assert!(matches!(
+            hn.weight_at(&[3, 8]),
+            Err(CoreError::BadQueryBounds {
+                axis: 1,
+                len: 8,
+                ..
+            })
+        ));
+        assert_eq!(
+            hn.weight_at(&[3, 7]),
+            Ok(hn.weight_vectors()[0][3] * hn.weight_vectors()[1][7])
+        );
     }
 
     fn mixed_transform() -> (Schema, HnTransform) {
@@ -608,7 +676,7 @@ mod tests {
         let mut coords = vec![0usize; dims.len()];
         hn.for_each_weight(|lin, w| {
             shape.coords(lin, &mut coords).unwrap();
-            let direct = hn.weight_at(&coords);
+            let direct = hn.weight_at(&coords).unwrap();
             assert!(
                 (w - direct).abs() < 1e-12,
                 "linear {lin}: odometer {w} vs direct {direct}"

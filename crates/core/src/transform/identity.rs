@@ -38,27 +38,19 @@ impl Transform1d for IdentityTransform {
         self.len
     }
 
-    /// No scratch needed: both directions are a copy.
-    #[inline]
-    fn scratch_len(&self) -> usize {
-        0
-    }
-
     /// The kernel state is the lane itself.
     #[inline]
     fn state_len(&self) -> usize {
         self.len
     }
 
-    /// Forward: copy. The state copy is made only when the caller sized
-    /// `scratch` to keep it — identity lanes are often a handful of cells,
-    /// where a second copy per lane would slow every plain forward.
+    /// Forward: copy, keeping the lane as the state. Only the streaming
+    /// release runs this kernel inside an HN transform: a plain forward
+    /// skips identity axes (see [`HnTransform`](super::HnTransform)).
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
         debug_assert_eq!(src.len(), self.len);
         debug_assert_eq!(dst.len(), self.len);
-        if let Some(state) = scratch.get_mut(..self.len) {
-            state.copy_from_slice(src);
-        }
+        scratch[..self.len].copy_from_slice(src);
         dst.copy_from_slice(src);
     }
 
@@ -141,8 +133,8 @@ mod tests {
         let mut back = [0.0; 4];
         t.inverse_alloc(&c, &mut back);
         assert_eq!(back, src);
-        assert_eq!(t.scratch_len(), 0);
-        // The kernel state is the lane itself, kept when scratch holds it.
+        // The kernel state is the lane itself, left in scratch.
+        assert_eq!(t.scratch_len(), 4);
         let mut scratch = [0.0; 4];
         t.forward(&src, &mut c, &mut scratch);
         assert_eq!((t.state_len(), scratch), (4, src));

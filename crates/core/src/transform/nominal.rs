@@ -14,6 +14,15 @@
 //! §VI-A. The transform is *over-complete*: it emits `node_count ≥
 //! leaf_count` coefficients.
 //!
+//! **Flat layout.** Level order is breadth-first, so the children of every
+//! internal node occupy one contiguous range of level-order positions, in
+//! children order. The transform precomputes each leaf's level-order
+//! position and one `(parent, start, len)` range per internal node, and
+//! its kernels
+//! (forward, inverse, refinement) are loops over those ranges of one flat
+//! array — the leaf-sums, which are also the forward kernel's state, sit
+//! at the same level-order positions as the coefficients.
+//!
 //! Reconstruction follows Equation 5: an entry `v` equals the reconstructed
 //! leaf-sum of its `H`-leaf, computed top-down as
 //! `ls(node) = c(node) + ls(parent)/fanout(parent)`.
@@ -30,17 +39,64 @@ use super::transform1d::Transform1d;
 use privelet_hierarchy::Hierarchy;
 use std::sync::Arc;
 
+/// One sibling group in level-order positions: the children of the
+/// internal node at `parent` occupy `start..start + len`, in children
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SiblingRange {
+    pub(crate) parent: usize,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+}
+
+impl SiblingRange {
+    /// The children's level-order positions.
+    #[inline]
+    pub(crate) fn children(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
 /// The 1-D nominal wavelet transform for a hierarchy-equipped domain.
-/// Two transforms are equal when their hierarchies are structurally equal.
+/// Two transforms are equal when their hierarchies are structurally equal
+/// (the layout tables are functions of the hierarchy).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NominalTransform {
     hierarchy: Arc<Hierarchy>,
+    /// Level-order position of the leaf at each domain position.
+    leaf_pos: Vec<usize>,
+    /// One range per internal node, in the parent's level order — so the
+    /// ranges tile `1..node_count` in order, and every range's parent
+    /// comes before it.
+    groups: Vec<SiblingRange>,
 }
 
 impl NominalTransform {
-    /// Builds the transform over a hierarchy.
+    /// Builds the transform over a hierarchy, laying out its level-order
+    /// tables.
     pub fn new(hierarchy: Arc<Hierarchy>) -> Self {
-        NominalTransform { hierarchy }
+        let h = &hierarchy;
+        let leaf_pos = (0..h.leaf_count())
+            .map(|pos| h.level_order_pos(h.leaf_node(pos)))
+            .collect();
+        let groups = h
+            .level_order()
+            .iter()
+            .enumerate()
+            .filter_map(|(parent, &id)| {
+                let children = h.children(id);
+                children.first().map(|&first| SiblingRange {
+                    parent,
+                    start: h.level_order_pos(first),
+                    len: children.len(),
+                })
+            })
+            .collect();
+        NominalTransform {
+            hierarchy,
+            leaf_pos,
+            groups,
+        }
     }
 
     /// The underlying hierarchy.
@@ -48,23 +104,24 @@ impl NominalTransform {
         &self.hierarchy
     }
 
-    /// The mean-subtraction refinement (§V-B): within every sibling group
-    /// (children of one internal node), subtract the group mean so the
-    /// group sums to zero. Operates on a coefficient lane in level-order
-    /// layout. A no-op on exact coefficients.
-    fn mean_subtract(&self, coeffs: &mut [f64]) {
-        let h = &self.hierarchy;
-        debug_assert_eq!(coeffs.len(), h.node_count());
-        for group in h.sibling_groups() {
-            let mean: f64 = group
-                .iter()
-                .map(|&id| coeffs[h.level_order_pos(id)])
-                .sum::<f64>()
-                / group.len() as f64;
-            for &id in group {
-                coeffs[h.level_order_pos(id)] -= mean;
-            }
-        }
+    /// Level-order position (coefficient and state slot) of the leaf at
+    /// domain position `pos`.
+    #[inline]
+    pub(crate) fn leaf_pos(&self, pos: usize) -> usize {
+        self.leaf_pos[pos]
+    }
+
+    /// The sibling ranges, in the parent's level order.
+    #[inline]
+    pub(crate) fn groups(&self) -> &[SiblingRange] {
+        &self.groups
+    }
+
+    /// Index into [`groups`](Self::groups) of the range holding
+    /// level-order position `k`; `None` for the root (position 0).
+    #[inline]
+    pub(crate) fn parent_group(&self, k: usize) -> Option<usize> {
+        self.groups.partition_point(|g| g.start <= k).checked_sub(1)
     }
 }
 
@@ -81,7 +138,8 @@ impl Transform1d for NominalTransform {
         self.hierarchy.node_count()
     }
 
-    /// The kernel state: one leaf-sum per hierarchy node.
+    /// The kernel state: one leaf-sum per hierarchy node, at the node's
+    /// level-order position.
     #[inline]
     fn state_len(&self) -> usize {
         self.hierarchy.node_count()
@@ -89,28 +147,25 @@ impl Transform1d for NominalTransform {
 
     /// Forward transform: `src.len() == leaf_count`,
     /// `dst.len() == node_count`; `scratch[..node_count]` is left holding
-    /// the leaf-sums by node id (the kernel state).
+    /// the leaf-sums by level-order position (the kernel state).
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
-        let h = &self.hierarchy;
-        debug_assert_eq!(src.len(), h.leaf_count());
-        debug_assert_eq!(dst.len(), h.node_count());
-        debug_assert!(scratch.len() >= h.node_count());
-        // Leaf-sums bottom-up: reverse level order visits children first.
-        for pos in 0..h.leaf_count() {
-            scratch[h.leaf_node(pos)] = src[pos];
+        debug_assert_eq!(src.len(), self.leaf_pos.len());
+        debug_assert_eq!(dst.len(), self.output_len());
+        let ls = &mut scratch[..self.state_len()];
+        for (&k, &v) in self.leaf_pos.iter().zip(src) {
+            ls[k] = v;
         }
-        for &id in h.level_order().iter().rev() {
-            if !h.is_leaf(id) {
-                scratch[id] = h.children(id).iter().map(|&c| scratch[c]).sum();
+        // Leaf-sums bottom-up: a range's parent precedes it, so walking
+        // the ranges backwards finishes every child before its parent.
+        for g in self.groups.iter().rev() {
+            ls[g.parent] = ls[g.children()].iter().sum();
+        }
+        dst[0] = ls[0]; // base = leaf-sum of the root
+        for g in &self.groups {
+            let avg = ls[g.parent] / g.len as f64;
+            for (c, &l) in dst[g.children()].iter_mut().zip(&ls[g.children()]) {
+                *c = l - avg;
             }
-        }
-        // Coefficients in level order.
-        for &id in h.level_order() {
-            let pos = h.level_order_pos(id);
-            dst[pos] = match h.parent(id) {
-                None => scratch[id], // base = leaf-sum of the root
-                Some(p) => scratch[id] - scratch[p] / h.fanout(p) as f64,
-            };
         }
     }
 
@@ -118,26 +173,33 @@ impl Transform1d for NominalTransform {
     /// `dst.len() == leaf_count`; `scratch.len() >= node_count` holds the
     /// reconstructed leaf-sums.
     fn inverse(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]) {
-        let h = &self.hierarchy;
-        debug_assert_eq!(src.len(), h.node_count());
-        debug_assert_eq!(dst.len(), h.leaf_count());
-        debug_assert!(scratch.len() >= h.node_count());
-        // Leaf-sums top-down.
-        for &id in h.level_order() {
-            let pos = h.level_order_pos(id);
-            scratch[id] = match h.parent(id) {
-                None => src[pos],
-                Some(p) => src[pos] + scratch[p] / h.fanout(p) as f64,
-            };
+        debug_assert_eq!(src.len(), self.output_len());
+        debug_assert_eq!(dst.len(), self.leaf_pos.len());
+        let ls = &mut scratch[..self.state_len()];
+        // Leaf-sums top-down: every range's parent is already rebuilt.
+        ls[0] = src[0];
+        for g in &self.groups {
+            let avg = ls[g.parent] / g.len as f64;
+            for (l, &c) in ls[g.children()].iter_mut().zip(&src[g.children()]) {
+                *l = c + avg;
+            }
         }
-        for pos in 0..h.leaf_count() {
-            dst[pos] = scratch[h.leaf_node(pos)];
+        for (v, &k) in dst.iter_mut().zip(&self.leaf_pos) {
+            *v = ls[k];
         }
     }
 
-    /// The refinement is the mean subtraction (§V-B).
+    /// The mean-subtraction refinement (§V-B): within every sibling group
+    /// (children of one internal node), subtract the group mean so the
+    /// group sums to zero. A no-op on exact coefficients.
     fn refine(&self, coeffs: &mut [f64]) {
-        self.mean_subtract(coeffs);
+        for g in &self.groups {
+            let group = &mut coeffs[g.children()];
+            let mean = group.iter().sum::<f64>() / g.len as f64;
+            for c in group {
+                *c -= mean;
+            }
+        }
     }
 
     fn has_refinement(&self) -> bool {
@@ -147,17 +209,10 @@ impl Transform1d for NominalTransform {
     /// The weight vector `W_Nom` over the level-order coefficient layout:
     /// base → 1; otherwise `f/(2f−2)` where `f` is the parent's fanout.
     fn weights(&self) -> Vec<f64> {
-        let h = &self.hierarchy;
-        let mut w = vec![0.0f64; h.node_count()];
-        for &id in h.level_order() {
-            let pos = h.level_order_pos(id);
-            w[pos] = match h.parent(id) {
-                None => 1.0,
-                Some(p) => {
-                    let f = h.fanout(p) as f64;
-                    f / (2.0 * f - 2.0)
-                }
-            };
+        let mut w = vec![1.0f64; self.output_len()];
+        for g in &self.groups {
+            let f = g.len as f64;
+            w[g.children()].fill(f / (2.0 * f - 2.0));
         }
         w
     }
@@ -406,7 +461,7 @@ mod tests {
         let mut c = vec![0.0; 9];
         t.forward_alloc(&m, &mut c);
         let before = c.clone();
-        t.mean_subtract(&mut c);
+        t.refine(&mut c);
         for (a, b) in before.iter().zip(&c) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -420,7 +475,7 @@ mod tests {
         t.forward_alloc(&m, &mut c);
         // Perturb one leaf coefficient; its group no longer sums to 0.
         c[3] += 6.0;
-        t.mean_subtract(&mut c);
+        t.refine(&mut c);
         for group in h.sibling_groups() {
             let s: f64 = group.iter().map(|&id| c[h.level_order_pos(id)]).sum();
             assert!(s.abs() < 1e-12);

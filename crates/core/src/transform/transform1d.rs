@@ -32,8 +32,8 @@ pub trait Transform1d {
     /// transforms, the padded power of two for Haar).
     fn output_len(&self) -> usize;
 
-    /// Scratch slots `forward` / `inverse` need. Defaults to
-    /// `output_len()`; the identity transform needs none.
+    /// Scratch slots `forward` / `inverse` need, at least
+    /// [`state_len`](Self::state_len). Defaults to `output_len()`.
     fn scratch_len(&self) -> usize {
         self.output_len()
     }
@@ -42,16 +42,17 @@ pub trait Transform1d {
     /// once [`forward`](Self::forward) returns: the Haar averaging pyramid
     /// in heap layout (`2·padded`: leaves at `m + x`, zero-padded,
     /// averages at `j ∈ [1, m)`, slot 0 zero), the nominal leaf-sums by
-    /// hierarchy node id (`node_count`), the identity lane (`|A|`). Every
-    /// coefficient is a pure expression of this state, which streaming
-    /// releases keep per lane. Not defaulted: every transform states it.
+    /// level-order position, the coefficients' layout (`node_count`), the
+    /// identity lane (`|A|`). Every coefficient is a pure expression of
+    /// this state, which streaming releases keep per lane. Not defaulted:
+    /// every transform states it.
     fn state_len(&self) -> usize;
 
     /// Forward transform of one lane: `src.len() == input_len()`,
     /// `dst.len() == output_len()`, `scratch.len() >= scratch_len()`.
-    /// Every element of `dst` is written, and — whenever `scratch` holds
-    /// at least [`state_len`](Self::state_len) slots, as callers keeping
-    /// the state size it — so are those first slots (the lane's state).
+    /// Every element of `dst` is written, and so are the first
+    /// [`state_len`](Self::state_len) slots of `scratch` (the lane's
+    /// state).
     fn forward(&self, src: &[f64], dst: &mut [f64], scratch: &mut [f64]);
 
     /// Inverse transform of one lane: `src.len() == output_len()`,

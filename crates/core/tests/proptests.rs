@@ -164,7 +164,7 @@ proptest! {
             assert!(!visited[lin]);
             visited[lin] = true;
             shape.coords(lin, &mut coords).unwrap();
-            let direct = hn.weight_at(&coords);
+            let direct = hn.weight_at(&coords).unwrap();
             assert!((w - direct).abs() < 1e-12);
             assert!(w > 0.0);
         });

@@ -9,9 +9,13 @@
 //!   of all leaves in its subtree ... For any other internal node, its
 //!   coefficient equals its leaf-sum minus the average leaf-sum of its
 //!   parent's children."
+//!
+//! The nominal kernels run over flat level-order sibling ranges; the
+//! node-id walk they replaced is kept below as a bit-for-bit oracle, so a
+//! reordered sum or a reciprocal multiply in the range loops fails here.
 
 use privelet::transform::{HaarTransform, NominalTransform, Transform1d};
-use privelet_hierarchy::builder::random as random_hierarchy;
+use privelet_hierarchy::builder::{flat, random as random_hierarchy, three_level};
 use privelet_hierarchy::Hierarchy;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -65,8 +69,133 @@ fn nominal_reference(h: &Hierarchy, data: &[f64]) -> Vec<f64> {
     coef
 }
 
+/// The node-id forward walk: leaf-sums by node id, bottom-up in reverse
+/// level order with each node's children summed in children order, then
+/// the coefficients in level order. Returns `(coefficients, leaf-sums by
+/// node id)`.
+fn node_id_forward(h: &Hierarchy, src: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let mut ls = vec![0.0; h.node_count()];
+    for (pos, &v) in src.iter().enumerate() {
+        ls[h.leaf_node(pos)] = v;
+    }
+    for &id in h.level_order().iter().rev() {
+        if !h.is_leaf(id) {
+            ls[id] = h.children(id).iter().map(|&c| ls[c]).sum();
+        }
+    }
+    let mut coef = vec![0.0; h.node_count()];
+    for &id in h.level_order() {
+        coef[h.level_order_pos(id)] = match h.parent(id) {
+            None => ls[id],
+            Some(p) => ls[id] - ls[p] / h.fanout(p) as f64,
+        };
+    }
+    (coef, ls)
+}
+
+/// The node-id inverse walk (Equation 5): leaf-sums top-down in level
+/// order, then each leaf's sum.
+fn node_id_inverse(h: &Hierarchy, coef: &[f64]) -> Vec<f64> {
+    let mut ls = vec![0.0; h.node_count()];
+    for &id in h.level_order() {
+        let pos = h.level_order_pos(id);
+        ls[id] = match h.parent(id) {
+            None => coef[pos],
+            Some(p) => coef[pos] + ls[p] / h.fanout(p) as f64,
+        };
+    }
+    (0..h.leaf_count())
+        .map(|pos| ls[h.leaf_node(pos)])
+        .collect()
+}
+
+/// The node-id mean subtraction: every sibling group, by node id.
+fn node_id_refine(h: &Hierarchy, coef: &mut [f64]) {
+    for group in h.sibling_groups() {
+        let mean = group
+            .iter()
+            .map(|&id| coef[h.level_order_pos(id)])
+            .sum::<f64>()
+            / group.len() as f64;
+        for &id in group {
+            coef[h.level_order_pos(id)] -= mean;
+        }
+    }
+}
+
+/// `n` values with full 53-bit mantissas in `[-50, 50)`, so reordering a
+/// sum or replacing a division changes low-order bits.
+fn unit_noise(n: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0
+        })
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The flat kernels against the node-id oracle, bit for bit: the forward
+/// coefficients and its kept state (read by node through
+/// `level_order_pos`), the inverse and the refinement of arbitrary
+/// coefficients.
+fn assert_matches_node_id_walk(h: &Arc<Hierarchy>, seed: u64) {
+    let t = NominalTransform::new(h.clone());
+    let src = unit_noise(h.leaf_count(), seed);
+    let (want, want_ls) = node_id_forward(h, &src);
+    let mut coef = vec![0.0; t.output_len()];
+    let mut state = vec![f64::NAN; t.scratch_len()];
+    t.forward(&src, &mut coef, &mut state);
+    assert_eq!(bits(&coef), bits(&want), "forward");
+    let kept: Vec<f64> = (0..h.node_count())
+        .map(|id| state[h.level_order_pos(id)])
+        .collect();
+    assert_eq!(bits(&kept), bits(&want_ls), "kept state");
+
+    let noisy = unit_noise(h.node_count(), !seed);
+    let mut back = vec![0.0; t.input_len()];
+    t.inverse_alloc(&noisy, &mut back);
+    assert_eq!(bits(&back), bits(&node_id_inverse(h, &noisy)), "inverse");
+
+    let (mut refined, mut want_refined) = (noisy.clone(), noisy);
+    t.refine(&mut refined);
+    node_id_refine(h, &mut want_refined);
+    assert_eq!(bits(&refined), bits(&want_refined), "refine");
+}
+
+#[test]
+fn flat_nominal_kernels_match_node_id_walk_on_fixed_shapes() {
+    for h in [flat(1), flat(2), three_level(64, 8)] {
+        let h = Arc::new(h.unwrap());
+        for seed in [1u64, 7, 0xDEAD_BEEF] {
+            assert_matches_node_id_walk(&h, seed);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Flat range kernels == node-id walk, bit for bit, on random
+    /// hierarchies.
+    #[test]
+    fn flat_nominal_kernels_match_node_id_walk(
+        leaves in 1usize..=40,
+        max_fanout in 2usize..=6,
+        hseed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let h = Arc::new(random_hierarchy(leaves, max_fanout, hseed).unwrap());
+        assert_matches_node_id_walk(&h, seed);
+    }
 
     /// Fast Haar == definitional Haar for arbitrary data and lengths.
     #[test]

@@ -353,4 +353,37 @@ mod tests {
         assert_eq!(h.level(h.leaf_node(1)), 3);
         assert_eq!(h.leaf_range(h.root()), (0, 2));
     }
+
+    /// The nominal transform's flat layout rests on this: walking the
+    /// internal nodes in level order, each one's children occupy the next
+    /// `fanout` level-order positions, in children order — so every
+    /// sibling group is one contiguous range, and the ranges tile
+    /// `1..node_count` in their parents' level order.
+    #[test]
+    fn children_sit_at_consecutive_level_order_positions() {
+        use crate::builder::{balanced, flat, random, three_level};
+        let mut shapes = vec![
+            figure3(),
+            flat(1).unwrap(),
+            flat(2).unwrap(),
+            three_level(64, 8).unwrap(),
+            three_level(7, 3).unwrap(),
+            balanced(&[3, 2, 4]).unwrap(),
+        ];
+        for leaves in [1usize, 2, 5, 17, 40] {
+            for seed in 0..8u64 {
+                shapes.push(random(leaves, 2 + seed as usize % 5, seed).unwrap());
+            }
+        }
+        for h in &shapes {
+            let mut next = 1usize;
+            for &id in h.level_order() {
+                for &c in h.children(id) {
+                    assert_eq!(h.level_order_pos(c), next, "child {c} of {id}");
+                    next += 1;
+                }
+            }
+            assert_eq!(next, h.node_count());
+        }
+    }
 }

@@ -1,13 +1,14 @@
 //! Property tests for the executor-backed HN transform engine:
 //! `forward ∘ inverse` round-trips mixed Haar/nominal/identity schemas in
 //! 1–4 dimensions to within 1e-9 (with and without the refinement in
-//! between), the tiled and per-lane walks agree bit for bit, and the one
+//! between), the tiled and per-lane walks agree bit for bit, the one
 //! refinement pass equals a per-lane `Transform1d::refine` walk bit for
-//! bit.
+//! bit, and skipping identity (SA) axes in a plain forward or inverse
+//! changes no bit against a walk that runs every axis.
 
 use privelet_repro::core::transform::{HnTransform, Transform1d};
 use privelet_repro::data::schema::{Attribute, Schema};
-use privelet_repro::hierarchy::builder::random as random_hierarchy;
+use privelet_repro::hierarchy::builder::{flat, random as random_hierarchy, three_level};
 use privelet_repro::matrix::{map_lanes, LaneExecutor, NdMatrix};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -69,8 +70,88 @@ fn seeded_matrix(dims: &[usize], seed: u64) -> NdMatrix {
     NdMatrix::from_vec(dims, data).unwrap()
 }
 
+fn bits(m: &NdMatrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The HN transform as a `map_lanes` walk that runs every axis's
+/// `Transform1d` kernel, identity axes included: forward over axes
+/// `0..d`, or inverse over `d..0`.
+fn walk_every_axis(hn: &HnTransform, m: &NdMatrix, inverse: bool) -> NdMatrix {
+    let mut out = m.clone();
+    let mut axes: Vec<usize> = (0..hn.ndim()).collect();
+    if inverse {
+        axes.reverse();
+    }
+    for axis in axes {
+        let t = &hn.transforms()[axis];
+        let mut scratch = vec![0.0; t.scratch_len()];
+        let len = if inverse {
+            t.input_len()
+        } else {
+            t.output_len()
+        };
+        out = map_lanes(&out, axis, len, |src, dst| {
+            if inverse {
+                t.inverse(src, dst, &mut scratch);
+            } else {
+                t.forward(src, dst, &mut scratch);
+            }
+        })
+        .unwrap();
+    }
+    out
+}
+
+/// `forward_with` and `inverse_with`, which stage no identity axis, equal
+/// the every-axis walk by `to_bits` at tile widths 1, 8 and 64.
+fn assert_identity_skip_is_exact(schema: &Schema, sa: &BTreeSet<usize>, seed: u64) {
+    let hn = HnTransform::for_schema(schema, sa).unwrap();
+    let m = seeded_matrix(&schema.dims(), seed);
+    let c_ref = walk_every_axis(&hn, &m, false);
+    let b_ref = walk_every_axis(&hn, &c_ref, true);
+    for tile in [1usize, 8, 64] {
+        let mut exec = LaneExecutor::new().with_tile_lanes(tile);
+        let c = hn.forward_with(&mut exec, &m).unwrap();
+        assert_eq!(bits(&c), bits(&c_ref), "forward, tile {tile}, sa {sa:?}");
+        let b = hn.inverse_with(&mut exec, &c_ref).unwrap();
+        assert_eq!(bits(&b), bits(&b_ref), "inverse, tile {tile}, sa {sa:?}");
+    }
+}
+
+/// Fixed identity-skip cases: every axis in SA (the executor's
+/// zero-stage copy), only the last axis (the contiguous stage), and Age
+/// and Gender on a census-shaped schema.
+#[test]
+fn identity_skip_fixed_cases() {
+    let census = Schema::new(vec![
+        Attribute::ordinal("age", 12),
+        Attribute::nominal("gender", flat(2).unwrap()),
+        Attribute::nominal("occupation", three_level(8, 2).unwrap()),
+        Attribute::ordinal("income", 8),
+    ])
+    .unwrap();
+    let d = census.arity();
+    for sa in [
+        (0..d).collect::<BTreeSet<usize>>(),
+        BTreeSet::from([d - 1]),
+        BTreeSet::from([0, 1]),
+    ] {
+        assert_identity_skip_is_exact(&census, &sa, 0x5EED);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Identity skip over random SA sets on random mixed schemas.
+    #[test]
+    fn identity_skip_matches_every_axis_walk(
+        (schema, sa) in schema_strategy(),
+        seed in any::<u64>(),
+    ) {
+        assert_identity_skip_is_exact(&schema, &sa, seed);
+    }
 
     /// forward ∘ inverse == id, with and without the refinement between
     /// them, on a reused serial executor, to 1e-9.

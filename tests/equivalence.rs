@@ -99,8 +99,8 @@ fn figure5_submatrix_formulation_matches_identity_dims() {
     for a in 0..3 {
         for j in 0..integrated.output_dims()[1] {
             for k in 0..integrated.output_dims()[2] {
-                let w_int = integrated.weight_at(&[a, j, k]);
-                let w_sub = sub_hn.weight_at(&[j, k]);
+                let w_int = integrated.weight_at(&[a, j, k]).unwrap();
+                let w_sub = sub_hn.weight_at(&[j, k]).unwrap();
                 assert!((w_int - w_sub).abs() < 1e-12);
             }
         }
