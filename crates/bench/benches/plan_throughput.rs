@@ -2,7 +2,7 @@
 //!
 //! The arena-execution optimisation (sorted spans + 4-wide unrolled
 //! sparse dot + locality-ordered distinct evaluation) is judged by this
-//! number: how many queries per second `answer_plan` sustains at
+//! number: how many queries per second `ReleaseCore::execute_plan` sustains at
 //! m = 2^18 with a 1024-query workload, with flanking points so a
 //! regression at one size can't hide behind a win at another.
 //!
@@ -28,15 +28,16 @@ fn measure(
 ) -> Result<(), Box<dyn Error>> {
     let out = ordinal_release(exp)?;
     let engine = ConcurrentEngine::from_output(&out)?;
+    let core = engine.core();
     // Every query is independently drawn, so the plan keeps ~n_queries
     // distinct supports and execution is bound by the dot-product
     // kernel, not by the per-query fan-out loop.
     let queries = interval_workload(&out.schema, n_queries)?;
 
-    let plan = engine.plan(&queries)?;
+    let plan = core.plan(&queries)?;
     // Correctness gate before timing: the plan path must equal the
     // online per-query loop bit for bit (one derivation, one kernel).
-    let batch = engine.answer_plan(&plan)?;
+    let batch = core.execute_plan(&plan)?;
     assert_eq!(batch.len(), queries.len());
     for (q, &got) in queries.iter().zip(&batch) {
         let want = engine.answer(q)?;
@@ -53,9 +54,9 @@ fn measure(
             ("queries", Json::Num(n_queries as f64)),
         ]
     };
-    let compile = best_of(budget_secs, || engine.plan(&queries));
+    let compile = best_of(budget_secs, || core.plan(&queries));
     record.push("compile", params(), compile, n_queries as f64);
-    let execute = best_of(budget_secs, || engine.answer_plan(&plan));
+    let execute = best_of(budget_secs, || core.execute_plan(&plan));
     record.push("execute", params(), execute, n_queries as f64);
     Ok(())
 }

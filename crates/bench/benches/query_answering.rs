@@ -16,11 +16,11 @@
 //! - On a dashboard workload (a 64-query catalog cycled to the workload
 //!   size), `plan_compile` (support interning + term flattening),
 //!   `plan_execute` (sparse dots over the compiled arena), `batched`
-//!   (compile + execute, what `answer_all` does) and `perquery` (the
-//!   one-at-a-time loop through the warm support cache) isolate the
-//!   batch machinery. Once the catalog repeats, the batch path beats the
-//!   per-query loop: it derives each distinct support once per call and
-//!   skips per-query locking.
+//!   (`core().plan` + `execute_plan`, compile and execute on the cache-free
+//!   core) and `perquery` (the engine's one-at-a-time loop through its
+//!   warm support cache) isolate the batch machinery. Once the catalog
+//!   repeats, the batch path beats the per-query loop: it derives each
+//!   distinct support once per call and skips per-query locking.
 //!
 //! Before timing, each point checks that the engine agrees with
 //! `to_matrix` + `PrefixSums` within 1e-9 relative, and that the
@@ -38,12 +38,21 @@ use privelet::mechanism::CoefficientOutput;
 use privelet_bench::harness::{best_of, interval_workload, ordinal_release, Args, Record};
 use privelet_bench::json::Json;
 use privelet_matrix::PrefixSums;
-use privelet_query::{ConcurrentEngine, RangeQuery};
+use privelet_query::{ConcurrentEngine, RangeQuery, ReleaseCore};
 use std::error::Error;
 use std::hint::black_box;
 
 /// Workload sizes for the answering points.
 const WORKLOADS: [usize; 2] = [64, 1024];
+
+/// Compiles `queries` on `core` and executes the plan: a batch's answers
+/// with no support cache involved.
+fn compile_and_execute(
+    core: &ReleaseCore,
+    queries: &[RangeQuery],
+) -> privelet_query::Result<Vec<f64>> {
+    core.execute_plan(&core.plan(queries)?)
+}
 
 fn params(exp: u32, n_queries: usize) -> Vec<(&'static str, Json)> {
     vec![
@@ -52,7 +61,8 @@ fn params(exp: u32, n_queries: usize) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Independently drawn queries: the engine against prefix sums over the
+/// Independently drawn queries: the coefficient path (a plan compiled
+/// and executed on the release core) against prefix sums over the
 /// reconstructed matrix, per query and serving one query from scratch.
 fn serving(
     record: &mut Record,
@@ -60,7 +70,7 @@ fn serving(
     out: &CoefficientOutput,
     budget: f64,
 ) -> Result<(), Box<dyn Error>> {
-    let coeff = ConcurrentEngine::from_output(out)?;
+    let core = ReleaseCore::from_output(out)?;
     let rec = out.to_matrix()?;
     let prefix = PrefixSums::build(rec.matrix());
     let prefix_all = |queries: &[RangeQuery]| {
@@ -72,7 +82,7 @@ fn serving(
     for n_queries in WORKLOADS {
         let queries = interval_workload(&out.schema, n_queries)?;
         // Sanity: the two paths agree before they are timed.
-        let a = coeff.answer_all(&queries)?;
+        let a = compile_and_execute(&core, &queries)?;
         let b = prefix_all(&queries)?;
         for (x, y) in a.iter().zip(&b) {
             // Relative tolerance: the two paths sum the same noisy mass
@@ -84,7 +94,7 @@ fn serving(
             );
         }
         let work = n_queries as f64;
-        let secs = best_of(budget, || coeff.answer_all(black_box(&queries)));
+        let secs = best_of(budget, || compile_and_execute(&core, black_box(&queries)));
         record.push("coeff_answer", params(exp, n_queries), secs, work);
         let secs = best_of(budget, || prefix_all(black_box(&queries)));
         record.push("prefix_answer", params(exp, n_queries), secs, work);
@@ -118,14 +128,15 @@ fn batched(
     budget: f64,
 ) -> Result<(), Box<dyn Error>> {
     let coeff = ConcurrentEngine::from_output(out)?;
+    let core = coeff.core();
     for n_queries in WORKLOADS {
         let catalog = interval_workload(&out.schema, 64.min(n_queries))?;
         let queries: Vec<RangeQuery> = catalog.iter().cycle().take(n_queries).cloned().collect();
 
         // Sanity: the compiled plan and the per-query loop agree bit for
         // bit (one derivation, one kernel).
-        let plan = coeff.plan(&queries)?;
-        let batch = coeff.answer_plan(&plan)?;
+        let plan = core.plan(&queries)?;
+        let batch = core.execute_plan(&plan)?;
         for (q, want) in queries.iter().zip(&batch) {
             let got = coeff.answer(q)?;
             assert_eq!(
@@ -136,11 +147,11 @@ fn batched(
         }
 
         let work = n_queries as f64;
-        let secs = best_of(budget, || coeff.plan(black_box(&queries)));
+        let secs = best_of(budget, || core.plan(black_box(&queries)));
         record.push("plan_compile", params(exp, n_queries), secs, work);
-        let secs = best_of(budget, || coeff.answer_plan(black_box(&plan)));
+        let secs = best_of(budget, || core.execute_plan(black_box(&plan)));
         record.push("plan_execute", params(exp, n_queries), secs, work);
-        let secs = best_of(budget, || coeff.answer_all(black_box(&queries)));
+        let secs = best_of(budget, || compile_and_execute(core, black_box(&queries)));
         record.push("batched", params(exp, n_queries), secs, work);
         let secs = best_of(budget, || {
             black_box(&queries)

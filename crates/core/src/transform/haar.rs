@@ -155,20 +155,6 @@ impl Transform1d for HaarTransform {
         let m = self.padded_len;
         let mut out = Vec::with_capacity(2 * self.levels as usize + 1);
         out.push((0usize, (hi - lo + 1) as f64));
-        if m == 1 {
-            return out;
-        }
-        // Candidate nodes: ancestors of the boundary leaves in the virtual
-        // heap (leaf x ↔ virtual node m + x). BTreeSet dedupes the shared
-        // root-side prefix and yields a deterministic ascending order.
-        let mut nodes = std::collections::BTreeSet::new();
-        for leaf in [lo, hi] {
-            let mut j = (m + leaf) >> 1;
-            while j >= 1 {
-                nodes.insert(j);
-                j >>= 1;
-            }
-        }
         // |[lo, hi] ∩ [a, b)| for an inclusive query interval.
         let overlap = |a: usize, b: usize| -> usize {
             let l = lo.max(a);
@@ -179,14 +165,28 @@ impl Transform1d for HaarTransform {
                 r - l + 1
             }
         };
-        for &j in &nodes {
-            let level_minus_1 = (usize::BITS - 1 - j.leading_zeros()) as usize;
-            let span = m >> level_minus_1;
-            let start = (j - (1usize << level_minus_1)) * span;
+        // Node j of level s (counting up from the leaves) spans 2^s leaves
+        // and is node j − 2^(l−s) of its level.
+        let mut push = |j: usize, s: u32| {
+            let span = 1usize << s;
+            let start = (j - (m >> s)) * span;
             let mid = start + span / 2;
             let w = overlap(start, mid) as f64 - overlap(mid, start + span) as f64;
             if w != 0.0 {
                 out.push((j, w));
+            }
+        };
+        // Candidate nodes: the ancestors of the two boundary leaves in the
+        // virtual heap (leaf x ↔ virtual node m + x), walked level by level
+        // from the root. Heap indices grow level by level and a ≤ b within
+        // a level, so pushing a, then b once the paths split, visits each
+        // candidate once, in ascending order.
+        for s in (1..=self.levels).rev() {
+            let a = (m + lo) >> s;
+            let b = (m + hi) >> s;
+            push(a, s);
+            if b != a {
+                push(b, s);
             }
         }
         out

@@ -58,9 +58,7 @@ impl SiblingRange {
 }
 
 /// The 1-D nominal wavelet transform for a hierarchy-equipped domain.
-/// Two transforms are equal when their hierarchies are structurally equal
-/// (the layout tables are functions of the hierarchy).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct NominalTransform {
     hierarchy: Arc<Hierarchy>,
     /// Level-order position of the leaf at each domain position.
@@ -69,6 +67,16 @@ pub struct NominalTransform {
     /// ranges tile `1..node_count` in order, and every range's parent
     /// comes before it.
     groups: Vec<SiblingRange>,
+}
+
+/// Two transforms are equal when their hierarchies are structurally
+/// equal. The layout tables are functions of the hierarchy, so they are
+/// not compared, and transforms sharing one hierarchy `Arc` compare in
+/// O(1).
+impl PartialEq for NominalTransform {
+    fn eq(&self, other: &Self) -> bool {
+        self.hierarchy == other.hierarchy
+    }
 }
 
 impl NominalTransform {

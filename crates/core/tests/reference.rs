@@ -13,11 +13,14 @@
 //! The nominal kernels run over flat level-order sibling ranges; the
 //! node-id walk they replaced is kept below as a bit-for-bit oracle, so a
 //! reordered sum or a reciprocal multiply in the range loops fails here.
+//! Likewise Haar's `query_weights` walks the two boundary paths level by
+//! level, and the `BTreeSet` walk it replaced pins it entry for entry.
 
 use privelet::transform::{HaarTransform, NominalTransform, Transform1d};
 use privelet_hierarchy::builder::{flat, random as random_hierarchy, three_level};
 use privelet_hierarchy::Hierarchy;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// O(m log m) Haar coefficients straight from the definition, heap layout.
@@ -171,6 +174,67 @@ fn assert_matches_node_id_walk(h: &Arc<Hierarchy>, seed: u64) {
     assert_eq!(bits(&refined), bits(&want_refined), "refine");
 }
 
+/// The `BTreeSet` Haar support walk: collect every ancestor of the two
+/// boundary leaves in the virtual heap (leaf x ↔ node m + x), deduped and
+/// ascending, then weigh each by its covered cells left of its midpoint
+/// minus those right of it, keeping the nonzero ones after the base
+/// coefficient.
+fn btree_haar_query_weights(n: usize, lo: usize, hi: usize) -> Vec<(usize, f64)> {
+    let m = n.next_power_of_two();
+    let mut out = vec![(0usize, (hi - lo + 1) as f64)];
+    let mut nodes = BTreeSet::new();
+    for leaf in [lo, hi] {
+        let mut j = (m + leaf) >> 1;
+        while j >= 1 {
+            nodes.insert(j);
+            j >>= 1;
+        }
+    }
+    let overlap = |a: usize, b: usize| -> usize {
+        let (l, r) = (lo.max(a), hi.min(b - 1));
+        if l > r {
+            0
+        } else {
+            r - l + 1
+        }
+    };
+    for &j in &nodes {
+        let level_minus_1 = (usize::BITS - 1 - j.leading_zeros()) as usize;
+        let span = m >> level_minus_1;
+        let start = (j - (1usize << level_minus_1)) * span;
+        let mid = start + span / 2;
+        let w = overlap(start, mid) as f64 - overlap(mid, start + span) as f64;
+        if w != 0.0 {
+            out.push((j, w));
+        }
+    }
+    out
+}
+
+/// `HaarTransform::query_weights` against the `BTreeSet` walk: the same
+/// indices in the same order, and the same weights bit for bit.
+fn assert_haar_support_matches_btree_walk(n: usize, lo: usize, hi: usize) {
+    let pairs = |v: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+        v.into_iter().map(|(k, w)| (k, w.to_bits())).collect()
+    };
+    assert_eq!(
+        pairs(HaarTransform::new(n).query_weights(lo, hi)),
+        pairs(btree_haar_query_weights(n, lo, hi)),
+        "n = {n}, [{lo}, {hi}]"
+    );
+}
+
+#[test]
+fn haar_supports_match_btree_walk_on_every_small_interval() {
+    for n in 1..=130 {
+        for lo in 0..n {
+            for hi in lo..n {
+                assert_haar_support_matches_btree_walk(n, lo, hi);
+            }
+        }
+    }
+}
+
 #[test]
 fn flat_nominal_kernels_match_node_id_walk_on_fixed_shapes() {
     for h in [flat(1), flat(2), three_level(64, 8)] {
@@ -178,6 +242,28 @@ fn flat_nominal_kernels_match_node_id_walk_on_fixed_shapes() {
         for seed in [1u64, 7, 0xDEAD_BEEF] {
             assert_matches_node_id_walk(&h, seed);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Sampled intervals on domains up to m = 2^20, power-of-two sizes
+    /// included.
+    #[test]
+    fn haar_supports_match_btree_walk_up_to_2_pow_20(
+        exp in 0u32..=20,
+        pad in any::<usize>(),
+        a in any::<usize>(),
+        b in any::<usize>(),
+    ) {
+        let m = 1usize << exp;
+        // n in (m/2, m]: a power of two when pad lands on 0.
+        let n = m - pad % m.div_ceil(2);
+        let lo = a % n;
+        let hi = lo + b % (n - lo);
+        assert_haar_support_matches_btree_walk(n, lo, hi);
+        assert_haar_support_matches_btree_walk(n, 0, n - 1);
     }
 }
 

@@ -1,5 +1,5 @@
-//! The one per-dimension support layout, and bounded LRU memoization
-//! of it.
+//! The one per-dimension support layout, and the serving engine's
+//! bounded LRU memoization of it.
 //!
 //! [`DimSupport`] is what both answering paths read: stride-premultiplied
 //! `(offset, weight)` pairs plus the variance factor, produced by one
@@ -9,23 +9,24 @@
 //! The online one-query-at-a-time serving path would re-derive each
 //! dimension's sparse support (`Transform1d::query_weights`) on every
 //! request, even though OLAP traffic repeats the same predicate
-//! intervals dimension after dimension. [`ShardedSupportCache`] memoizes
-//! supports keyed on `(dim, lo, hi)` so repeated predicates across
-//! requests amortize the derivation the same way a compiled
-//! [`QueryPlan`](crate::QueryPlan) amortizes it within one batch.
+//! intervals dimension after dimension. The crate-private
+//! `ShardedSupportCache` inside
+//! [`ConcurrentEngine`](crate::ConcurrentEngine) memoizes supports keyed
+//! on `(dim, lo, hi)`, so repeated predicates across requests amortize
+//! the derivation the way a compiled plan amortizes it within one batch.
 //!
-//! The cache spreads the keys across N independently locked LRU shards:
-//! concurrent lookups of different supports hash to different shards and
-//! never contend, while each shard is bounded (least-recently-used
-//! eviction) and counts hits, misses and evictions, so serving tiers can
-//! report hit rates and size the capacity. Each entry holds one
-//! dimension's pairs behind an [`Arc`] — `O(polylog m)` of them on
-//! Haar dimensions, O(covered leaves + height) on nominal ones, and at
-//! most two on identity-transformed (SA) dimensions, which the core
-//! stores as prefix sums — so a hit is one clone of a pointer, never of
-//! the support. [`ShardedSupportCache::get_or_derive`] holds the one
-//! shard's lock across the derivation, so each distinct `(dim, lo, hi)`
-//! key is derived at most once per residency in its shard.
+//! Its geometry is fixed: 1024 entries over 8 independently locked LRU
+//! shards of 128, keys routed by a fixed hash. Concurrent lookups of
+//! different supports hash to different shards and rarely contend; each
+//! shard evicts its least recently used entry and counts hits, misses
+//! and evictions, which [`CacheStats`] sums. Each entry holds one
+//! dimension's pairs behind an [`Arc`] — `O(polylog m)` of them on Haar
+//! dimensions, O(covered leaves + height) on nominal ones, and at most
+//! two on identity-transformed (SA) dimensions, which the core stores as
+//! prefix sums — so a hit is one clone of a pointer, never of the
+//! support. A lookup holds its shard's lock across a miss's derivation,
+//! so each distinct `(dim, lo, hi)` key is derived at most once per
+//! residency in its shard.
 
 use crate::release::ReleaseCore;
 use crate::{QueryError, Result};
@@ -37,7 +38,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cache key: `(dimension index, inclusive lo, inclusive hi)` over the
 /// *domain* of that dimension.
-pub type SupportKey = (usize, usize, usize);
+pub(crate) type SupportKey = (usize, usize, usize);
 
 /// One dimension's derived query support plus its precomputed noise
 /// accounting, in the one layout both answering paths read: the sparse
@@ -144,8 +145,8 @@ impl AsRef<[(usize, f64)]> for DimSupport {
 /// a pointer, never the support.
 pub type SharedSupport = Arc<DimSupport>;
 
-/// Hit/miss/eviction counters and current occupancy of a support cache
-/// (one shard, or the aggregate over all shards).
+/// Hit/miss/eviction counters and current occupancy of the serving
+/// engine's support cache, summed over its shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -154,14 +155,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Entries explicitly dropped via
-    /// [`ShardedSupportCache::invalidate_where`] — kept separate from
-    /// `evictions` because invalidation is a correctness action (the
-    /// caller knows the entries are stale), not capacity pressure.
-    pub invalidations: u64,
     /// Entries currently held.
     pub len: usize,
-    /// Maximum entries held (0 disables caching).
+    /// Maximum entries held.
     pub capacity: usize,
 }
 
@@ -183,8 +179,7 @@ impl CacheStats {
 ///
 /// Recency is tracked with a monotone tick per entry and a
 /// `BTreeMap<tick, key>` index, so `get`/`insert` are O(log capacity)
-/// and eviction pops the smallest tick. A capacity of 0 disables the
-/// cache: every lookup misses and nothing is stored.
+/// and eviction pops the smallest tick.
 #[derive(Debug, Default)]
 struct SupportCache {
     capacity: usize,
@@ -194,7 +189,6 @@ struct SupportCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    invalidations: u64,
 }
 
 impl SupportCache {
@@ -226,11 +220,8 @@ impl SupportCache {
     }
 
     /// Stores a freshly derived support, evicting the least recently
-    /// used entry if the cache is full. No-op at capacity 0.
+    /// used entry if the cache is full.
     fn insert(&mut self, key: SupportKey, support: SharedSupport) {
-        if self.capacity == 0 {
-            return;
-        }
         if let Some((_, old_tick)) = self.entries.remove(&key) {
             // Replacing an existing entry never needs an eviction.
             self.by_tick.remove(&old_tick);
@@ -245,84 +236,56 @@ impl SupportCache {
         self.by_tick.insert(self.tick, key);
     }
 
-    /// Drops every resident entry whose key matches `pred`, returning
-    /// how many were dropped (see
-    /// [`ShardedSupportCache::invalidate_where`]).
-    fn invalidate_where(&mut self, mut pred: impl FnMut(&SupportKey) -> bool) -> usize {
-        let stale: Vec<SupportKey> = self.entries.keys().filter(|k| pred(k)).copied().collect();
-        for key in &stale {
-            if let Some((_, tick)) = self.entries.remove(key) {
-                self.by_tick.remove(&tick);
-            }
-        }
-        self.invalidations += stale.len() as u64;
-        stale.len()
-    }
-
     /// Current counters and occupancy.
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            invalidations: self.invalidations,
             len: self.entries.len(),
             capacity: self.capacity,
         }
     }
 }
 
-/// Default shard count of a [`ShardedSupportCache`]: enough lanes that a
-/// handful of serving threads rarely collide, few enough that per-shard
-/// capacity stays useful at the default total capacity.
-pub const DEFAULT_SHARD_COUNT: usize = 8;
+/// Supports the engine's cache holds in total: each entry is one
+/// dimension's `O(polylog m)` weight pairs, so the footprint is a few
+/// hundred kilobytes at most.
+const CAPACITY: usize = 1024;
 
-/// The support cache of the coefficient serving engine: N independently
-/// locked LRU shards, keys routed by a fixed (process-stable) hash of
-/// `(dim, lo, hi)`.
+/// Shards of the engine's cache: enough that a handful of serving
+/// threads rarely collide, few enough that each shard's 128 entries
+/// keep its LRU useful.
+const SHARDS: usize = 8;
+
+/// The support cache of the coefficient serving engine: `SHARDS`
+/// independently locked LRU shards of `CAPACITY / SHARDS` supports each,
+/// keys routed by a fixed (process-stable) hash of `(dim, lo, hi)`.
 ///
 /// Every operation takes `&self` — locking is per shard and internal —
-/// so one `ShardedSupportCache` can sit behind an `Arc` and be hammered
-/// from any number of threads. Lookups of supports in different shards
-/// proceed fully in parallel; only same-shard lookups serialize, and
-/// they hold the lock for the O(log capacity) LRU touch (plus the
-/// O(polylog m) derivation on a miss — see
+/// so one cache sits behind an `Arc` shared by every clone of the engine
+/// and by its later epochs. Lookups in different shards proceed in
+/// parallel; same-shard lookups serialize for the O(log capacity) LRU
+/// touch (plus the derivation on a miss — see
 /// [`get_or_derive`](Self::get_or_derive) for why that is deliberate).
-///
-/// The `capacity` is split evenly across shards, rounded up: each shard
-/// holds at most `ceil(capacity / shards)` supports, so the cache as a
-/// whole can hold up to `shards · ceil(capacity / shards)` (a few more
-/// than `capacity` when the split is uneven). Capacity 0 disables every
-/// shard, and one shard is a single exact LRU. Counters are kept per
-/// shard and aggregate in [`stats`](Self::stats);
-/// [`shard_stats`](Self::shard_stats) exposes the per-shard breakdown
-/// for diagnostics.
 #[derive(Debug)]
-pub struct ShardedSupportCache {
+pub(crate) struct ShardedSupportCache {
     shards: Vec<Mutex<SupportCache>>,
 }
 
 impl ShardedSupportCache {
-    /// A cache of `shards` independently locked shards (clamped to ≥ 1),
-    /// each holding at most `ceil(capacity / shards)` supports — e.g.
-    /// `new(10, 4)` can hold 12. Capacity 0 disables caching.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(shards)
-        };
-        ShardedSupportCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(SupportCache::new(per_shard)))
-                .collect(),
-        }
+    /// An empty cache of the engine's one geometry.
+    pub(crate) fn new() -> Self {
+        Self::with_geometry(CAPACITY, SHARDS)
     }
 
-    /// Number of shards (≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// `shards` shards of `ceil(capacity / shards)` supports each.
+    fn with_geometry(capacity: usize, shards: usize) -> Self {
+        ShardedSupportCache {
+            shards: (0..shards)
+                .map(|_| Mutex::new(SupportCache::new(capacity.div_ceil(shards))))
+                .collect(),
+        }
     }
 
     /// The shard a key routes to. The hash is `DefaultHasher::new()`
@@ -340,18 +303,6 @@ impl ShardedSupportCache {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up a support in its shard, marking it most recently used on
-    /// a hit. Exactly one shard counter (hit or miss) moves per call.
-    pub fn get(&self, key: SupportKey) -> Option<SharedSupport> {
-        self.lock_shard(self.shard_for(key)).get(key)
-    }
-
-    /// Stores a freshly derived support in its shard, evicting that
-    /// shard's least recently used entry if it is full.
-    pub fn insert(&self, key: SupportKey, support: SharedSupport) {
-        self.lock_shard(self.shard_for(key)).insert(key, support)
-    }
-
     /// Looks up `key`, deriving and inserting it via `derive` on a miss
     /// — all under the key's shard lock, so concurrent requests for the
     /// same key perform exactly one derivation (the losers of the lock
@@ -365,7 +316,7 @@ impl ShardedSupportCache {
     /// Errors from `derive` propagate untouched and insert nothing; the
     /// miss is still counted (every call moves exactly one hit or miss
     /// counter, so `hits + misses` always equals the number of calls).
-    pub fn get_or_derive<E>(
+    pub(crate) fn get_or_derive<E>(
         &self,
         key: SupportKey,
         derive: impl FnOnce() -> std::result::Result<SharedSupport, E>,
@@ -379,60 +330,42 @@ impl ShardedSupportCache {
         Ok(support)
     }
 
-    /// Drops every resident entry (across all shards) whose key matches
-    /// `pred`, returning how many were dropped. Invalidations are counted
-    /// apart from evictions (see [`CacheStats::invalidations`]), and
-    /// hit/miss counters do not move, so `hits + misses` keeps equaling
-    /// the lookup count.
-    ///
-    /// Epoch note: per-dimension supports are **data-independent** — a
-    /// pure function of `(dim, lo, hi)` and the transform — so rolling a
-    /// release to a new epoch of the *same* transform must NOT
-    /// invalidate them. This hook exists for the cases where cached
-    /// state really does go stale: a schema/transform swap, or targeted
-    /// memory reclamation. Shards are swept one lock at a time —
-    /// concurrent lookups in other shards proceed, so a sweep never
-    /// stalls the serving tier globally.
-    pub fn invalidate_where(&self, mut pred: impl FnMut(&SupportKey) -> bool) -> usize {
+    /// Counters and occupancy summed over every shard (`capacity` is the
+    /// sum of the per-shard bounds).
+    pub(crate) fn stats(&self) -> CacheStats {
         (0..self.shards.len())
-            .map(|i| self.lock_shard(i).invalidate_where(&mut pred))
-            .sum()
-    }
-
-    /// Aggregated counters and occupancy across all shards. `capacity`
-    /// is the sum of per-shard bounds (≥ the constructor's `capacity`
-    /// due to the even split rounding up).
-    pub fn stats(&self) -> CacheStats {
-        self.shard_stats()
-            .into_iter()
+            .map(|i| self.lock_shard(i).stats())
             .fold(CacheStats::default(), |acc, s| CacheStats {
                 hits: acc.hits + s.hits,
                 misses: acc.misses + s.misses,
                 evictions: acc.evictions + s.evictions,
-                invalidations: acc.invalidations + s.invalidations,
                 len: acc.len + s.len,
                 capacity: acc.capacity + s.capacity,
             })
-    }
-
-    /// Per-shard counters, in shard order — the breakdown serving-tier
-    /// diagnostics report next to the aggregate.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).stats())
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread;
 
     fn support(v: usize) -> SharedSupport {
         Arc::new(DimSupport {
             terms: vec![(v, 1.0)],
             variance_factor: 1.0,
         })
+    }
+
+    /// Thread-stress iteration count: `default`, or the
+    /// `PRIVELET_STRESS_ITERS` environment variable when set (CI raises
+    /// it for release-mode runs).
+    fn stress_iters(default: usize) -> usize {
+        std::env::var("PRIVELET_STRESS_ITERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
     }
 
     #[test]
@@ -454,6 +387,7 @@ mod tests {
         assert_eq!(stats.len, 2);
         assert_eq!(stats.capacity, 2);
         assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     #[test]
@@ -464,34 +398,6 @@ mod tests {
         assert_eq!(cache.get((0, 0, 1)).unwrap().terms[0].0, 9);
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().len, 1);
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_cache() {
-        let mut cache = SupportCache::new(0);
-        cache.insert((0, 0, 1), support(1));
-        assert!(cache.get((0, 0, 1)).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.len, 0);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn zero_capacity_counters_do_not_drift() {
-        // Hammering a disabled cache must leave every counter consistent:
-        // no entries, no evictions, one miss per lookup, nothing stored.
-        let mut cache = SupportCache::new(0);
-        for round in 0..10u64 {
-            cache.insert((0, 0, 1), support(round as usize));
-            assert!(cache.get((0, 0, 1)).is_none());
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.len, 0);
-        assert_eq!(stats.capacity, 0);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 10);
-        assert_eq!(stats.evictions, 0);
     }
 
     #[test]
@@ -540,82 +446,33 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_where_drops_matches_and_counts_separately() {
-        let mut cache = SupportCache::new(8);
-        for i in 0..4usize {
-            cache.insert((i % 2, i, i), support(i));
-        }
-        // Invalidate dimension 0's entries: (0,0,0) and (0,2,2).
-        let dropped = cache.invalidate_where(|&(dim, _, _)| dim == 0);
-        assert_eq!(dropped, 2);
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 2);
-        assert_eq!(stats.evictions, 0, "invalidation is not eviction");
-        assert_eq!(stats.len, 2);
-        // Dropped keys miss, survivors hit; hits+misses still counts
-        // lookups only (inserts move neither).
-        assert!(cache.get((0, 0, 0)).is_none());
-        assert!(cache.get((1, 1, 1)).is_some());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // Re-inserting an invalidated key needs no eviction.
-        cache.insert((0, 0, 0), support(9));
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.stats().len, 3);
-    }
-
-    #[test]
-    fn sharded_invalidate_where_sweeps_all_shards() {
-        let cache = ShardedSupportCache::new(64, 4);
-        let keys: Vec<SupportKey> = (0..12).map(|i| (i % 3, i, i + 1)).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            cache.insert(key, support(i));
-        }
-        let dropped = cache.invalidate_where(|&(dim, _, _)| dim == 1);
-        assert_eq!(dropped, 4, "keys 1, 4, 7, 10");
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 4);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.len, 8);
-        for &key in &keys {
-            assert_eq!(cache.get(key).is_some(), key.0 != 1);
-        }
-    }
-
-    #[test]
     fn sharded_cache_routes_and_aggregates() {
-        let cache = ShardedSupportCache::new(64, 4);
-        assert_eq!(cache.shard_count(), 4);
+        let cache = ShardedSupportCache::new();
         let keys: Vec<SupportKey> = (0..16).map(|i| (i % 3, i, i + 1)).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            assert!(cache.get(key).is_none());
-            cache.insert(key, support(i));
-        }
-        for (i, &key) in keys.iter().enumerate() {
-            assert_eq!(
-                cache.get(key).unwrap().terms[0].0,
-                i,
-                "routing must be stable"
-            );
+        let supports: Vec<SharedSupport> = (0..keys.len()).map(support).collect();
+        // First pass derives every key, the second must return the very
+        // support the first stored under it.
+        for _ in 0..2 {
+            for (key, want) in keys.iter().zip(&supports) {
+                let got = cache
+                    .get_or_derive(*key, || Ok::<_, ()>(Arc::clone(want)))
+                    .unwrap();
+                assert!(Arc::ptr_eq(&got, want), "routing must be stable");
+            }
         }
         let stats = cache.stats();
         assert_eq!(stats.hits, 16);
         assert_eq!(stats.misses, 16);
         assert_eq!(stats.len, 16);
-        assert_eq!(stats.capacity, 64);
-        let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        assert_eq!(per_shard.iter().map(|s| s.len).sum::<usize>(), 16);
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), 16);
-        // Each shard is bounded at ceil(capacity / shards), so an uneven
-        // split holds a few more than the requested capacity.
-        assert_eq!(ShardedSupportCache::new(10, 4).stats().capacity, 12);
-        assert_eq!(ShardedSupportCache::new(10, 0).shard_count(), 1);
+        assert_eq!(stats.evictions, 0);
+        // The one geometry: 8 shards of 128.
+        assert_eq!(stats.capacity, CAPACITY);
+        assert_eq!(cache.shards.len(), SHARDS);
     }
 
     #[test]
     fn sharded_get_or_derive_derives_once_and_counts_errors() {
-        let cache = ShardedSupportCache::new(64, 4);
+        let cache = ShardedSupportCache::new();
         let mut derivations = 0;
         for _ in 0..3 {
             let s = cache
@@ -639,23 +496,88 @@ mod tests {
         assert_eq!(stats.len, 1);
     }
 
-    #[test]
-    fn sharded_zero_capacity_disables_every_shard() {
-        let cache = ShardedSupportCache::new(0, 4);
-        let mut derivations = 0;
-        for _ in 0..2 {
-            cache
-                .get_or_derive((0, 0, 1), || {
-                    derivations += 1;
-                    Ok::<_, ()>(support(1))
-                })
-                .unwrap();
-        }
-        // Nothing is retained, so every call re-derives.
-        assert_eq!(derivations, 2);
+    /// Hammers `cache` from `WRITERS` threads, each walking every key
+    /// `iters` times from its own offset, and returns how often each key
+    /// was derived. Every lookup must return the support derived for its
+    /// own key.
+    fn hammer(cache: &ShardedSupportCache, keys: &[SupportKey], iters: usize) -> Vec<u64> {
+        const WRITERS: usize = 8;
+        let derivations: Vec<AtomicU64> = keys.iter().map(|_| AtomicU64::new(0)).collect();
+        let supports: Vec<SharedSupport> = (0..keys.len()).map(support).collect();
+        thread::scope(|s| {
+            for t in 0..WRITERS {
+                let derivations = &derivations;
+                let supports = &supports;
+                s.spawn(move || {
+                    for round in 0..iters {
+                        // Offset the walk per thread so lock acquisition
+                        // interleaves instead of convoying.
+                        for i in 0..keys.len() {
+                            let k = (i + t + round) % keys.len();
+                            let support = cache
+                                .get_or_derive(keys[k], || {
+                                    derivations[k].fetch_add(1, Ordering::SeqCst);
+                                    Ok::<_, ()>(Arc::clone(&supports[k]))
+                                })
+                                .unwrap();
+                            assert!(
+                                Arc::ptr_eq(&support, &supports[k]),
+                                "supports must never cross keys"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        let requests = (WRITERS * iters * keys.len()) as u64;
         let stats = cache.stats();
-        assert_eq!(stats.capacity, 0);
-        assert_eq!(stats.len, 0);
-        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.hits + stats.misses, requests, "one counter per call");
+        derivations
+            .iter()
+            .map(|d| d.load(Ordering::SeqCst))
+            .collect()
+    }
+
+    /// Many threads on one sharded cache with ample capacity: counters
+    /// conserve, nothing is evicted, and every key is derived exactly
+    /// once in its shard.
+    #[test]
+    fn contended_sharded_cache_conserves_counters_and_derives_once() {
+        const KEYS: usize = 48;
+        let cache = ShardedSupportCache::with_geometry(4 * KEYS, 8);
+        let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
+        let derivations = hammer(&cache, &keys, stress_iters(16));
+
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 0, "ample capacity: nothing evicted");
+        assert_eq!(stats.len, KEYS);
+        for (k, &d) in derivations.iter().enumerate() {
+            assert_eq!(d, 1, "key {k} must be derived exactly once in its shard");
+        }
+        // Misses == inserts == distinct keys, since each key missed once.
+        assert_eq!(stats.misses as usize, KEYS);
+    }
+
+    /// The same hammering under eviction pressure (capacity far below the
+    /// key count): counters still conserve, evictions never exceed
+    /// inserts, and occupancy respects the bound.
+    #[test]
+    fn contended_sharded_cache_conserves_counters_under_eviction_pressure() {
+        const KEYS: usize = 64;
+        let cache = ShardedSupportCache::with_geometry(8, 4); // 2 entries per shard
+        let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
+        let derivations = hammer(&cache, &keys, stress_iters(8));
+
+        let stats = cache.stats();
+        // Every miss performed exactly one derivation and one insert.
+        assert_eq!(derivations.iter().sum::<u64>(), stats.misses);
+        assert!(
+            stats.evictions <= stats.misses,
+            "evictions ({}) must not exceed inserts ({})",
+            stats.evictions,
+            stats.misses
+        );
+        assert!(stats.len <= stats.capacity);
+        assert_eq!(stats.len as u64, stats.misses - stats.evictions);
     }
 }

@@ -6,21 +6,27 @@
 //! two boundary root-to-leaf paths — so a query can be answered
 //! *directly in the noisy coefficient domain* as a sparse tensor-product
 //! dot, without ever inverting the transform or building O(m) prefix
-//! sums. [`ConcurrentEngine`] serves that path: an [`Arc`]-shared
-//! immutable [`ReleaseCore`] (built once: validation, the O(m')
-//! refinement nominal dimensions need, the prefix-sum pass along
-//! identity axes, the total) plus an `Arc`-shared hash-sharded
-//! [`ShardedSupportCache`] memoizing per-dimension supports for the
-//! online path. Each `answer` then reads `∏ᵢ |supportᵢ|` coefficients:
-//! O(log mᵢ) on a Haar axis and at most two on an identity (SA) axis, so
-//! a Basic release (every axis identity) reads the 2^d corners of a
-//! summed-area table. It is the one engine for every release; its
-//! answers agree with reconstruct-then-prefix-sum over `to_matrix()` to
-//! floating-point rounding (property-tested at the workspace root).
+//! sums. [`ConcurrentEngine`] serves that path one query at a time: an
+//! [`Arc`]-shared immutable [`ReleaseCore`] (built once: validation, the
+//! O(m') refinement nominal dimensions need, the prefix-sum pass along
+//! identity axes, the total) plus an `Arc`-shared support cache of fixed
+//! geometry (1024 supports over 8 hash-routed LRU shards) memoizing
+//! per-dimension supports. Each `answer` then reads `∏ᵢ |supportᵢ|`
+//! coefficients: O(log mᵢ) on a Haar axis and at most two on an identity
+//! (SA) axis, so a Basic release (every axis identity) reads the 2^d
+//! corners of a summed-area table. Its answers agree with
+//! reconstruct-then-prefix-sum over `to_matrix()` to floating-point
+//! rounding (property-tested at the workspace root).
+//!
+//! Everything else lives on the core, reached through
+//! [`core`](ConcurrentEngine::core): batches compile with
+//! [`ReleaseCore::plan`] and run with [`ReleaseCore::execute_plan`]
+//! (cache-free; a plan interns its own supports), and
+//! [`ReleaseCore::answer_uncached`] is the cache-free online answer.
 //!
 //! A release is write-once, read-many, so no lock guards the
 //! coefficients (nothing mutates them), and online lookups of different
-//! supports hash to different cache shards and never contend. Cloning
+//! supports hash to different cache shards and rarely contend. Cloning
 //! the engine is two `Arc` bumps; the natural deployment is one clone
 //! per serving thread over one core.
 //!
@@ -30,27 +36,21 @@
 //! cache-free reference ([`ReleaseCore::answer_uncached`]) and to a
 //! shared plan's ([`ReleaseCore::execute_plan`]).
 //! `tests/concurrent_serving.rs` asserts this from scoped threads on
-//! random mixed schemas, along with the sharded cache's counter
-//! conservation under contention and compile-time `Send + Sync` for the
-//! plan, the core and the engine.
+//! random mixed schemas, along with counter conservation under
+//! contention and compile-time `Send + Sync` for the plan, the core and
+//! the engine.
 
-use crate::cache::{CacheStats, ShardedSupportCache, SharedSupport, DEFAULT_SHARD_COUNT};
+use crate::cache::{CacheStats, ShardedSupportCache, SharedSupport};
 use crate::engine::AnnotatedAnswer;
 use crate::plan::QueryPlan;
 use crate::range_query::RangeQuery;
 use crate::release::ReleaseCore;
-use crate::{QueryError, Result};
+use crate::Result;
 use privelet::mechanism::CoefficientOutput;
-use privelet_data::schema::Schema;
 use std::sync::Arc;
 
-/// Default bound on the online support cache: each entry holds one
-/// dimension's `O(polylog m)` weight pairs, so the default footprint is
-/// a few hundred kilobytes at most.
-pub const DEFAULT_SUPPORT_CACHE_CAPACITY: usize = 1024;
-
 /// The coefficient-domain answering engine: an `Arc`-shared immutable
-/// [`ReleaseCore`] plus an `Arc`-shared [`ShardedSupportCache`].
+/// [`ReleaseCore`] plus an `Arc`-shared support cache.
 ///
 /// All methods take `&self`; the engine is `Send + Sync` and `Clone`
 /// (two pointer bumps — clones serve the same release through the same
@@ -62,22 +62,13 @@ pub struct ConcurrentEngine {
 }
 
 impl ConcurrentEngine {
-    /// Wraps a (possibly already shared) release core with a fresh cache
-    /// of [`DEFAULT_SUPPORT_CACHE_CAPACITY`] over
-    /// [`DEFAULT_SHARD_COUNT`] shards. The core's one-time work
-    /// (validation, refinement, total) is not repeated.
+    /// Wraps a (possibly already shared) release core with a fresh, empty
+    /// support cache. The core's one-time work (validation, refinement,
+    /// total) is not repeated.
     pub fn new(core: Arc<ReleaseCore>) -> Self {
-        Self::with_cache(core, DEFAULT_SUPPORT_CACHE_CAPACITY, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Wraps a release core with a fresh cache of `shards` shards
-    /// (clamped to ≥ 1), each bounded at `ceil(capacity / shards)`
-    /// supports — so up to `shards · ceil(capacity / shards)` in total.
-    /// Capacity 0 disables caching; one shard is a single exact LRU.
-    pub fn with_cache(core: Arc<ReleaseCore>, capacity: usize, shards: usize) -> Self {
         ConcurrentEngine {
             core,
-            cache: Arc::new(ShardedSupportCache::new(capacity, shards)),
+            cache: Arc::new(ShardedSupportCache::new()),
         }
     }
 
@@ -105,20 +96,11 @@ impl ConcurrentEngine {
         })
     }
 
-    /// The shared release core. Clone the `Arc` to serve the same
-    /// release through another engine (e.g. one with a fresh cache).
+    /// The shared release core: its schema and total, the cache-free
+    /// answers, and plan compile and execute. Clone the `Arc` to serve
+    /// the same release through another engine with a fresh cache.
     pub fn core(&self) -> &Arc<ReleaseCore> {
         &self.core
-    }
-
-    /// The schema queries are validated against.
-    pub fn schema(&self) -> &Schema {
-        self.core.schema()
-    }
-
-    /// The (noisy) total count — the unconstrained query's answer.
-    pub fn total(&self) -> f64 {
-        self.core.total()
     }
 
     /// Answers one range-count query as a sparse tensor-product dot
@@ -144,78 +126,17 @@ impl ConcurrentEngine {
     ///
     /// Errors with [`QueryError::MissingPrivacyMeta`] when the release
     /// carries no privacy accounting.
+    ///
+    /// [`QueryError::MissingPrivacyMeta`]: crate::QueryError::MissingPrivacyMeta
     pub fn answer_with_error(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
         let supports = self.supports(q)?;
         self.core.annotate(self.core.dot(&supports)?, &supports)
     }
 
-    /// Answers a whole workload by compiling a [`QueryPlan`] (one
-    /// support derivation per distinct `(dim, lo, hi)` triple across the
-    /// batch) and executing it against the shared core — no cache (and
-    /// so no lock) involved at all. For a workload served repeatedly,
-    /// compile once with [`plan`](Self::plan) and let every thread call
-    /// [`answer_plan`](Self::answer_plan) on the shared plan.
-    pub fn answer_all(&self, queries: &[RangeQuery]) -> Result<Vec<f64>> {
-        self.answer_plan(&self.plan(queries)?)
-    }
-
-    /// Compiles a workload against the shared release. The plan is
-    /// immutable and `Send + Sync`: compile once, share by reference (or
-    /// `Arc`), execute from any number of threads.
-    pub fn plan(&self, queries: &[RangeQuery]) -> Result<QueryPlan> {
-        self.core.plan(queries)
-    }
-
-    /// Executes a compiled plan against the shared stored coefficients.
-    /// Allocates only the output vector; any number of threads may
-    /// execute the same plan concurrently, each getting a bit-identical
-    /// result.
-    pub fn answer_plan(&self, plan: &QueryPlan) -> Result<Vec<f64>> {
-        self.core.execute_plan(plan)
-    }
-
-    /// [`answer_plan`](Self::answer_plan) with error accounting from the
-    /// plan's compile-time-interned variance factors: same dots, zero
-    /// derivations, no locks — as shareable across threads as the plain
-    /// plan execution.
-    pub fn answer_plan_with_error(&self, plan: &QueryPlan) -> Result<Vec<AnnotatedAnswer>> {
-        self.core.execute_plan_with_error(plan)
-    }
-
-    /// Aggregated hit/miss/eviction counters across all cache shards.
+    /// Hit/miss/eviction counters and occupancy of the support cache,
+    /// summed over its shards.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Drops every cached support whose key matches `pred`, returning
-    /// the number removed. Epoch advances do **not** need this —
-    /// supports are data-independent and survive coefficient rolls;
-    /// reach for it on genuine staleness (schema or transform swap) or
-    /// deliberate memory reclamation.
-    pub fn invalidate_where(&self, pred: impl FnMut(&crate::cache::SupportKey) -> bool) -> usize {
-        self.cache.invalidate_where(pred)
-    }
-
-    /// Per-shard cache counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.cache.shard_stats()
-    }
-
-    /// Number of cache shards.
-    pub fn shard_count(&self) -> usize {
-        self.cache.shard_count()
-    }
-
-    /// Selectivity of a query relative to a tuple count `n`.
-    ///
-    /// Errors with [`QueryError::ZeroPopulation`] when `n == 0`: the
-    /// ratio is undefined, so it is refused rather than silently
-    /// reported as 0.
-    pub fn selectivity(&self, q: &RangeQuery, n: usize) -> Result<f64> {
-        if n == 0 {
-            return Err(QueryError::ZeroPopulation);
-        }
-        Ok(self.answer(q)? / n as f64)
     }
 
     /// Resolves a query to its per-dimension sparse supports through the
@@ -248,10 +169,11 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
+    use crate::QueryError;
     use privelet::mechanism::{publish_coefficients, PriveletConfig};
     use privelet::transform::HnTransform;
     use privelet_data::medical::medical_example;
-    use privelet_data::schema::Attribute;
+    use privelet_data::schema::{Attribute, Schema};
     use privelet_data::FrequencyMatrix;
     use privelet_matrix::{NdMatrix, PrefixSums};
     use std::collections::BTreeSet;
@@ -292,13 +214,8 @@ mod tests {
         let engine = ConcurrentEngine::from_output(&out).unwrap();
         let core = engine.core();
         let qs = medical_queries(&fm);
-        // Plan path vs the core's own compile + execute: bitwise.
-        let batch = engine.answer_all(&qs).unwrap();
-        let want = core.execute_plan(&core.plan(&qs).unwrap()).unwrap();
-        assert_eq!(batch.len(), want.len());
-        for (got, want) in batch.iter().zip(&want) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
+        let batch = core.execute_plan(&core.plan(&qs).unwrap()).unwrap();
+        assert_eq!(batch.len(), qs.len());
         for (q, &plan) in qs.iter().zip(&batch) {
             // Online (cached) vs the cache-free reference and the plan:
             // one derivation, one kernel, so bitwise.
@@ -306,11 +223,6 @@ mod tests {
             assert_eq!(got.to_bits(), core.answer_uncached(q).unwrap().to_bits());
             assert_eq!(got.to_bits(), plan.to_bits(), "online {got} vs plan {plan}");
         }
-        assert_eq!(engine.total().to_bits(), core.total().to_bits());
-        assert_eq!(
-            engine.selectivity(&qs[0], 0).unwrap_err(),
-            QueryError::ZeroPopulation
-        );
     }
 
     #[test]
@@ -325,7 +237,7 @@ mod tests {
                 let b = q.evaluate_prefix(rec.schema(), &prefix).unwrap();
                 assert!((a - b).abs() < 1e-9, "seed {seed}: {a} vs {b}");
             }
-            assert!((engine.total() - prefix.total()).abs() < 1e-9);
+            assert!((engine.core().total() - prefix.total()).abs() < 1e-9);
         }
     }
 
@@ -343,8 +255,7 @@ mod tests {
             let got = engine.answer(&q).unwrap();
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         }
-        assert!((engine.total() - 8.0).abs() < 1e-9);
-        assert!((engine.selectivity(&RangeQuery::all(2), 8).unwrap() - 1.0).abs() < 1e-9);
+        assert!((engine.core().total() - 8.0).abs() < 1e-9);
         // No λ, no error model.
         assert_eq!(
             engine.answer_with_error(&RangeQuery::all(2)).unwrap_err(),
@@ -353,10 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_cache_amortizes_and_zero_capacity_disables_it() {
+    fn cache_amortizes_repeated_predicates() {
         let (fm, out) = medical_release(19);
-        let core = Arc::new(ReleaseCore::from_output(&out).unwrap());
-        let engine = ConcurrentEngine::with_cache(Arc::clone(&core), 64, 1);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
         assert_eq!(engine.cache_stats().hits, 0);
         let q = &medical_queries(&fm)[1];
         let first = engine.answer(q).unwrap();
@@ -368,13 +278,11 @@ mod tests {
         assert_eq!(engine.answer(q).unwrap().to_bits(), first.to_bits());
         let after_second = engine.cache_stats();
         assert_eq!((after_second.hits, after_second.misses), (2, 2));
-        assert_eq!(after_second.capacity, 64);
-        // A disabled cache still answers correctly, and stores nothing.
-        let uncached = ConcurrentEngine::with_cache(core, 0, 1);
-        assert_eq!(uncached.answer(q).unwrap().to_bits(), first.to_bits());
-        assert_eq!(uncached.answer(q).unwrap().to_bits(), first.to_bits());
-        let stats = uncached.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (0, 4, 0));
+        assert_eq!(after_second.len, 2);
+        // The cache-free path is the core's, and agrees bit for bit.
+        let uncached = engine.core().answer_uncached(q).unwrap();
+        assert_eq!(uncached.to_bits(), first.to_bits());
+        assert_eq!(engine.cache_stats(), after_second);
     }
 
     #[test]
@@ -406,8 +314,8 @@ mod tests {
         assert_eq!(after.hits - warm.hits, (qs.len() * 2) as u64);
 
         // The plan path annotates from compile-time factors and agrees.
-        let plan = engine.plan(&qs).unwrap();
-        let annotated_plan = engine.answer_plan_with_error(&plan).unwrap();
+        let plan = core.plan(&qs).unwrap();
+        let annotated_plan = core.execute_plan_with_error(&plan).unwrap();
         assert_eq!(engine.cache_stats(), after, "plan execution is cache-free");
         for (q, a) in qs.iter().zip(&annotated_plan) {
             let online = engine.answer_with_error(q).unwrap();
@@ -422,10 +330,11 @@ mod tests {
         let (fm, out) = medical_release(37);
         let engine = ConcurrentEngine::from_output(&out).unwrap();
         let qs = medical_queries(&fm);
-        let plan = engine.plan(&qs).unwrap();
-        let want = engine.answer_plan(&plan).unwrap();
+        let plan = engine.core().plan(&qs).unwrap();
+        let want = engine.core().execute_plan(&plan).unwrap();
         let clone = engine.clone();
-        assert_eq!(clone.answer_plan(&plan).unwrap(), want);
+        assert!(Arc::ptr_eq(engine.core(), clone.core()));
+        assert_eq!(clone.core().execute_plan(&plan).unwrap(), want);
         // Clones share the cache, so online traffic on the clone shows
         // up in the original's counters.
         clone.answer(&qs[1]).unwrap();
@@ -458,7 +367,6 @@ mod tests {
             .map(|q| engine.answer(q).unwrap().to_bits())
             .collect();
         assert_eq!(after, before);
-        assert_eq!(engine.total().to_bits(), engine.core().total().to_bits());
     }
 
     #[test]
@@ -509,26 +417,18 @@ mod tests {
     #[test]
     fn cache_stats_aggregate_the_shards() {
         let (fm, out) = medical_release(37);
-        let engine =
-            ConcurrentEngine::with_cache(Arc::new(ReleaseCore::from_output(&out).unwrap()), 64, 4);
+        let engine = ConcurrentEngine::from_output(&out).unwrap();
         let qs = medical_queries(&fm);
         for q in &qs {
             engine.answer(q).unwrap();
         }
-        assert_eq!(engine.shard_count(), 4);
         assert_eq!(engine.core().coefficients().len(), out.coefficient_count());
         let stats = engine.cache_stats();
         // The last query repeats query 1: both dims hit; counters conserve.
         assert!(stats.hits >= 2);
         assert_eq!(stats.hits + stats.misses, (qs.len() * 2) as u64);
-        assert_eq!(
-            engine.shard_stats().iter().map(|s| s.len).sum::<usize>(),
-            stats.len
-        );
-        assert_eq!(
-            ConcurrentEngine::from_output(&out).unwrap().shard_count(),
-            8
-        );
+        assert_eq!(stats.len as u64, stats.misses);
+        assert_eq!(stats.capacity, 1024);
     }
 
     #[test]
@@ -571,7 +471,7 @@ mod tests {
         let engine = ConcurrentEngine::from_output(&out).unwrap();
         let bad = RangeQuery::new(vec![Predicate::Range { lo: 9, hi: 9 }, Predicate::All]);
         assert!(engine.answer(&bad).is_err());
-        assert!(engine.answer_all(&[bad]).is_err());
+        assert!(engine.core().plan(&[bad]).is_err());
         assert_eq!(engine.cache_stats().hits + engine.cache_stats().misses, 0);
     }
 

@@ -1,8 +1,9 @@
 //! Error-annotated answers: a value plus its exact noise std-dev.
 //!
-//! Both serving paths of the one engine — online answers and compiled
-//! plans ([`ConcurrentEngine`](crate::ConcurrentEngine),
-//! [`ReleaseCore`](crate::ReleaseCore)) — return an [`AnnotatedAnswer`]
+//! Both serving paths — online answers
+//! ([`ConcurrentEngine`](crate::ConcurrentEngine), or the core's
+//! cache-free ones) and compiled plans
+//! ([`ReleaseCore`](crate::ReleaseCore)) — return an [`AnnotatedAnswer`]
 //! when asked for one, on a release that carries its privacy
 //! accounting.
 

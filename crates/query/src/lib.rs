@@ -23,18 +23,20 @@
 //! - [`release`] — [`ReleaseCore`]: the immutable `Send + Sync` core of
 //!   one coefficient-domain release (schema, transform, and the noisy
 //!   coefficients stored refined, with identity axes as prefix sums),
-//!   shared across threads via `Arc`.
-//! - [`concurrent`] — [`ConcurrentEngine`]: the one serving engine over
-//!   a shared core, for every release — O(log m) coefficient reads per
-//!   Haar dimension and two per identity (SA) dimension, instead of an
-//!   O(m) reconstruction before the first query.
+//!   shared across threads via `Arc`. It holds every cache-free call:
+//!   uncached answers, and batch plan compile and execute.
+//! - [`concurrent`] — [`ConcurrentEngine`]: the one online serving engine
+//!   for every release, a shared core plus one support cache of fixed
+//!   geometry — O(log m) coefficient reads per Haar dimension and two per
+//!   identity (SA) dimension, instead of an O(m) reconstruction before
+//!   the first query.
 //! - [`plan`] — [`QueryPlan`]: a batch compiled into interned supports
 //!   and CSR-style span lists over one contiguous arena.
 //! - [`cache`] — [`DimSupport`], the one support layout both paths read
 //!   (stride-premultiplied `(offset, weight)` pairs over the core's
-//!   stored coefficients, derived by one function), and
-//!   [`ShardedSupportCache`]: hash-sharded, bounded LRU memoization of
-//!   supports for the online path.
+//!   stored coefficients, derived by one function), the engine's
+//!   crate-private hash-sharded LRU memoization of it, and its
+//!   [`CacheStats`].
 //! - [`workload`] — the random workload generator of §VII-A (40 000 queries,
 //!   1–4 predicates each).
 //! - [`metrics`] — square error and relative error with the sanity bound
@@ -63,7 +65,7 @@ pub mod release;
 pub mod workload;
 
 pub use buckets::{quantile_rows, BucketRow};
-pub use cache::{CacheStats, DimSupport, ShardedSupportCache, DEFAULT_SHARD_COUNT};
+pub use cache::{CacheStats, DimSupport};
 pub use concurrent::ConcurrentEngine;
 pub use engine::AnnotatedAnswer;
 pub use metrics::{relative_error, sanity_bound, square_error};
@@ -97,9 +99,6 @@ pub enum QueryError {
     },
     /// The matrix/prefix structure does not match the schema.
     ShapeMismatch,
-    /// A selectivity was requested over an empty population (`n == 0`),
-    /// for which the ratio is undefined.
-    ZeroPopulation,
     /// Error-annotated answering was requested on a release that carries
     /// no privacy accounting (a core built from a bare coefficient
     /// matrix): without λ the noise std-dev is unknowable. Build the
@@ -154,12 +153,6 @@ impl std::fmt::Display for QueryError {
                 )
             }
             QueryError::ShapeMismatch => write!(f, "matrix shape does not match schema"),
-            QueryError::ZeroPopulation => {
-                write!(
-                    f,
-                    "selectivity is undefined over an empty population (n = 0)"
-                )
-            }
             QueryError::MissingPrivacyMeta => {
                 write!(
                     f,

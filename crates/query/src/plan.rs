@@ -16,7 +16,8 @@
 //! arena — no per-query allocation, hashing, or bounds re-validation —
 //! so plan answers equal online answers bit for bit. The supports are in
 //! the core's stored layout, so a plan is compiled and executed only
-//! through a core.
+//! through a core, and only on a core of the same per-axis transforms
+//! (the plan keeps the ones it was compiled against).
 //!
 //! The plan is also the dedup ledger: [`support_requests`] counts the
 //! `(query, dim)` pairs the batch asked for, [`distinct_supports`] the
@@ -38,8 +39,8 @@ use crate::kernel::tensor_dot;
 use crate::range_query::RangeQuery;
 use crate::release::ReleaseCore;
 use crate::{QueryError, Result};
+use privelet::transform::DimTransform;
 use privelet::PrivacyMeta;
-use privelet_matrix::NdMatrix;
 use std::collections::HashMap;
 
 /// A batch of range-count queries compiled against one release core,
@@ -56,8 +57,10 @@ use std::collections::HashMap;
 /// point of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
-    /// Coefficient dims the plan was compiled for (execution validates).
-    coeff_dims: Vec<usize>,
+    /// The per-axis transforms of the core the plan was compiled on.
+    /// They fix the stored layout, and with it the coefficient dims, so
+    /// execution refuses a core whose transforms differ.
+    transforms: Vec<DimTransform>,
     /// Arena of pooled supports: each one's [`DimSupport::terms`],
     /// back to back.
     arena: Vec<(usize, f64)>,
@@ -102,7 +105,6 @@ impl QueryPlan {
     pub(crate) fn compile(core: &ReleaseCore, queries: &[RangeQuery]) -> Result<QueryPlan> {
         let schema = core.schema();
         let ndim = schema.arity();
-        let coeff_dims = core.coefficients().dims().to_vec();
 
         let mut pool: HashMap<(usize, usize, usize), u32> = HashMap::new();
         let mut query_pool: HashMap<&RangeQuery, u32> = HashMap::new();
@@ -170,7 +172,7 @@ impl QueryPlan {
         exec_order.sort_by_key(|&qid| (spans[span_ids[qid as usize * ndim] as usize].0, qid));
 
         Ok(QueryPlan {
-            coeff_dims,
+            transforms: core.transform().transforms().to_vec(),
             arena,
             spans,
             span_factors,
@@ -184,16 +186,23 @@ impl QueryPlan {
         })
     }
 
-    /// Executes the plan against its core's stored coefficients,
-    /// returning one answer per compiled query. The allocations are the
-    /// returned vector and one `O(distinct queries)` scratch vector:
-    /// each **distinct** query's sparse dot runs once, and repeated
-    /// queries fan the memoized answer out in input order.
-    pub(crate) fn execute(&self, coeffs: &NdMatrix) -> Result<Vec<f64>> {
-        if coeffs.dims() != self.coeff_dims {
+    /// Executes the plan against `core`'s stored coefficients, returning
+    /// one answer per compiled query. The allocations are the returned
+    /// vector and one `O(distinct queries)` scratch vector: each
+    /// **distinct** query's sparse dot runs once, and repeated queries
+    /// fan the memoized answer out in input order.
+    ///
+    /// Errors with [`QueryError::ShapeMismatch`] when `core`'s per-axis
+    /// transforms differ from the ones the plan was compiled against: a
+    /// core of another lineage can share the coefficient dims (an
+    /// identity and a Haar axis both store 2^k entries), and its layout
+    /// would answer a different functional. Epochs of one release keep
+    /// their transforms, so a plan runs on every epoch of its series.
+    pub(crate) fn execute(&self, core: &ReleaseCore) -> Result<Vec<f64>> {
+        if core.transform().transforms() != self.transforms.as_slice() {
             return Err(QueryError::ShapeMismatch);
         }
-        let data = coeffs.as_slice();
+        let data = core.coefficients().as_slice();
         // Distinct dots run in the locality schedule computed at compile
         // time and land by id, so the fan-out below (and every float)
         // is independent of the schedule. One reusable buffer holds the
@@ -229,10 +238,10 @@ impl QueryPlan {
     /// derivations, by construction.
     pub(crate) fn execute_annotated(
         &self,
-        coeffs: &NdMatrix,
+        core: &ReleaseCore,
         meta: &PrivacyMeta,
     ) -> Result<Vec<AnnotatedAnswer>> {
-        let values = self.execute(coeffs)?;
+        let values = self.execute(core)?;
         let distinct_stds: Vec<f64> = self
             .distinct_factors
             .iter()
@@ -321,6 +330,7 @@ mod tests {
     use privelet_data::medical::medical_example;
     use privelet_data::schema::{Attribute, Schema};
     use privelet_data::FrequencyMatrix;
+    use privelet_matrix::NdMatrix;
     use std::collections::BTreeSet;
 
     /// The medical table and a bare core over its exact forward
@@ -511,9 +521,11 @@ mod tests {
         assert!(plan.dedup_ratio().is_finite());
         assert_eq!(plan.mean_support(), 0.0);
         assert!(plan.mean_support().is_finite());
-        // An empty plan still validates the coefficient shape.
-        let wrong = NdMatrix::zeros(&[2, 2]).unwrap();
-        assert_eq!(plan.execute(&wrong).unwrap_err(), QueryError::ShapeMismatch);
+        // An empty plan still validates the core it runs on.
+        assert_eq!(
+            other_core().execute_plan(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
     }
 
     #[test]
@@ -530,19 +542,20 @@ mod tests {
                 size: 5
             }
         );
-        // Executing against wrongly shaped coefficients, directly and
-        // through a core of another shape.
+        // Executing on a core of another shape.
         let plan = core.plan(&[RangeQuery::all(2)]).unwrap();
-        let wrong = NdMatrix::zeros(&[4, 3]).unwrap();
-        assert_eq!(plan.execute(&wrong).unwrap_err(), QueryError::ShapeMismatch);
+        assert_eq!(
+            other_core().execute_plan(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+    }
+
+    /// A bare 3 × 2 all-Haar core: another shape than the medical one.
+    fn other_core() -> ReleaseCore {
         let other =
             Schema::new(vec![Attribute::ordinal("x", 3), Attribute::ordinal("y", 2)]).unwrap();
         let other_hn = HnTransform::for_schema(&other, &BTreeSet::new()).unwrap();
         let zeros = NdMatrix::zeros(&other_hn.output_dims()).unwrap();
-        let other_core = ReleaseCore::new(other, other_hn, &zeros).unwrap();
-        assert_eq!(
-            other_core.execute_plan(&plan).unwrap_err(),
-            QueryError::ShapeMismatch
-        );
+        ReleaseCore::new(other, other_hn, &zeros).unwrap()
     }
 }

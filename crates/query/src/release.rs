@@ -254,8 +254,10 @@ impl ReleaseCore {
     }
 
     /// [`answer_uncached`](Self::answer_uncached) with error accounting:
-    /// the same derive-supports-then-dot, annotated via
-    /// [`annotate`](Self::annotate).
+    /// the same derive-supports-then-dot, annotated with the exact noise
+    /// std-dev from the supports' variance factors. Errors with
+    /// [`QueryError::MissingPrivacyMeta`] when the core was built without
+    /// accounting.
     pub fn answer_with_error_uncached(&self, q: &RangeQuery) -> Result<AnnotatedAnswer> {
         let supports = self.supports_uncached(q)?;
         self.annotate(self.dot(&supports)?, &supports)
@@ -298,7 +300,11 @@ impl ReleaseCore {
     ///
     /// Errors with [`QueryError::MissingPrivacyMeta`] when the core was
     /// built without accounting ([`new`](Self::new)).
-    pub fn annotate(&self, value: f64, supports: &[SharedSupport]) -> Result<AnnotatedAnswer> {
+    pub(crate) fn annotate(
+        &self,
+        value: f64,
+        supports: &[SharedSupport],
+    ) -> Result<AnnotatedAnswer> {
         let meta = self.meta.as_ref().ok_or(QueryError::MissingPrivacyMeta)?;
         let product: f64 = supports.iter().map(|s| s.variance_factor()).product();
         Ok(AnnotatedAnswer {
@@ -308,9 +314,12 @@ impl ReleaseCore {
     }
 
     /// Compiles a workload against this release's schema, transform and
-    /// stored layout. The returned plan is immutable and `Send + Sync`;
-    /// it stays valid for the core's lifetime, so one compiled plan can
-    /// be executed from many threads against one shared core.
+    /// stored layout, deriving each distinct `(dim, lo, hi)` support once
+    /// into the plan's own pool. Compilation is cache-free: it neither
+    /// reads nor fills a [`ConcurrentEngine`](crate::ConcurrentEngine)'s
+    /// support cache. The returned plan is immutable and `Send + Sync`,
+    /// so one compiled plan can be executed from many threads against
+    /// one shared core, and against every later epoch of the release.
     pub fn plan(&self, queries: &[RangeQuery]) -> Result<QueryPlan> {
         QueryPlan::compile(self, queries)
     }
@@ -318,10 +327,12 @@ impl ReleaseCore {
     /// Executes a compiled plan against the stored coefficients. Takes
     /// `&self`, so any number of threads can execute the same plan
     /// against the same core concurrently. Errors with
-    /// [`QueryError::ShapeMismatch`] for a plan compiled against a core
-    /// of another shape.
+    /// [`QueryError::ShapeMismatch`] when this core's per-axis transforms
+    /// differ from those of the core the plan was compiled on (the check
+    /// [`advance_epoch`](Self::advance_epoch) makes), so a plan runs only
+    /// within its own release series.
     pub fn execute_plan(&self, plan: &QueryPlan) -> Result<Vec<f64>> {
-        plan.execute(&self.coeffs)
+        plan.execute(self)
     }
 
     /// [`execute_plan`](Self::execute_plan) with error accounting: one
@@ -332,10 +343,11 @@ impl ReleaseCore {
     /// one multiply-and-sqrt per distinct query.
     ///
     /// Errors with [`QueryError::MissingPrivacyMeta`] when the core was
-    /// built without accounting.
+    /// built without accounting, and like
+    /// [`execute_plan`](Self::execute_plan) on a core of another lineage.
     pub fn execute_plan_with_error(&self, plan: &QueryPlan) -> Result<Vec<AnnotatedAnswer>> {
         let meta = self.meta.as_ref().ok_or(QueryError::MissingPrivacyMeta)?;
-        plan.execute_annotated(&self.coeffs, meta)
+        plan.execute_annotated(self, meta)
     }
 }
 
@@ -554,6 +566,70 @@ mod tests {
             core.dot(&[far, supports[1].clone()]).unwrap_err(),
             QueryError::ShapeMismatch
         );
+    }
+
+    /// A 4 × 8 ordinal table published with SA `sa` under `seed`. Axis 0
+    /// stores 4 coefficients whether it is identity (SA) or Haar, so the
+    /// pure and the SA {0} releases share their coefficient dims.
+    fn four_by_eight(sa: &[usize], seed: u64) -> CoefficientOutput {
+        use privelet_data::schema::{Attribute, Schema};
+        let schema =
+            Schema::new(vec![Attribute::ordinal("a", 4), Attribute::ordinal("b", 8)]).unwrap();
+        let cells = (0..32).map(|i| ((i * 7) % 5) as f64).collect();
+        let fm = FrequencyMatrix::from_parts(schema, NdMatrix::from_vec(&[4, 8], cells).unwrap())
+            .unwrap();
+        let cfg = PriveletConfig::plus(1.0, sa.iter().copied().collect(), seed);
+        publish_coefficients(&fm, &cfg).unwrap()
+    }
+
+    fn four_by_eight_queries() -> Vec<RangeQuery> {
+        use crate::Predicate::{All, Range};
+        vec![
+            RangeQuery::new(vec![Range { lo: 1, hi: 2 }, All]),
+            RangeQuery::new(vec![Range { lo: 0, hi: 3 }, Range { lo: 2, hi: 6 }]),
+            RangeQuery::all(2),
+        ]
+    }
+
+    #[test]
+    fn plans_run_only_on_a_core_of_their_own_lineage() {
+        let plus = ReleaseCore::from_output(&four_by_eight(&[0], 5)).unwrap();
+        let pure = ReleaseCore::from_output(&four_by_eight(&[], 5)).unwrap();
+        assert_eq!(plus.coefficients().dims(), pure.coefficients().dims());
+        let queries = four_by_eight_queries();
+        let plan = plus.plan(&queries).unwrap();
+        // Same dims, other layout: the plan's supports would read the pure
+        // core's Haar coefficients as prefix sums.
+        assert_eq!(
+            pure.execute_plan(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+        assert_eq!(
+            pure.execute_plan_with_error(&plan).unwrap_err(),
+            QueryError::ShapeMismatch
+        );
+        for (q, got) in queries.iter().zip(plus.execute_plan(&plan).unwrap()) {
+            assert_eq!(got.to_bits(), plus.answer_uncached(q).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn a_plan_runs_on_every_epoch_of_its_series() {
+        let core = ReleaseCore::from_output(&four_by_eight(&[0], 5)).unwrap();
+        let queries = four_by_eight_queries();
+        let plan = core.plan(&queries).unwrap();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for seed in [6, 7] {
+            let rolled = core.advance_epoch(&four_by_eight(&[0], seed)).unwrap();
+            let fresh = rolled.plan(&queries).unwrap();
+            assert_eq!(plan, fresh);
+            assert_eq!(
+                bits(rolled.execute_plan(&plan).unwrap()),
+                bits(rolled.execute_plan(&fresh).unwrap())
+            );
+            let old = rolled.execute_plan_with_error(&plan).unwrap();
+            assert_eq!(old, rolled.execute_plan_with_error(&fresh).unwrap());
+        }
     }
 
     #[test]

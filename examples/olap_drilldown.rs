@@ -6,10 +6,11 @@
 //! 1-D Occupation-like table once **in the coefficient domain** and then
 //! navigates the hierarchy through the unified serving engine: the whole
 //! dashboard (root, every group, every member of the largest group) is
-//! compiled into one `QueryPlan` and answered as sparse dots against the
-//! noisy coefficients — the matrix is never reconstructed — and a second
-//! "refresh" of the same dashboard runs through the online support cache
-//! to show the repeat-traffic amortization.
+//! compiled into one `QueryPlan` on the engine's release core
+//! (`core().plan`) and answered as sparse dots against the noisy
+//! coefficients — the matrix is never reconstructed — and a second
+//! "refresh" of the same dashboard runs through the engine's online
+//! support cache to show the repeat-traffic amortization.
 //!
 //! Run with: `cargo run --release --example olap_drilldown`
 
@@ -63,8 +64,9 @@ fn main() {
     dashboard.extend((leaf_lo..=leaf_hi).map(|p| node_query(hierarchy.leaf_node(p))));
     dashboard.push(node_query(largest));
 
-    let plan = answerer.plan(&dashboard).expect("plan compiles");
-    let noisy = answerer.answer_plan(&plan).expect("plan executes");
+    let core = answerer.core();
+    let plan = core.plan(&dashboard).expect("plan compiles");
+    let noisy = core.execute_plan(&plan).expect("plan executes");
     println!(
         "\ncompiled the {}-query dashboard into one plan: {} supports \
          requested, {} derived (dedup ratio {:.0}%)",

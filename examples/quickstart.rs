@@ -133,9 +133,9 @@ fn main() {
 
     // Batched serving: a small OLAP-style workload (the same age interval
     // drilled across both diabetes values, plus the total) compiled into
-    // one QueryPlan. The planner interns each distinct per-dimension
-    // support once, so repeated predicate intervals cost one derivation
-    // for the whole batch.
+    // one QueryPlan on the engine's release core. The planner interns
+    // each distinct per-dimension support once, so repeated predicate
+    // intervals cost one derivation for the whole batch.
     let workload = vec![
         query.clone(),
         RangeQuery::new(vec![
@@ -147,8 +147,9 @@ fn main() {
         RangeQuery::new(vec![Predicate::Range { lo: 0, hi: 2 }, Predicate::All]),
         RangeQuery::all(2),
     ];
-    let plan = answerer.plan(&workload).expect("plan compiles");
-    let batch = answerer.answer_plan(&plan).expect("plan executes");
+    let core = answerer.core();
+    let plan = core.plan(&workload).expect("plan compiles");
+    let batch = core.execute_plan(&plan).expect("plan executes");
     println!(
         "\nbatched serving ({} queries compiled into one plan):",
         plan.len()
@@ -179,7 +180,7 @@ fn main() {
     let cache = answerer.cache_stats();
     println!(
         "  engine: {} coefficients held, online cache {} hits / {} misses",
-        answerer.core().coefficients().len(),
+        core.coefficients().len(),
         cache.hits,
         cache.misses
     );

@@ -2,21 +2,20 @@
 //!
 //! 1. **Bitwise equivalence** — a `QueryPlan` compiled once and executed
 //!    from many scoped threads against one shared `ReleaseCore` (and the
-//!    online path through the sharded cache) returns answers
+//!    online path through the engine's sharded cache) returns answers
 //!    bit-identical to the core's serial, cache-free reference
 //!    (`ReleaseCore::execute_plan` and `ReleaseCore::answer_uncached`),
 //!    on random 1–3-dimensional mixed schemas.
-//! 2. **Counter conservation under contention** — hammering one
-//!    `ShardedSupportCache` from many threads keeps
-//!    `hits + misses == requests`, `evictions ≤ inserts`, and exactly
-//!    one derivation per distinct `(dim, lo, hi)` key resident in its
-//!    shard.
+//! 2. **Counter conservation under contention** — the engine's
+//!    `cache_stats()` keeps `hits + misses == lookups` and one miss per
+//!    distinct `(dim, lo, hi)` triple across threads. The cache itself is
+//!    crate-private; its own contended tests (with and without eviction
+//!    pressure) live in `crates/query/src/cache.rs`.
 //! 3. **Compile-time shareability** — `Send + Sync` static assertions
-//!    for the plan, the release core, the engine and the cache.
+//!    for the plan, the release core and the engine.
 //!
-//! Thread-stress iteration counts are bounded by default (the dev
-//! container is single-CPU) and scaled up in CI via the
-//! `PRIVELET_STRESS_ITERS` environment variable.
+//! Thread-stress iteration counts are bounded by default and scaled up
+//! in CI via the `PRIVELET_STRESS_ITERS` environment variable.
 
 mod common;
 
@@ -25,12 +24,8 @@ use common::{
 };
 use privelet_repro::core::mechanism::{publish_coefficients, PriveletConfig};
 use privelet_repro::data::schema::{Attribute, Schema};
-use privelet_repro::query::cache::{SharedSupport, SupportKey};
-use privelet_repro::query::{
-    ConcurrentEngine, QueryPlan, RangeQuery, ReleaseCore, ShardedSupportCache,
-};
+use privelet_repro::query::{ConcurrentEngine, QueryPlan, RangeQuery, ReleaseCore};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -48,21 +43,19 @@ fn send_sync_assertion_suite() {
     assert_send_sync::<ReleaseCore>();
     assert_send_sync::<Arc<ReleaseCore>>();
     assert_send_sync::<ConcurrentEngine>();
-    assert_send_sync::<ShardedSupportCache>();
-    assert_send_sync::<Arc<ShardedSupportCache>>();
 }
 
-/// `n` real supports, one per cache key, derived up front from a small
-/// 1-D release: the stress tests hand out `Arc` clones of these, so a
-/// lookup that returns another key's support fails `Arc::ptr_eq`.
-fn real_supports(n: usize) -> Vec<SharedSupport> {
-    let schema = Schema::new(vec![Attribute::ordinal("v", 8)]).unwrap();
+/// The engine's cache has one geometry: 1024 supports on a fresh engine,
+/// which is what makes `grid_serve`'s catalog larger than the cache.
+#[test]
+fn a_fresh_engine_caches_1024_supports() {
+    let schema = Schema::new(vec![Attribute::ordinal("a", 16)]).unwrap();
     let fm = data_matrix(&schema, 3);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 5)).unwrap();
-    let core = ReleaseCore::from_output(&release).unwrap();
-    (0..n)
-        .map(|k| core.derive_support(0, k % 8, 7).unwrap())
-        .collect()
+    let engine = ConcurrentEngine::from_output(&release).unwrap();
+    let stats = engine.cache_stats();
+    assert_eq!(stats.capacity, 1024);
+    assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
 }
 
 /// The acceptance scenario, deterministic: one release, one plan
@@ -87,7 +80,7 @@ fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     // Compile ONCE; the serial reference uses its own compilation of the
     // same workload (plans are deterministic, but nothing is shared) and
     // the cache-free online path.
-    let plan = engine.plan(&queries).unwrap();
+    let plan = core.plan(&queries).unwrap();
     let serial_batch = core.execute_plan(&core.plan(&queries).unwrap()).unwrap();
     let serial_online: Vec<f64> = queries
         .iter()
@@ -104,7 +97,7 @@ fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
                 s.spawn(move || {
                     let mut batches = Vec::new();
                     for _ in 0..rounds {
-                        batches.push(engine.answer_plan(plan).unwrap());
+                        batches.push(engine.core().execute_plan(plan).unwrap());
                     }
                     let online: Vec<f64> =
                         queries.iter().map(|q| engine.answer(q).unwrap()).collect();
@@ -137,124 +130,6 @@ fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     assert_eq!(stats.len as u64, stats.misses);
 }
 
-/// Hammers one sharded cache from many threads and checks the counters
-/// conserve: `hits + misses == requests`, `evictions ≤ inserts`, and the
-/// derivation count per distinct key stays 1 (ample capacity ⇒ every
-/// key stays resident in its shard).
-#[test]
-fn contended_sharded_cache_conserves_counters_and_derives_once() {
-    const KEYS: usize = 48;
-    const WRITERS: usize = 8;
-    let iters = stress_iters(16);
-    let cache = ShardedSupportCache::new(4 * KEYS, 8);
-    let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
-    let derivations: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
-    let supports = real_supports(KEYS);
-
-    thread::scope(|s| {
-        for t in 0..WRITERS {
-            let cache = &cache;
-            let keys = &keys;
-            let derivations = &derivations;
-            let supports = &supports;
-            s.spawn(move || {
-                for round in 0..iters {
-                    // Offset the walk per thread so lock acquisition
-                    // interleaves instead of convoying.
-                    for i in 0..KEYS {
-                        let k = (i + t + round) % KEYS;
-                        let support = cache
-                            .get_or_derive(keys[k], || {
-                                derivations[k].fetch_add(1, Ordering::SeqCst);
-                                Ok::<_, ()>(Arc::clone(&supports[k]))
-                            })
-                            .unwrap();
-                        assert!(
-                            Arc::ptr_eq(&support, &supports[k]),
-                            "supports must never cross keys"
-                        );
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = cache.stats();
-    let requests = (WRITERS * iters * KEYS) as u64;
-    assert_eq!(stats.hits + stats.misses, requests, "one counter per call");
-    assert_eq!(stats.evictions, 0, "ample capacity: nothing evicted");
-    assert_eq!(stats.len, KEYS);
-    for (k, d) in derivations.iter().enumerate() {
-        assert_eq!(
-            d.load(Ordering::SeqCst),
-            1,
-            "key {k} must be derived exactly once in its shard"
-        );
-    }
-    // Misses == inserts == distinct keys, since each key missed once.
-    assert_eq!(stats.misses as usize, KEYS);
-    // The per-shard breakdown sums to the aggregate.
-    let per_shard = cache.shard_stats();
-    assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-    assert_eq!(
-        per_shard.iter().map(|s| s.misses).sum::<u64>(),
-        stats.misses
-    );
-    assert_eq!(per_shard.iter().map(|s| s.len).sum::<usize>(), stats.len);
-}
-
-/// The same hammering under eviction pressure (capacity far below the
-/// key count): counters still conserve, evictions never exceed inserts,
-/// and occupancy respects the bound.
-#[test]
-fn contended_sharded_cache_conserves_counters_under_eviction_pressure() {
-    const KEYS: usize = 64;
-    const WRITERS: usize = 8;
-    let iters = stress_iters(8);
-    let cache = ShardedSupportCache::new(8, 4); // 2 entries per shard
-    let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
-    let derivations: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
-    let supports = real_supports(KEYS);
-
-    thread::scope(|s| {
-        for t in 0..WRITERS {
-            let cache = &cache;
-            let keys = &keys;
-            let derivations = &derivations;
-            let supports = &supports;
-            s.spawn(move || {
-                for round in 0..iters {
-                    for i in 0..KEYS {
-                        let k = (i + t + round) % KEYS;
-                        let support = cache
-                            .get_or_derive(keys[k], || {
-                                derivations[k].fetch_add(1, Ordering::SeqCst);
-                                Ok::<_, ()>(Arc::clone(&supports[k]))
-                            })
-                            .unwrap();
-                        assert!(Arc::ptr_eq(&support, &supports[k]));
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = cache.stats();
-    let requests = (WRITERS * iters * KEYS) as u64;
-    assert_eq!(stats.hits + stats.misses, requests, "one counter per call");
-    // Every miss performed exactly one derivation and one insert.
-    let total_derivations: u64 = derivations.iter().map(|d| d.load(Ordering::SeqCst)).sum();
-    assert_eq!(total_derivations, stats.misses);
-    assert!(
-        stats.evictions <= stats.misses,
-        "evictions ({}) must not exceed inserts ({})",
-        stats.evictions,
-        stats.misses
-    );
-    assert!(stats.len <= stats.capacity);
-    assert_eq!(stats.len as u64, stats.misses - stats.evictions);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -276,7 +151,7 @@ proptest! {
         let core = engine.core();
         let queries = workload(&schema, wl_seed);
 
-        let plan = engine.plan(&queries).unwrap();
+        let plan = core.plan(&queries).unwrap();
         let serial_batch = core.execute_plan(&core.plan(&queries).unwrap()).unwrap();
         let serial_online: Vec<f64> =
             queries.iter().map(|q| core.answer_uncached(q).unwrap()).collect();
@@ -288,7 +163,7 @@ proptest! {
                     let plan = &plan;
                     let queries = &queries;
                     s.spawn(move || {
-                        let batch = engine.answer_plan(plan).unwrap();
+                        let batch = engine.core().execute_plan(plan).unwrap();
                         let online: Vec<f64> =
                             queries.iter().map(|q| engine.answer(q).unwrap()).collect();
                         (batch, online)
@@ -328,7 +203,7 @@ fn empty_workload_is_well_defined_concurrently() {
     let fm = data_matrix(&schema, 3);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 5)).unwrap();
     let engine = ConcurrentEngine::from_output(&release).unwrap();
-    let plan = engine.plan(&[]).unwrap();
+    let plan = engine.core().plan(&[]).unwrap();
     assert!(plan.is_empty());
     assert_eq!(plan.dedup_ratio(), 0.0);
     assert_eq!(plan.mean_support(), 0.0);
@@ -337,7 +212,7 @@ fn empty_workload_is_well_defined_concurrently() {
             .map(|_| {
                 let engine = engine.clone();
                 let plan = &plan;
-                s.spawn(move || engine.answer_plan(plan).unwrap())
+                s.spawn(move || engine.core().execute_plan(plan).unwrap())
             })
             .collect();
         for h in handles {

@@ -121,9 +121,8 @@ fn error_annotation_adds_zero_support_derivations() {
 
     // Cold annotated pass: exactly one derivation (= miss) per distinct
     // triple — the factor rides the derivation instead of adding one.
-    // One shard: a single exact LRU with ample capacity.
-    let core = Arc::new(ReleaseCore::from_output(&release).unwrap());
-    let coeff = ConcurrentEngine::with_cache(Arc::clone(&core), 4096, 1);
+    let coeff = ConcurrentEngine::from_output(&release).unwrap();
+    let core = coeff.core();
     let first: Vec<f64> = queries
         .iter()
         .map(|q| coeff.answer_with_error(q).unwrap().value)
@@ -153,10 +152,10 @@ fn error_annotation_adds_zero_support_derivations() {
     // Plan path: compilation derives exactly the distinct triples;
     // annotated execution reads interned factors and never touches the
     // cache.
-    let plan = coeff.plan(&queries).unwrap();
+    let plan = core.plan(&queries).unwrap();
     assert_eq!(plan.distinct_supports(), distinct);
     let before_plan = coeff.cache_stats();
-    let annotated = coeff.answer_plan_with_error(&plan).unwrap();
+    let annotated = core.execute_plan_with_error(&plan).unwrap();
     assert_eq!(
         coeff.cache_stats(),
         before_plan,
@@ -171,26 +170,6 @@ fn error_annotation_adds_zero_support_derivations() {
             a.value
         );
         assert!(a.std_dev > 0.0);
-    }
-
-    // The default 8-shard cache honors the same contract through its
-    // sharded counters.
-    let engine = ConcurrentEngine::new(core);
-    for q in &queries {
-        engine.answer_with_error(q).unwrap();
-    }
-    let sharded = engine.cache_stats();
-    assert_eq!(sharded.misses as usize, distinct);
-    assert_eq!(
-        sharded.hits + sharded.misses,
-        (queries.len() * schema.arity()) as u64
-    );
-    let before = engine.cache_stats();
-    let via_engine = engine.answer_plan_with_error(&plan).unwrap();
-    assert_eq!(engine.cache_stats(), before);
-    for (a, b) in via_engine.iter().zip(&annotated) {
-        assert_eq!(a.value, b.value);
-        assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
     }
 }
 
@@ -301,10 +280,10 @@ fn unmetered_releases_refuse_annotation_everywhere() {
         ans.answer_with_error(&q).unwrap_err(),
         QueryError::MissingPrivacyMeta
     );
-    let plan = ans.plan(std::slice::from_ref(&q)).unwrap();
-    assert!(ans.answer_plan(&plan).is_ok());
+    let plan = ans.core().plan(std::slice::from_ref(&q)).unwrap();
+    assert!(ans.core().execute_plan(&plan).is_ok());
     assert_eq!(
-        ans.answer_plan_with_error(&plan).unwrap_err(),
+        ans.core().execute_plan_with_error(&plan).unwrap_err(),
         QueryError::MissingPrivacyMeta
     );
     assert_eq!(

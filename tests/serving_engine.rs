@@ -54,9 +54,9 @@ proptest! {
         }
     }
 
-    /// Noisy releases: `answer_all` (the plan path) equals the per-query
-    /// online loop bit for bit, and prefix sums over the reconstructed
-    /// matrix to rounding.
+    /// Noisy releases: the plan path (`core().plan` + `execute_plan`)
+    /// equals the per-query online loop bit for bit, and prefix sums over
+    /// the reconstructed matrix to rounding.
     /// Noisy cell values reach O(λ·m) in magnitude, so the prefix-sum
     /// tolerance scales with the summed coefficient mass.
     #[test]
@@ -72,7 +72,8 @@ proptest! {
         let coeff = ConcurrentEngine::from_output(&release).unwrap();
         let queries = workload(&schema, wl_seed);
 
-        let batch = coeff.answer_all(&queries).unwrap();
+        let core = coeff.core();
+        let batch = core.execute_plan(&core.plan(&queries).unwrap()).unwrap();
         for (q, &got) in queries.iter().zip(&batch) {
             // One derivation and one kernel on both paths: plan and
             // online answers are bitwise equal.
@@ -131,10 +132,9 @@ fn online_cache_derives_each_triple_once() {
     .unwrap();
     let fm = data_matrix(&schema, 7);
     let release = publish_coefficients(&fm, &PriveletConfig::pure(1.0, 13)).unwrap();
-    // One shard: a single exact LRU, so the counters are the plain
-    // derive-once ledger.
-    let core = Arc::new(ReleaseCore::from_output(&release).unwrap());
-    let coeff = ConcurrentEngine::with_cache(core, 4096, 1);
+    // The workload's distinct triples fit the cache, so the counters are
+    // the plain derive-once ledger.
+    let coeff = ConcurrentEngine::from_output(&release).unwrap();
     let queries = workload(&schema, 99);
     let distinct = distinct_triples(&schema, &queries);
 

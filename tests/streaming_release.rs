@@ -14,19 +14,16 @@
 //!    produces answers bitwise-equal to a fresh engine built on the same
 //!    epoch output, while the sharded support cache is *shared* across
 //!    the bump: supports are data-independent, so the new epoch re-derives
-//!    nothing that was already warm.
-//! 4. **Counter conservation under invalidation** — after an explicit
-//!    `invalidate_where`, exactly one re-derivation happens per
-//!    invalidated key, evictions don't move, and
-//!    `hits + misses == lookups` stays conserved throughout.
-//! 5. **Coalesced bulk ingest** — `apply_increments` (duplicates
+//!    nothing that was already warm, and `hits + misses == lookups` stays
+//!    conserved across it.
+//! 4. **Coalesced bulk ingest** — `apply_increments` (duplicates
 //!    included, on batches below and above the lane count, so both the
 //!    comparison sort and the counting pass group the dirty lanes)
 //!    leaves the exact tensor bit-identical to `HnTransform::forward` of
 //!    the mirrored table, and the tensor and the next epoch output
 //!    bit-identical to an `apply_increment` loop (batches of one), while
 //!    writing no more coefficients than the loop did.
-//! 6. **Sliding windows** — a full expire-then-ingest cycle equals a
+//! 5. **Sliding windows** — a full expire-then-ingest cycle equals a
 //!    publish-from-scratch on a table holding exactly the retained
 //!    epochs' increments (exact for the integer-valued deltas used
 //!    here, since expiry relies on `x + δ − δ == x`).
@@ -143,10 +140,9 @@ proptest! {
         prop_assert!((rel.ledger().spent() - epsilon).abs() < 1e-15);
     }
 
-    /// Satellite 3: counter conservation on the sharded cache across an
-    /// epoch advance. Supports survive the bump (zero new derivations);
-    /// an explicit `invalidate_where` then costs exactly one
-    /// re-derivation per invalidated key and nothing else moves.
+    /// Counter conservation on the sharded cache across an epoch advance:
+    /// supports survive the bump (zero new derivations), and the rolled
+    /// engine's cached answers equal a cold engine's on the same epoch.
     #[test]
     fn epoch_advance_conserves_sharded_cache_counters(
         (schema, sa) in schema_strategy(),
@@ -164,8 +160,7 @@ proptest! {
         let engine = ConcurrentEngine::from_output(&epoch0).unwrap();
 
         // Round 1: warm the cache through the online path — one
-        // derivation per distinct triple. (`answer_all` compiles a plan
-        // with its own interning pool and never touches the cache.)
+        // derivation per distinct triple.
         for q in &queries {
             engine.answer(q).unwrap();
         }
@@ -173,7 +168,6 @@ proptest! {
         prop_assert_eq!(s1.misses, distinct);
         prop_assert_eq!(s1.hits + s1.misses, lookups_per_round);
         prop_assert_eq!(s1.evictions, 0);
-        prop_assert_eq!(s1.invalidations, 0);
 
         // Epoch bump: coefficients roll, supports survive. Re-answering
         // the same workload on the new engine is pure hits.
@@ -194,29 +188,6 @@ proptest! {
         let cold_answers: Vec<f64> =
             queries.iter().map(|q| cold.answer(q).unwrap()).collect();
         for (got, want) in round2.iter().zip(&cold_answers) {
-            prop_assert_eq!(got.to_bits(), want.to_bits());
-        }
-
-        // Explicit invalidation of dimension 0: exactly the dim-0 keys
-        // drop, and re-answering re-derives exactly those.
-        let dim0_keys = queries
-            .iter()
-            .map(|q| {
-                let (lo, hi) = q.bounds(&schema).unwrap();
-                (0usize, lo[0], hi[0])
-            })
-            .collect::<BTreeSet<_>>()
-            .len() as u64;
-        let dropped = engine1.invalidate_where(|&(dim, _, _)| dim == 0) as u64;
-        prop_assert_eq!(dropped, dim0_keys);
-
-        let round3: Vec<f64> = queries.iter().map(|q| engine1.answer(q).unwrap()).collect();
-        let s3 = engine1.cache_stats();
-        prop_assert_eq!(s3.invalidations, dim0_keys);
-        prop_assert_eq!(s3.misses, distinct + dim0_keys, "one re-derivation per invalidated key");
-        prop_assert_eq!(s3.hits + s3.misses, 3 * lookups_per_round);
-        prop_assert_eq!(s3.evictions, 0, "capacity is never exceeded here");
-        for (got, want) in round3.iter().zip(&cold_answers) {
             prop_assert_eq!(got.to_bits(), want.to_bits());
         }
     }
