@@ -11,7 +11,7 @@
 //! - **US001 / US002** — unsafe discipline: every unsafe site is
 //!   explained, every unsafe-free crate is pinned unsafe-free.
 //! - **LD001 / LD002** — lock discipline: single-lock rule for the
-//!   sharded cache, poison-robust lock handling.
+//!   support cache's slot locks, poison-robust lock handling.
 //! - **FD001** — float determinism: no accumulation over
 //!   `HashMap`/`HashSet` iteration order.
 //! - **PF001** — panic budget: unwaived panic sites per crate against

@@ -214,7 +214,7 @@ fn lock_discipline(path: &str, m: &FileModel, diags: &mut Vec<Diagnostic>) {
 
 /// True when code index `i` starts a lock acquisition: an identifier
 /// containing `lock` immediately followed by `(` (covers `.lock()`,
-/// `lock_shard(…)`, `try_lock()` — not `Mutex::new`).
+/// `lock(slot)`, `try_lock()` — not `Mutex::new`).
 fn is_acquisition(m: &FileModel, i: usize) -> bool {
     let t = &m.code[i];
     t.kind == crate::lexer::TokenKind::Ident
@@ -334,8 +334,8 @@ fn report_double_lock(
         line,
         message: format!(
             "lock acquired while guard{} `{}` still live — the single-lock rule keeps \
-             the sharded cache deadlock-free by construction (drop or scope the first \
-             guard before taking another lock)",
+             the support cache deadlock-free by construction: no thread holds two slot \
+             locks (drop or scope the first guard before taking another lock)",
             if holding.len() > 1 { "s" } else { "" },
             holding.join("`, `")
         ),

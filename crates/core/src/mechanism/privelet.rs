@@ -223,14 +223,6 @@ impl CoefficientOutput {
         self.coefficients.len()
     }
 
-    /// The three release-core ingredients — schema, transform, raw noisy
-    /// coefficients — as one tuple, for serving tiers that build an
-    /// immutable shared core (e.g. `privelet-query`'s `ReleaseCore`)
-    /// without reaching into individual fields.
-    pub fn release_parts(&self) -> (&Schema, &HnTransform, &NdMatrix) {
-        (&self.schema, &self.transform, &self.coefficients)
-    }
-
     /// Reconstructs the noisy frequency matrix (refinement of a copy of
     /// the coefficients, then the inverse transform) on a throwaway
     /// executor. Bit-identical to the matrix [`publish_privelet`] produces

@@ -58,15 +58,18 @@ impl SiblingRange {
 }
 
 /// The 1-D nominal wavelet transform for a hierarchy-equipped domain.
+///
+/// The hierarchy and the layout tables are shared by `Arc`, so a clone
+/// copies no table.
 #[derive(Debug, Clone)]
 pub struct NominalTransform {
     hierarchy: Arc<Hierarchy>,
     /// Level-order position of the leaf at each domain position.
-    leaf_pos: Vec<usize>,
+    leaf_pos: Arc<[usize]>,
     /// One range per internal node, in the parent's level order — so the
     /// ranges tile `1..node_count` in order, and every range's parent
     /// comes before it.
-    groups: Vec<SiblingRange>,
+    groups: Arc<[SiblingRange]>,
 }
 
 /// Two transforms are equal when their hierarchies are structurally
@@ -169,7 +172,7 @@ impl Transform1d for NominalTransform {
             ls[g.parent] = ls[g.children()].iter().sum();
         }
         dst[0] = ls[0]; // base = leaf-sum of the root
-        for g in &self.groups {
+        for g in self.groups.iter() {
             let avg = ls[g.parent] / g.len as f64;
             for (c, &l) in dst[g.children()].iter_mut().zip(&ls[g.children()]) {
                 *c = l - avg;
@@ -186,13 +189,13 @@ impl Transform1d for NominalTransform {
         let ls = &mut scratch[..self.state_len()];
         // Leaf-sums top-down: every range's parent is already rebuilt.
         ls[0] = src[0];
-        for g in &self.groups {
+        for g in self.groups.iter() {
             let avg = ls[g.parent] / g.len as f64;
             for (l, &c) in ls[g.children()].iter_mut().zip(&src[g.children()]) {
                 *l = c + avg;
             }
         }
-        for (v, &k) in dst.iter_mut().zip(&self.leaf_pos) {
+        for (v, &k) in dst.iter_mut().zip(self.leaf_pos.iter()) {
             *v = ls[k];
         }
     }
@@ -201,7 +204,7 @@ impl Transform1d for NominalTransform {
     /// (children of one internal node), subtract the group mean so the
     /// group sums to zero. A no-op on exact coefficients.
     fn refine(&self, coeffs: &mut [f64]) {
-        for g in &self.groups {
+        for g in self.groups.iter() {
             let group = &mut coeffs[g.children()];
             let mean = group.iter().sum::<f64>() / g.len as f64;
             for c in group {
@@ -218,7 +221,7 @@ impl Transform1d for NominalTransform {
     /// base → 1; otherwise `f/(2f−2)` where `f` is the parent's fanout.
     fn weights(&self) -> Vec<f64> {
         let mut w = vec![1.0f64; self.output_len()];
-        for g in &self.groups {
+        for g in self.groups.iter() {
             let f = g.len as f64;
             w[g.children()].fill(f / (2.0 * f - 2.0));
         }

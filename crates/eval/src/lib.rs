@@ -15,8 +15,8 @@
 //! - [`calibration`] — an across-seed z-score check that the serving
 //!   engine's predicted error bars are honest
 //!   ([`calibration::calibration_check`]).
-//! - [`report`] — fixed-width table / markdown rendering of the series so
-//!   each bench target prints the same rows the paper plots.
+//! - [`report`] — fixed-width tables of the timing sweeps, the rows
+//!   Figures 10–11 plot.
 
 // No unsafe anywhere in this crate — enforced at compile time (and
 // pinned by privelet-analysis lint US002). privelet-matrix is the only
@@ -34,7 +34,7 @@ pub use accuracy::{run_accuracy, AccuracyRun, MechanismSeries};
 pub use calibration::{calibration_check, CalibrationReport};
 pub use config::{AccuracyConfig, Scale};
 pub use ground_truth::ExactEvaluate;
-pub use report::{print_figure, print_timing};
+pub use report::print_timing;
 pub use timing::{run_timing_m_sweep, run_timing_n_sweep, TimingPoint};
 
 /// Errors produced by the harness.

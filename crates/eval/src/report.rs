@@ -1,34 +1,8 @@
-//! Rendering experiment series as the tables the paper's figures plot.
+//! Rendering the timing sweeps (Figures 10–11) as fixed-width tables.
+//! The error figures (6–9) print through `privelet_bench::print_panels`.
 
 use crate::timing::TimingPoint;
-use privelet_query::BucketRow;
 use std::fmt::Write as _;
-
-/// Renders one figure panel (e.g. "Figure 6(a), ε = 0.5") as a fixed-width
-/// table: one row per quantile bucket, the bucket's mean key (coverage or
-/// selectivity) followed by each mechanism's mean error.
-fn figure_table(title: &str, x_label: &str, mech_names: &[&str], rows: &[BucketRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    let _ = write!(out, "{x_label:>14}");
-    for name in mech_names {
-        let _ = write!(out, " {name:>14}");
-    }
-    let _ = writeln!(out, " {:>8}", "queries");
-    for row in rows {
-        let _ = write!(out, "{:>14.6e}", row.mean_key);
-        for v in &row.mean_values {
-            let _ = write!(out, " {v:>14.6e}");
-        }
-        let _ = writeln!(out, " {:>8}", row.count);
-    }
-    out
-}
-
-/// Prints a figure panel to stdout.
-pub fn print_figure(title: &str, x_label: &str, mech_names: &[&str], rows: &[BucketRow]) {
-    print!("{}", figure_table(title, x_label, mech_names, rows));
-}
 
 /// Renders a timing sweep (Figure 10/11) as a fixed-width table.
 fn timing_table(title: &str, x_label: &str, points: &[TimingPoint]) -> String {
@@ -58,27 +32,6 @@ pub fn print_timing(title: &str, x_label: &str, points: &[TimingPoint]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn figure_table_contains_all_rows_and_names() {
-        let rows = vec![
-            BucketRow {
-                mean_key: 1e-3,
-                mean_values: vec![100.0, 1.0],
-                count: 10,
-            },
-            BucketRow {
-                mean_key: 1e-1,
-                mean_values: vec![5000.0, 1.5],
-                count: 10,
-            },
-        ];
-        let s = figure_table("Fig X", "coverage", &["Basic", "Privelet+"], &rows);
-        assert!(s.contains("Fig X"));
-        assert!(s.contains("Basic"));
-        assert!(s.contains("Privelet+"));
-        assert_eq!(s.lines().count(), 4);
-    }
 
     #[test]
     fn timing_table_lists_points() {

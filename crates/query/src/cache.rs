@@ -1,40 +1,43 @@
 //! The one per-dimension support layout, and the serving engine's
-//! bounded LRU memoization of it.
+//! bounded memoization of it.
 //!
 //! [`DimSupport`] is what both answering paths read: stride-premultiplied
 //! `(offset, weight)` pairs plus the variance factor, produced by one
 //! derivation. A compiled [`QueryPlan`](crate::QueryPlan) copies them
-//! into its arena; the online path caches them here.
+//! into its arena; the online path caches them here. Each support also
+//! records where it was derived — the axis, that axis's stride and that
+//! axis's transform — so [`ReleaseCore::dot`](crate::ReleaseCore::dot)
+//! refuses a support of another layout.
 //!
 //! The online one-query-at-a-time serving path would re-derive each
 //! dimension's sparse support (`Transform1d::query_weights`) on every
 //! request, even though OLAP traffic repeats the same predicate
-//! intervals dimension after dimension. The crate-private
-//! `ShardedSupportCache` inside
-//! [`ConcurrentEngine`](crate::ConcurrentEngine) memoizes supports keyed
-//! on `(dim, lo, hi)`, so repeated predicates across requests amortize
-//! the derivation the way a compiled plan amortizes it within one batch.
+//! intervals dimension after dimension. The crate-private `SupportCache`
+//! inside [`ConcurrentEngine`](crate::ConcurrentEngine) memoizes supports
+//! keyed on `(dim, lo, hi)`, so repeated predicates across requests
+//! amortize the derivation the way a compiled plan amortizes it within
+//! one batch.
 //!
-//! Its geometry is fixed: 1024 entries over 8 independently locked LRU
-//! shards of 128, keys routed by a fixed hash. Concurrent lookups of
-//! different supports hash to different shards and rarely contend; each
-//! shard evicts its least recently used entry and counts hits, misses
-//! and evictions, which [`CacheStats`] sums. Each entry holds one
+//! The cache is direct-mapped and fixed: 1024 slots, each a lock over at
+//! most one entry plus the slot's own hit, miss and eviction counters,
+//! which [`CacheStats`] sums. A key lives only in the slot a fixed hash
+//! of it picks, and a miss overwrites that slot. There is no recency
+//! order: two keys that share a slot displace each other, so even a
+//! working set smaller than the cache may be derived more than once.
+//! Lookups in different slots never wait for each other, and a hit holds its lock
+//! for one key compare and one pointer clone. Each entry holds one
 //! dimension's pairs behind an [`Arc`] — `O(polylog m)` of them on Haar
 //! dimensions, O(covered leaves + height) on nominal ones, and at most
 //! two on identity-transformed (SA) dimensions, which the core stores as
-//! prefix sums — so a hit is one clone of a pointer, never of the
-//! support. A lookup holds its shard's lock across a miss's derivation,
-//! so each distinct `(dim, lo, hi)` key is derived at most once per
-//! residency in its shard.
+//! prefix sums — so a hit never clones the support. A miss derives while
+//! holding its slot's lock, so each key is derived at most once per
+//! residency.
 
 use crate::release::ReleaseCore;
 use crate::{QueryError, Result};
 use privelet::transform::{DimTransform, Transform1d};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key: `(dimension index, inclusive lo, inclusive hi)` over the
 /// *domain* of that dimension.
@@ -53,6 +56,8 @@ pub(crate) type SupportKey = (usize, usize, usize);
 /// constructor, so every support a core dots came from a core; obtain
 /// one through
 /// [`ReleaseCore::derive_support`](crate::ReleaseCore::derive_support).
+/// A support remembers the axis, stride and transform it was derived
+/// under, and a dot refuses it on a core whose layout differs there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimSupport {
     /// `(stride-premultiplied offset, weight)` pairs with strictly
@@ -60,6 +65,14 @@ pub struct DimSupport {
     terms: Vec<(usize, f64)>,
     /// The per-dimension variance factor of this support.
     variance_factor: f64,
+    /// The axis the support was derived on.
+    dim: usize,
+    /// That axis's stride in the stored layout: the factor already in
+    /// every offset.
+    stride: usize,
+    /// That axis's transform. A nominal transform shares its hierarchy
+    /// and layout tables by `Arc`, so the record copies no table.
+    transform: DimTransform,
 }
 
 impl DimSupport {
@@ -87,7 +100,8 @@ impl DimSupport {
         transform
             .check_query_bounds(dim, lo, hi)
             .map_err(QueryError::from)?;
-        let (mut terms, variance_factor) = match &transform.transforms()[dim] {
+        let axis = &transform.transforms()[dim];
+        let (mut terms, variance_factor) = match axis {
             DimTransform::Identity(_) => {
                 let mut terms = Vec::with_capacity(2);
                 if lo > 0 {
@@ -109,7 +123,21 @@ impl DimSupport {
         Ok(DimSupport {
             terms,
             variance_factor,
+            dim,
+            stride,
+            transform: axis.clone(),
         })
+    }
+
+    /// Whether this support was derived on axis `dim` of a core laid out
+    /// like `core` there — the same axis, stride and transform — so its
+    /// offsets address `core`'s stored coefficients. An epoch roll keeps
+    /// every transform, and with them the strides, so supports carried
+    /// across a roll still fit.
+    pub(crate) fn fits(&self, core: &ReleaseCore, dim: usize) -> bool {
+        self.dim == dim
+            && self.stride == core.coefficients().shape().strides()[dim]
+            && self.transform == core.transform().transforms()[dim]
     }
 
     /// The `(stride-premultiplied offset, weight)` pairs, ascending by
@@ -146,7 +174,7 @@ impl AsRef<[(usize, f64)]> for DimSupport {
 pub type SharedSupport = Arc<DimSupport>;
 
 /// Hit/miss/eviction counters and current occupancy of the serving
-/// engine's support cache, summed over its shards.
+/// engine's support cache, summed over its slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -174,146 +202,66 @@ impl CacheStats {
     }
 }
 
-/// One shard of a [`ShardedSupportCache`]: a bounded LRU cache of
-/// per-dimension query supports.
-///
-/// Recency is tracked with a monotone tick per entry and a
-/// `BTreeMap<tick, key>` index, so `get`/`insert` are O(log capacity)
-/// and eviction pops the smallest tick.
+/// Slots in the engine's cache, one entry each: each entry is one
+/// dimension's `O(polylog m)` weight pairs, so the footprint is a few
+/// hundred kilobytes at most.
+const SLOTS: usize = 1024;
+
+/// One slot of the [`SupportCache`]: at most one entry, and counters of
+/// its own, so no counter is shared between slots.
 #[derive(Debug, Default)]
-struct SupportCache {
-    capacity: usize,
-    entries: HashMap<SupportKey, (SharedSupport, u64)>,
-    by_tick: BTreeMap<u64, SupportKey>,
-    tick: u64,
+struct Slot {
+    entry: Option<(SupportKey, SharedSupport)>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl SupportCache {
-    /// An empty cache holding at most `capacity` supports.
-    fn new(capacity: usize) -> Self {
-        SupportCache {
-            capacity,
-            ..SupportCache::default()
-        }
-    }
-
-    /// Looks up a support, marking it most recently used on a hit.
-    fn get(&mut self, key: SupportKey) -> Option<SharedSupport> {
-        match self.entries.get_mut(&key) {
-            Some((support, tick)) => {
-                self.hits += 1;
-                let support = support.clone();
-                self.by_tick.remove(tick);
-                self.tick += 1;
-                *tick = self.tick;
-                self.by_tick.insert(self.tick, key);
-                Some(support)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly derived support, evicting the least recently
-    /// used entry if the cache is full.
-    fn insert(&mut self, key: SupportKey, support: SharedSupport) {
-        if let Some((_, old_tick)) = self.entries.remove(&key) {
-            // Replacing an existing entry never needs an eviction.
-            self.by_tick.remove(&old_tick);
-        } else if self.entries.len() >= self.capacity {
-            if let Some((_, victim)) = self.by_tick.pop_first() {
-                self.entries.remove(&victim);
-                self.evictions += 1;
-            }
-        }
-        self.tick += 1;
-        self.entries.insert(key, (support, self.tick));
-        self.by_tick.insert(self.tick, key);
-    }
-
-    /// Current counters and occupancy.
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            len: self.entries.len(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-/// Supports the engine's cache holds in total: each entry is one
-/// dimension's `O(polylog m)` weight pairs, so the footprint is a few
-/// hundred kilobytes at most.
-const CAPACITY: usize = 1024;
-
-/// Shards of the engine's cache: enough that a handful of serving
-/// threads rarely collide, few enough that each shard's 128 entries
-/// keep its LRU useful.
-const SHARDS: usize = 8;
-
-/// The support cache of the coefficient serving engine: `SHARDS`
-/// independently locked LRU shards of `CAPACITY / SHARDS` supports each,
-/// keys routed by a fixed (process-stable) hash of `(dim, lo, hi)`.
+/// The support cache of the coefficient serving engine: `SLOTS`
+/// direct-mapped slots, each behind its own lock. A key lives only in
+/// the slot [`slot_of`](Self::slot_of) picks.
 ///
-/// Every operation takes `&self` — locking is per shard and internal —
-/// so one cache sits behind an `Arc` shared by every clone of the engine
-/// and by its later epochs. Lookups in different shards proceed in
-/// parallel; same-shard lookups serialize for the O(log capacity) LRU
-/// touch (plus the derivation on a miss — see
-/// [`get_or_derive`](Self::get_or_derive) for why that is deliberate).
+/// Every operation takes `&self`, so one cache sits behind an `Arc`
+/// shared by every clone of the engine and by its later epochs. A
+/// lookup locks one slot; see [`get_or_derive`](Self::get_or_derive).
 #[derive(Debug)]
-pub(crate) struct ShardedSupportCache {
-    shards: Vec<Mutex<SupportCache>>,
+pub(crate) struct SupportCache {
+    slots: Box<[Mutex<Slot>]>,
 }
 
-impl ShardedSupportCache {
-    /// An empty cache of the engine's one geometry.
+impl SupportCache {
+    /// An empty cache of `SLOTS` slots.
     pub(crate) fn new() -> Self {
-        Self::with_geometry(CAPACITY, SHARDS)
-    }
-
-    /// `shards` shards of `ceil(capacity / shards)` supports each.
-    fn with_geometry(capacity: usize, shards: usize) -> Self {
-        ShardedSupportCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(SupportCache::new(capacity.div_ceil(shards))))
-                .collect(),
+        SupportCache {
+            slots: (0..SLOTS).map(|_| Mutex::default()).collect(),
         }
     }
 
-    /// The shard a key routes to. The hash is `DefaultHasher::new()`
-    /// (fixed keys), so routing is stable within and across processes —
-    /// required for the derive-once-per-shard contract to be testable.
-    fn shard_for(&self, key: SupportKey) -> usize {
+    /// The one slot `key` can live in. The hash is `DefaultHasher::new()`
+    /// (fixed keys), so placement is stable within and across processes,
+    /// which is what lets a test pick keys that share a slot.
+    fn slot_of(key: SupportKey) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+        (h.finish() as usize) % SLOTS
     }
 
-    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, SupportCache> {
-        self.shards[idx]
+    fn lock(&self, slot: usize) -> MutexGuard<'_, Slot> {
+        self.slots[slot]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up `key`, deriving and inserting it via `derive` on a miss
-    /// — all under the key's shard lock, so concurrent requests for the
-    /// same key perform exactly one derivation (the losers of the lock
-    /// race hit the freshly inserted entry). Requests hashing to other
-    /// shards are unaffected either way. A Haar or identity derivation is
-    /// O(log m) or O(1) — comparable to the LRU touch itself — so the
-    /// derive-once guarantee costs next to nothing; a wide nominal
-    /// predicate derives O(covered leaves) pairs while the shard is
-    /// locked, which is exactly when derive-once matters most.
+    /// Looks up `key`, and on a miss derives it via `derive` and stores
+    /// it in the key's slot, counting an eviction when the slot held
+    /// another key. All of it runs under that one slot's lock, so threads
+    /// racing on one key derive it once (the losers of the lock race hit
+    /// the fresh entry), and lookups in other slots never wait. A Haar or
+    /// identity derivation is O(log m) or O(1); a wide nominal predicate
+    /// derives O(covered leaves) pairs while the slot is locked, which is
+    /// exactly when deriving once matters most.
     ///
-    /// Errors from `derive` propagate untouched and insert nothing; the
+    /// Errors from `derive` propagate untouched and store nothing; the
     /// miss is still counted (every call moves exactly one hit or miss
     /// counter, so `hits + misses` always equals the number of calls).
     pub(crate) fn get_or_derive<E>(
@@ -321,40 +269,56 @@ impl ShardedSupportCache {
         key: SupportKey,
         derive: impl FnOnce() -> std::result::Result<SharedSupport, E>,
     ) -> std::result::Result<SharedSupport, E> {
-        let mut shard = self.lock_shard(self.shard_for(key));
-        if let Some(support) = shard.get(key) {
-            return Ok(support);
+        let mut guard = self.lock(Self::slot_of(key));
+        let slot = &mut *guard;
+        if let Some((resident, support)) = &slot.entry {
+            if *resident == key {
+                slot.hits += 1;
+                return Ok(Arc::clone(support));
+            }
         }
+        slot.misses += 1;
         let support = derive()?;
-        shard.insert(key, support.clone());
+        if slot.entry.replace((key, Arc::clone(&support))).is_some() {
+            slot.evictions += 1;
+        }
         Ok(support)
     }
 
-    /// Counters and occupancy summed over every shard (`capacity` is the
-    /// sum of the per-shard bounds).
+    /// Counters and occupied slots summed over every slot; `capacity` is
+    /// the slot count.
     pub(crate) fn stats(&self) -> CacheStats {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).stats())
-            .fold(CacheStats::default(), |acc, s| CacheStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-                evictions: acc.evictions + s.evictions,
-                len: acc.len + s.len,
-                capacity: acc.capacity + s.capacity,
-            })
+        let mut stats = CacheStats {
+            capacity: SLOTS,
+            ..CacheStats::default()
+        };
+        for i in 0..SLOTS {
+            let slot = self.lock(i);
+            stats.hits += slot.hits;
+            stats.misses += slot.misses;
+            stats.evictions += slot.evictions;
+            stats.len += usize::from(slot.entry.is_some());
+        }
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
+    /// A support whose one offset tells which key it was made for. The
+    /// record fields are never read by the cache.
     fn support(v: usize) -> SharedSupport {
         Arc::new(DimSupport {
             terms: vec![(v, 1.0)],
             variance_factor: 1.0,
+            dim: 0,
+            stride: 1,
+            transform: DimTransform::Identity(privelet::transform::IdentityTransform::new(1)),
         })
     }
 
@@ -368,87 +332,31 @@ mod tests {
             .unwrap_or(default)
     }
 
-    #[test]
-    fn hit_miss_and_eviction_counters() {
-        let mut cache = SupportCache::new(2);
-        assert!(cache.get((0, 0, 1)).is_none());
-        cache.insert((0, 0, 1), support(1));
-        cache.insert((0, 2, 3), support(2));
-        assert_eq!(cache.get((0, 0, 1)).unwrap().terms[0].0, 1);
-        // Inserting a third entry evicts the least recently used (0,2,3).
-        cache.insert((1, 0, 0), support(3));
-        assert!(cache.get((0, 2, 3)).is_none());
-        assert!(cache.get((0, 0, 1)).is_some());
-        assert!(cache.get((1, 0, 0)).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.len, 2);
-        assert_eq!(stats.capacity, 2);
-        assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    /// The first `n` keys of the form `(i % 3, 5i, 5i + 3)` that land in
+    /// slots no earlier one took.
+    fn keys_in_distinct_slots(n: usize) -> Vec<SupportKey> {
+        let mut taken = BTreeSet::new();
+        (0..)
+            .map(|i| (i % 3, 5 * i, 5 * i + 3))
+            .filter(|&key| taken.insert(SupportCache::slot_of(key)))
+            .take(n)
+            .collect()
+    }
+
+    /// Two keys that share a slot.
+    fn keys_sharing_a_slot() -> (SupportKey, SupportKey) {
+        let a = (0, 0, 0);
+        let b = (1..)
+            .map(|i| (0, i, i))
+            .find(|&key| SupportCache::slot_of(key) == SupportCache::slot_of(a))
+            .unwrap();
+        (a, b)
     }
 
     #[test]
-    fn reinsert_replaces_without_eviction() {
-        let mut cache = SupportCache::new(2);
-        cache.insert((0, 0, 1), support(1));
-        cache.insert((0, 0, 1), support(9));
-        assert_eq!(cache.get((0, 0, 1)).unwrap().terms[0].0, 9);
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.stats().len, 1);
-    }
-
-    #[test]
-    fn capacity_one_evicts_on_every_distinct_insert() {
-        let mut cache = SupportCache::new(1);
-        cache.insert((0, 0, 0), support(0));
-        assert_eq!(cache.stats().evictions, 0);
-        for i in 1..=5usize {
-            // Each distinct key displaces the single resident entry.
-            cache.insert((0, i, i), support(i));
-            let stats = cache.stats();
-            assert_eq!(stats.len, 1);
-            assert_eq!(stats.evictions, i as u64);
-            assert!(cache.get((0, i - 1, i - 1)).is_none(), "old entry gone");
-            assert_eq!(cache.get((0, i, i)).unwrap().terms[0].0, i);
-        }
-        // Re-inserting the resident key replaces in place, no eviction.
-        cache.insert((0, 5, 5), support(99));
-        assert_eq!(cache.stats().evictions, 5);
-        assert_eq!(cache.get((0, 5, 5)).unwrap().terms[0].0, 99);
-    }
-
-    #[test]
-    fn reinsert_after_evict_rederives_exactly_once() {
-        // A key evicted and requested again costs exactly one fresh
-        // derivation — modeled here by counting the get-miss → insert
-        // cycles a caller would perform.
-        let mut cache = SupportCache::new(1);
-        let mut derivations = 0;
-        let mut lookup = |cache: &mut SupportCache, key: SupportKey| {
-            if cache.get(key).is_none() {
-                derivations += 1;
-                cache.insert(key, support(key.1));
-            }
-        };
-        lookup(&mut cache, (0, 1, 1)); // derive #1
-        lookup(&mut cache, (0, 2, 2)); // derive #2, evicts (0,1,1)
-        lookup(&mut cache, (0, 1, 1)); // derive #3: exactly one re-derivation
-        lookup(&mut cache, (0, 1, 1)); // hit: no further derivation
-        assert_eq!(derivations, 3);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.len, 1);
-    }
-
-    #[test]
-    fn sharded_cache_routes_and_aggregates() {
-        let cache = ShardedSupportCache::new();
-        let keys: Vec<SupportKey> = (0..16).map(|i| (i % 3, i, i + 1)).collect();
+    fn keys_stay_in_their_slots_and_stats_sum_the_slots() {
+        let cache = SupportCache::new();
+        let keys = keys_in_distinct_slots(16);
         let supports: Vec<SharedSupport> = (0..keys.len()).map(support).collect();
         // First pass derives every key, the second must return the very
         // support the first stored under it.
@@ -457,26 +365,27 @@ mod tests {
                 let got = cache
                     .get_or_derive(*key, || Ok::<_, ()>(Arc::clone(want)))
                     .unwrap();
-                assert!(Arc::ptr_eq(&got, want), "routing must be stable");
+                assert!(Arc::ptr_eq(&got, want), "placement must be stable");
             }
         }
         let stats = cache.stats();
-        assert_eq!(stats.hits, 16);
-        assert_eq!(stats.misses, 16);
-        assert_eq!(stats.len, 16);
-        assert_eq!(stats.evictions, 0);
-        // The one geometry: 8 shards of 128.
-        assert_eq!(stats.capacity, CAPACITY);
-        assert_eq!(cache.shards.len(), SHARDS);
+        assert_eq!(
+            (stats.hits, stats.misses, stats.evictions, stats.len),
+            (16, 16, 0, 16)
+        );
+        assert_eq!(stats.capacity, 1024);
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     #[test]
-    fn sharded_get_or_derive_derives_once_and_counts_errors() {
-        let cache = ShardedSupportCache::new();
+    fn get_or_derive_derives_once_and_counts_errors() {
+        let cache = SupportCache::new();
+        let (resident, neighbour) = keys_sharing_a_slot();
         let mut derivations = 0;
         for _ in 0..3 {
             let s = cache
-                .get_or_derive((1, 2, 3), || {
+                .get_or_derive(resident, || {
                     derivations += 1;
                     Ok::<_, ()>(support(7))
                 })
@@ -484,30 +393,57 @@ mod tests {
             assert_eq!(s.terms[0].0, 7);
         }
         assert_eq!(derivations, 1, "first call derives, the rest hit");
-        // A failing derivation propagates, stores nothing, counts a miss.
+        // A failing derivation propagates and counts a miss, but stores
+        // nothing: the slot keeps its entry and evicts nothing.
         assert_eq!(
-            cache.get_or_derive((9, 9, 9), || Err::<SharedSupport, &str>("boom")),
+            cache.get_or_derive(neighbour, || Err::<SharedSupport, &str>("boom")),
             Err("boom")
         );
         let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.hits + stats.misses, 4, "one counter per call");
+        assert_eq!((stats.hits, stats.misses), (2, 2));
+        assert_eq!((stats.evictions, stats.len), (0, 1));
+        let kept = cache.get_or_derive(resident, || Err("the entry must still be there"));
+        assert_eq!(kept.unwrap().terms[0].0, 7);
+    }
+
+    /// Two keys in one slot, looked up alternately, displace each other:
+    /// every lookup misses and derives, every miss after the first
+    /// evicts, and the slot holds one entry throughout.
+    #[test]
+    fn keys_sharing_a_slot_miss_on_every_alternate_lookup() {
+        let cache = SupportCache::new();
+        let (a, b) = keys_sharing_a_slot();
+        let lookups = 2 * stress_iters(16) as u64;
+        let mut derivations = 0u64;
+        for i in 0..lookups {
+            let (key, v) = if i % 2 == 0 { (a, 1) } else { (b, 2) };
+            let got = cache
+                .get_or_derive(key, || {
+                    derivations += 1;
+                    Ok::<_, ()>(support(v))
+                })
+                .unwrap();
+            assert_eq!(got.terms[0].0, v, "a slot never answers for another key");
+        }
+        let stats = cache.stats();
+        assert_eq!(derivations, lookups);
+        assert_eq!((stats.hits, stats.misses), (0, lookups));
+        assert_eq!(stats.evictions, stats.misses - 1);
         assert_eq!(stats.len, 1);
     }
 
     /// Hammers `cache` from `WRITERS` threads, each walking every key
     /// `iters` times from its own offset, and returns how often each key
     /// was derived. Every lookup must return the support derived for its
-    /// own key.
-    fn hammer(cache: &ShardedSupportCache, keys: &[SupportKey], iters: usize) -> Vec<u64> {
+    /// own key, and the lookups must move `hits + misses` by exactly
+    /// their number.
+    fn hammer(cache: &SupportCache, keys: &[SupportKey], iters: usize) -> Vec<u64> {
         const WRITERS: usize = 8;
+        let before = cache.stats();
         let derivations: Vec<AtomicU64> = keys.iter().map(|_| AtomicU64::new(0)).collect();
-        let supports: Vec<SharedSupport> = (0..keys.len()).map(support).collect();
         thread::scope(|s| {
             for t in 0..WRITERS {
                 let derivations = &derivations;
-                let supports = &supports;
                 s.spawn(move || {
                     for round in 0..iters {
                         // Offset the walk per thread so lock acquisition
@@ -517,66 +453,63 @@ mod tests {
                             let support = cache
                                 .get_or_derive(keys[k], || {
                                     derivations[k].fetch_add(1, Ordering::SeqCst);
-                                    Ok::<_, ()>(Arc::clone(&supports[k]))
+                                    Ok::<_, ()>(support(k))
                                 })
                                 .unwrap();
-                            assert!(
-                                Arc::ptr_eq(&support, &supports[k]),
-                                "supports must never cross keys"
-                            );
+                            assert_eq!(support.terms[0].0, k, "supports must never cross keys");
                         }
                     }
                 });
             }
         });
-        let requests = (WRITERS * iters * keys.len()) as u64;
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, requests, "one counter per call");
+        let calls = (WRITERS * iters * keys.len()) as u64;
+        let after = cache.stats();
+        assert_eq!(
+            (after.hits + after.misses) - (before.hits + before.misses),
+            calls,
+            "one counter per call"
+        );
         derivations
             .iter()
             .map(|d| d.load(Ordering::SeqCst))
             .collect()
     }
 
-    /// Many threads on one sharded cache with ample capacity: counters
-    /// conserve, nothing is evicted, and every key is derived exactly
-    /// once in its shard.
+    /// Eight threads over keys in distinct slots: each key is derived
+    /// exactly once however the threads race, nothing is evicted, and a
+    /// second contended pass is all hits.
     #[test]
-    fn contended_sharded_cache_conserves_counters_and_derives_once() {
-        const KEYS: usize = 48;
-        let cache = ShardedSupportCache::with_geometry(4 * KEYS, 8);
-        let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
-        let derivations = hammer(&cache, &keys, stress_iters(16));
+    fn contended_keys_in_distinct_slots_derive_once() {
+        let cache = SupportCache::new();
+        let keys = keys_in_distinct_slots(256);
+        let iters = stress_iters(16);
+        let derivations = hammer(&cache, &keys, iters);
+        assert!(derivations.iter().all(|&d| d == 1), "{derivations:?}");
+        let first = cache.stats();
+        assert_eq!(first.misses as usize, keys.len());
+        assert_eq!((first.evictions, first.len), (0, keys.len()));
 
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 0, "ample capacity: nothing evicted");
-        assert_eq!(stats.len, KEYS);
-        for (k, &d) in derivations.iter().enumerate() {
-            assert_eq!(d, 1, "key {k} must be derived exactly once in its shard");
-        }
-        // Misses == inserts == distinct keys, since each key missed once.
-        assert_eq!(stats.misses as usize, KEYS);
+        let again = hammer(&cache, &keys, iters);
+        assert!(
+            again.iter().all(|&d| d == 0),
+            "second pass must be all hits"
+        );
+        let second = cache.stats();
+        assert_eq!((second.misses, second.evictions), (first.misses, 0));
+        assert_eq!(second.len, keys.len());
     }
 
-    /// The same hammering under eviction pressure (capacity far below the
-    /// key count): counters still conserve, evictions never exceed
-    /// inserts, and occupancy respects the bound.
+    /// Three times more distinct keys than slots, under contention:
+    /// counters conserve, every miss derived exactly once, and each
+    /// occupied slot is one miss that no later miss displaced.
     #[test]
-    fn contended_sharded_cache_conserves_counters_under_eviction_pressure() {
-        const KEYS: usize = 64;
-        let cache = ShardedSupportCache::with_geometry(8, 4); // 2 entries per shard
-        let keys: Vec<SupportKey> = (0..KEYS).map(|i| (i % 3, 5 * i, 5 * i + 3)).collect();
-        let derivations = hammer(&cache, &keys, stress_iters(8));
-
+    fn contended_keys_beyond_capacity_conserve_counters() {
+        let cache = SupportCache::new();
+        let keys: Vec<SupportKey> = (0..3 * SLOTS).map(|i| (i % 3, i, i + 2)).collect();
+        let derivations = hammer(&cache, &keys, stress_iters(2));
         let stats = cache.stats();
-        // Every miss performed exactly one derivation and one insert.
         assert_eq!(derivations.iter().sum::<u64>(), stats.misses);
-        assert!(
-            stats.evictions <= stats.misses,
-            "evictions ({}) must not exceed inserts ({})",
-            stats.evictions,
-            stats.misses
-        );
+        assert!(stats.evictions > 0);
         assert!(stats.len <= stats.capacity);
         assert_eq!(stats.len as u64, stats.misses - stats.evictions);
     }

@@ -27,16 +27,17 @@
 //!   uncached answers, and batch plan compile and execute.
 //! - [`concurrent`] — [`ConcurrentEngine`]: the one online serving engine
 //!   for every release, a shared core plus one support cache of fixed
-//!   geometry — O(log m) coefficient reads per Haar dimension and two per
+//!   size — O(log m) coefficient reads per Haar dimension and two per
 //!   identity (SA) dimension, instead of an O(m) reconstruction before
 //!   the first query.
 //! - [`plan`] — [`QueryPlan`]: a batch compiled into interned supports
 //!   and CSR-style span lists over one contiguous arena.
 //! - [`cache`] — [`DimSupport`], the one support layout both paths read
 //!   (stride-premultiplied `(offset, weight)` pairs over the core's
-//!   stored coefficients, derived by one function), the engine's
-//!   crate-private hash-sharded LRU memoization of it, and its
-//!   [`CacheStats`].
+//!   stored coefficients, derived by one function, recording the axis,
+//!   stride and transform a dot checks), the engine's crate-private
+//!   memoization of it (1024 direct-mapped slots, one lock each), and
+//!   its [`CacheStats`].
 //! - [`workload`] — the random workload generator of §VII-A (40 000 queries,
 //!   1–4 predicates each).
 //! - [`metrics`] — square error and relative error with the sanity bound

@@ -18,7 +18,7 @@
 //! against this layout, so plans compile and execute only through a core.
 //!
 //! The serving engine layers on top: [`ConcurrentEngine`] pairs an
-//! `Arc`'d core with a hash-sharded support cache. Its cached answers
+//! `Arc`'d core with a direct-mapped support cache. Its cached answers
 //! are bit-identical to this core's cache-free ones, and to a compiled
 //! plan's, because every path derives supports through one function and
 //! dots them through one kernel (`crate::kernel`), both pure.
@@ -156,8 +156,12 @@ impl ReleaseCore {
     ///
     /// [`publish_coefficients`]: privelet::mechanism::publish_coefficients
     pub fn from_output(out: &CoefficientOutput) -> Result<Self> {
-        let (schema, transform, coefficients) = out.release_parts();
-        Self::with_meta(schema.clone(), transform.clone(), coefficients, out.meta)
+        Self::with_meta(
+            out.schema.clone(),
+            out.transform.clone(),
+            &out.coefficients,
+            out.meta,
+        )
     }
 
     /// Rolls this core to a new epoch of the *same* release series: a
@@ -180,8 +184,9 @@ impl ReleaseCore {
     /// Cache note: per-dimension supports are pure functions of
     /// `(dim, lo, hi)` and the transform, and the transform is pinned by
     /// the lineage check — so support caches **survive** an epoch
-    /// advance untouched. Only coefficient state (this core's stored
-    /// matrix and noisy total) rolls.
+    /// advance untouched, and supports derived on this core still
+    /// [`dot`](Self::dot) on the new one. Only coefficient state (this
+    /// core's stored matrix and noisy total) rolls.
     pub fn advance_epoch(&self, out: &CoefficientOutput) -> Result<Self> {
         if out.transform.transforms() != self.transform.transforms()
             || out.coefficients.dims() != self.coeffs.dims()
@@ -269,9 +274,13 @@ impl ReleaseCore {
     ///
     /// Errors with [`QueryError::WrongArity`] when the number of supports
     /// is not the schema's arity, and with [`QueryError::ShapeMismatch`]
-    /// when the sum of their last (largest) offsets reaches the
-    /// coefficient count, e.g. supports of a larger release. The check is
-    /// O(d); a support of another release that stays in bounds passes.
+    /// when the `i`-th support was not derived on axis `i` of a core laid
+    /// out like this one there: the same stride and the same transform (a
+    /// support of a larger release, or of a core of the same dims whose
+    /// axis is identity where this one's is Haar, answers another
+    /// functional). The check is O(d), and supports derived on an
+    /// earlier epoch of this release pass it. Matching transforms and
+    /// strides keep every read in bounds.
     pub fn dot(&self, supports: &[SharedSupport]) -> Result<f64> {
         if supports.len() != self.schema.arity() {
             return Err(QueryError::WrongArity {
@@ -279,18 +288,19 @@ impl ReleaseCore {
                 got: supports.len(),
             });
         }
-        let reach = supports.iter().try_fold(0usize, |acc, s| {
-            acc.checked_add(s.terms().last().map_or(0, |&(k, _)| k))
-        });
-        match reach {
-            Some(reach) if reach < self.coeffs.len() => Ok(crate::kernel::tensor_dot(
-                self.coeffs.as_slice(),
-                supports,
-                0,
-                1.0,
-            )),
-            _ => Err(QueryError::ShapeMismatch),
+        if !supports
+            .iter()
+            .enumerate()
+            .all(|(dim, s)| s.fits(self, dim))
+        {
+            return Err(QueryError::ShapeMismatch);
         }
+        Ok(crate::kernel::tensor_dot(
+            self.coeffs.as_slice(),
+            supports,
+            0,
+            1.0,
+        ))
     }
 
     /// Annotates an already-computed answer with its exact noise std-dev,
@@ -610,6 +620,30 @@ mod tests {
         );
         for (q, got) in queries.iter().zip(plus.execute_plan(&plan).unwrap()) {
             assert_eq!(got.to_bits(), plus.answer_uncached(q).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn dot_refuses_supports_of_another_lineage() {
+        let plus = ReleaseCore::from_output(&four_by_eight(&[0], 5)).unwrap();
+        let pure = ReleaseCore::from_output(&four_by_eight(&[], 5)).unwrap();
+        assert_eq!(plus.coefficients().dims(), pure.coefficients().dims());
+        for q in four_by_eight_queries() {
+            // Same dims, other layout: axis 0's prefix-sum support would
+            // read the pure core's Haar coefficients.
+            let supports = plus.supports_uncached(&q).unwrap();
+            assert_eq!(pure.dot(&supports).unwrap_err(), QueryError::ShapeMismatch);
+            // The pure core's own supports, in the wrong axis order.
+            let mut swapped = pure.supports_uncached(&q).unwrap();
+            swapped.reverse();
+            assert_eq!(pure.dot(&swapped).unwrap_err(), QueryError::ShapeMismatch);
+            // Supports carried across an epoch roll still dot, and equal
+            // the rolled core's own answer bit for bit.
+            let rolled = plus.advance_epoch(&four_by_eight(&[0], 6)).unwrap();
+            assert_eq!(
+                rolled.dot(&supports).unwrap().to_bits(),
+                rolled.answer_uncached(&q).unwrap().to_bits()
+            );
         }
     }
 

@@ -142,7 +142,7 @@ fn main() {
             .advance_epoch(epoch_epsilon, 1000 + week as u64)
             .unwrap();
         engine = Some(match engine {
-            // The sharded support cache is *shared* across the bump.
+            // The support cache is *shared* across the bump.
             Some(prev) => prev.advance_epoch(&out).unwrap(),
             None => ConcurrentEngine::from_output(&out).unwrap(),
         });

@@ -2,15 +2,19 @@
 //!
 //! 1. **Bitwise equivalence** — a `QueryPlan` compiled once and executed
 //!    from many scoped threads against one shared `ReleaseCore` (and the
-//!    online path through the engine's sharded cache) returns answers
+//!    online path through the engine's support cache) returns answers
 //!    bit-identical to the core's serial, cache-free reference
 //!    (`ReleaseCore::execute_plan` and `ReleaseCore::answer_uncached`),
 //!    on random 1–3-dimensional mixed schemas.
 //! 2. **Counter conservation under contention** — the engine's
-//!    `cache_stats()` keeps `hits + misses == lookups` and one miss per
-//!    distinct `(dim, lo, hi)` triple across threads. The cache itself is
-//!    crate-private; its own contended tests (with and without eviction
-//!    pressure) live in `crates/query/src/cache.rs`.
+//!    `cache_stats()` keeps `hits + misses == lookups` across threads.
+//!    Every distinct `(dim, lo, hi)` triple misses at least once, and
+//!    misses again only after an eviction, so
+//!    `distinct ≤ misses ≤ distinct + evictions`; every occupied slot is
+//!    a miss no later miss displaced, so `len == misses − evictions`. The
+//!    cache itself is crate-private; its own contended tests (keys in
+//!    distinct slots, keys sharing a slot, more keys than slots) live in
+//!    `crates/query/src/cache.rs`.
 //! 3. **Compile-time shareability** — `Send + Sync` static assertions
 //!    for the plan, the release core and the engine.
 //!
@@ -60,10 +64,10 @@ fn a_fresh_engine_caches_1024_supports() {
 
 /// The acceptance scenario, deterministic: one release, one plan
 /// compiled once, `THREADS` scoped threads each executing the shared
-/// plan and answering the workload online through the shared sharded
+/// plan and answering the workload online through the shared support
 /// cache. Every thread's batch is bitwise-identical to the core's serial
 /// plan execution, every online answer to `answer_uncached`, and the
-/// sharded counters conserve.
+/// cache counters conserve.
 #[test]
 fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     let schema = Schema::new(vec![
@@ -120,14 +124,18 @@ fn shared_plan_from_many_threads_is_bitwise_identical_to_serial() {
     });
 
     // Counter conservation across the whole run: every online lookup
-    // moved exactly one counter, and the distinct triples were each
-    // derived once (capacity is ample, so nothing was evicted).
+    // moved exactly one counter, every distinct triple was derived once
+    // plus once per eviction that displaced it, and every occupied slot
+    // holds a miss no later miss displaced.
     let stats = engine.cache_stats();
     let requests = (THREADS * queries.len() * schema.arity()) as u64;
     assert_eq!(stats.hits + stats.misses, requests);
-    assert_eq!(stats.evictions, 0);
-    assert_eq!(stats.misses as usize, distinct_triples(&schema, &queries));
-    assert_eq!(stats.len as u64, stats.misses);
+    let distinct = distinct_triples(&schema, &queries) as u64;
+    assert!(
+        distinct <= stats.misses && stats.misses <= distinct + stats.evictions,
+        "{stats:?} over {distinct} distinct triples"
+    );
+    assert_eq!(stats.len as u64, stats.misses - stats.evictions);
 }
 
 proptest! {
@@ -191,7 +199,9 @@ proptest! {
             stats.hits + stats.misses,
             (4 * queries.len() * schema.arity()) as u64
         );
-        prop_assert_eq!(stats.misses as usize, distinct_triples(&schema, &queries));
+        let distinct = distinct_triples(&schema, &queries) as u64;
+        prop_assert!(distinct <= stats.misses && stats.misses <= distinct + stats.evictions);
+        prop_assert_eq!(stats.len as u64, stats.misses - stats.evictions);
     }
 }
 
